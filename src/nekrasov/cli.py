@@ -71,8 +71,11 @@ def _load_config(argv: list[str]) -> list[str]:
         cfg_path = argv[i + 1]
     except IndexError:
         raise ValidationError("--config requires a file path")
-    with open(cfg_path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    try:
+        with open(cfg_path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read --config file: {exc}") from exc
     flags: list[str] = []
     for key, value in cfg.items():
         if value is False:  # store_true flags: absence means False

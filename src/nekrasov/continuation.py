@@ -100,7 +100,6 @@ class StepPolicy:
     tail_threshold: float = 1e-9
     n_start: int = 512
     n_max: int = 1 << 17
-    dense_n_max: int = 2048
     max_points: int = 2000
 
 
@@ -114,22 +113,7 @@ def cone_membership(field: AngleField, eps: float = 1e-9) -> ConeReport:
     increases = np.diff(ratio)
     ratio_violation = max(0.0, float(increases.max(initial=0.0)))
 
-    # condition (iii): for t >= pi/2 the window [pi - t, t] is symmetric
-    # about pi/2; sweep t outward keeping a running minimum over the window
-    n = field.n
-    half = n // 2
-    tail_violation = 0.0
-    window_min = np.inf
-    # index pairs (half - j, half + j) move outward from theta = pi/2;
-    # grid index i corresponds to theta_{i+1}
-    for j in range(0, n - half):
-        left = half - 1 - j
-        right = half - 1 + j
-        if left >= 0:
-            window_min = min(window_min, v[left])
-        if right < n - 1:
-            window_min = min(window_min, v[right])
-            tail_violation = max(tail_violation, v[right] - window_min)
+    tail_violation = _tail_violation(v)
 
     return ConeReport(
         nonneg_ok=neg_violation <= eps,
@@ -137,6 +121,21 @@ def cone_membership(field: AngleField, eps: float = 1e-9) -> ConeReport:
         tail_ordering_ok=tail_violation <= eps,
         max_violation=max(neg_violation, ratio_violation, tail_violation),
     )
+
+
+def _tail_violation(v: np.ndarray) -> float:
+    """Largest excess of Phi(t) over min Phi on [pi - t, t], t >= pi/2.
+
+    The window is symmetric about pi/2, so its minimum is the smaller of
+    the running minima taken outward from pi/2 on either side; grid index
+    i is theta_{i+1}, and pi/2 sits at index n/2 - 1 of the n - 1 values.
+    """
+    half = (v.size + 1) // 2
+    right = v[half - 1:]
+    left_min = np.minimum.accumulate(v[half - 1::-1])
+    left_min = np.pad(left_min, (0, right.size - left_min.size), mode="edge")
+    window_min = np.minimum(np.minimum.accumulate(right), left_min)
+    return max(0.0, float((right - window_min).max()))
 
 
 def _seed_field(mu: float, spec: KernelSpec, n: int) -> AngleField:
@@ -165,19 +164,17 @@ def _branch_point(result, spec: KernelSpec, eps: float) -> BranchPoint:
     )
 
 
-def _corrector(mu, guess, spec, tol, policy) -> "object":
-    method = "newton" if guess.n <= policy.dense_n_max else "newton_krylov"
-    return solve(mu, guess, method=method, tol=tol,
+def _corrector(mu, guess, spec, tol) -> "object":
+    return solve(mu, guess, method="newton", tol=tol,
                  spec=spec.with_modes(guess.n // 2))
 
 
 def _converge_resolved(mu, guess, spec, tol, policy):
     """Solve at mu, doubling the grid until the spectral tail decays."""
-    result = _corrector(mu, guess, spec, tol, policy)
+    result = _corrector(mu, guess, spec, tol)
     while (result.field.spectral_tail(band=result.field.n // 2) > policy.tail_threshold
            and result.field.n < policy.n_max):
-        result = _corrector(mu, result.field.resample(result.field.n * 2),
-                            spec, tol, policy)
+        result = _corrector(mu, result.field.resample(result.field.n * 2), spec, tol)
     return result
 
 
@@ -300,8 +297,7 @@ def scale_branch_point(point: BranchPoint, n_fold: int, spec: KernelSpec = DEEP,
             raise ReconstructionOverflowError(
                 f"scaled point residual {residual:.3e} exceeds {tol:.3e} "
                 "and no finer grid is feasible")
-        method = "newton" if source.n * 2 <= 2048 else "newton_krylov"
-        source = solve(point.mu, source.resample(source.n * 2), method=method,
+        source = solve(point.mu, source.resample(source.n * 2), method="newton",
                        tol=max(point.residual, 1e-13),
                        spec=spec.with_modes(source.n)).field
     else:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _linalg
 from scipy.sparse import linalg as _sparse_linalg
 
 from .grid import AngleField, SineGrid, get_grid
@@ -79,8 +78,10 @@ def _mu_to_nu(mu: float) -> float:
 class NekrasovOperator:
     """Workspace for one (grid, kernel spec) pair.
 
-    Evaluation is O(n log n); the dense Jacobian path materializes
-    (n-1) x (n-1) matrices and is meant for moderate grids.
+    Evaluation and the matrix-free Jacobian action are O(n log n).  The
+    dense (n-1) x (n-1) matrices b_dense, w_dense and jacobian_dense are
+    built only on request, for spectral checks and as test references;
+    no solve uses them.
     """
 
     def __init__(self, grid: SineGrid, spec: KernelSpec):
@@ -159,20 +160,6 @@ class NekrasovOperator:
         jac[np.diag_indices_from(jac)] += 1.0
         return jac
 
-    def jacobian_fd(self, values: np.ndarray, mu: float,
-                    step: float = 1e-7) -> np.ndarray:
-        """Central-difference Jacobian of F; the de-risking fallback for the
-        analytic derivative (and its test oracle)."""
-        m = values.size
-        jac = np.empty((m, m))
-        for j in range(m):
-            bump = np.zeros(m)
-            bump[j] = step
-            f_plus = (values + bump) - self.apply(values + bump, mu)
-            f_minus = (values - bump) - self.apply(values - bump, mu)
-            jac[:, j] = (f_plus - f_minus) / (2.0 * step)
-        return jac
-
     def jacobian_operator(self, values: np.ndarray, mu: float):
         """Matrix-free Jacobian of F as a scipy LinearOperator."""
         c1, c2 = self._density_derivative_parts(values, _mu_to_nu(mu))
@@ -224,22 +211,9 @@ def apply_nekrasov(field: AngleField, mu: float, spec: KernelSpec | None = None)
     return AngleField(field.grid, values=op.apply(field.values, mu))
 
 
-def _solve_newton_dense(op, x, mu, tol, max_iter, jacobian="analytic"):
-    res = op.residual(x, mu)
-    build = op.jacobian_dense if jacobian == "analytic" else op.jacobian_fd
-    for it in range(1, max_iter + 1):
-        if res <= tol:
-            return x, res, it - 1
-        f = x - op.apply(x, mu)
-        jac = build(x, mu)
-        step = _linalg.solve(jac, f)
-        x, res = _backtrack(op, x, mu, res, -step)
-    if res <= tol:
-        return x, res, max_iter
-    raise DivergenceError(f"Newton did not reach tol={tol:g}", res, max_iter)
-
-
-def _solve_newton_krylov(op, x, mu, tol, max_iter, inner_rtol=1e-4):
+def _solve_newton(op, x, mu, tol, max_iter, inner_rtol=1e-4):
+    """Jacobian-free Newton-Krylov: each step solves J(x) dx = F(x) by
+    LGMRES on the matrix-free Jacobian action, then backtracks."""
     res = op.residual(x, mu)
     for it in range(1, max_iter + 1):
         if res <= tol:
@@ -293,30 +267,29 @@ def _solve_fixed_point(op, x, mu, tol, max_iter, damping):
 
 def solve(mu: float, initial: AngleField, method: str = "newton",
           tol: float = 1e-12, max_iter: int | None = None,
-          spec: KernelSpec | None = None, damping: float = 1.0,
-          jacobian: str = "analytic") -> SolveResult:
+          spec: KernelSpec | None = None, damping: float = 1.0) -> SolveResult:
     """Solve Phi = A_mu Phi from the given initial field.
 
-    method is one of "newton" (dense Jacobian), "newton_krylov"
-    (matrix-free, for large grids) or "fixed_point" (damped Picard).
-    jacobian selects the analytic Newton derivative or the
-    finite-difference fallback ("fd").  Raises DivergenceError on
-    non-convergence and propagates BreakdownError when the initial state
-    is outside the physical regime.
+    method is "newton" (Jacobian-free Newton-Krylov; "newton_krylov" is
+    accepted as an alias) or "fixed_point" (damped Picard).  mu must be
+    positive and finite: the spectral route is ill-posed at nu = 0, and
+    the extreme wave is computed by solve_extreme(strategy="direct").
+    Raises DivergenceError on non-convergence and propagates
+    BreakdownError when the initial state is outside the physical regime.
     """
+    if not np.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}; the extreme wave "
+                         "(mu = inf) is solved by solve_extreme(strategy=\"direct\")")
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if jacobian not in ("analytic", "fd"):
-        raise ValueError(f"unknown jacobian mode {jacobian!r}")
+    if not np.isfinite(initial.values).all():
+        raise ValueError("the initial field has non-finite values")
     op = get_operator(initial.n, _default_spec(initial, spec))
     x = initial.values.copy()
-    if method == "newton":
-        x, res, its = _solve_newton_dense(op, x, mu, tol, max_iter or 100,
-                                          jacobian=jacobian)
-    elif method == "newton_krylov":
-        x, res, its = _solve_newton_krylov(op, x, mu, tol, max_iter or 100)
+    if method in ("newton", "newton_krylov"):
+        x, res, its = _solve_newton(op, x, mu, tol, max_iter or 100)
     elif method == "fixed_point":
         x, res, its = _solve_fixed_point(op, x, mu, tol, max_iter or 5000, damping)
     else:

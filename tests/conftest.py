@@ -1,5 +1,12 @@
+import os
 import sys
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads: the first LAPACK call of a
+# process otherwise stalls for up to a second while OpenBLAS's second
+# thread spin-waits, which breaks wall-clock gates such as criterion 01.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 import pytest
 

@@ -149,6 +149,11 @@ class TestConfigFile:
         args = build_parser().parse_args(argv)
         assert args.fast is False
 
+    @pytest.mark.parametrize("name", ["missing.json", "."])
+    def test_unreadable_config_is_validation_error(self, tmp_path, capsys, name):
+        assert run(tmp_path, "solve", "--config", str(tmp_path / name)) == 2
+        assert "--config" in capsys.readouterr().err
+
     def test_env_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("NEKRASOV_OUT_DIR", str(tmp_path / "envout"))
         assert main(["eigs", "--kmax", "2"]) == 0

@@ -1,8 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
+from nekrasov.continuation import _tail_violation
 from nekrasov.solver import get_operator
+
+
+def _tail_violation_loop(v):
+    """Reference for cone condition (iii): sweep t outward from pi/2,
+    keeping a running minimum over the window [pi - t, t]."""
+    n = v.size + 1
+    half = n // 2
+    tail_violation = 0.0
+    window_min = np.inf
+    for j in range(0, n - half):
+        left = half - 1 - j
+        right = half - 1 + j
+        if left >= 0:
+            window_min = min(window_min, v[left])
+        if right < n - 1:
+            window_min = min(window_min, v[right])
+            tail_violation = max(tail_violation, v[right] - window_min)
+    return tail_violation
 
 
 class TestTraceBranch:
@@ -78,6 +98,14 @@ class TestConeMembership:
         for p in small_branch:
             assert p.cone.all_ok
             assert p.cone.max_violation <= 1e-9
+
+    @pytest.mark.parametrize("n", [8, 64, 512, 4096])
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_tail_violation_matches_loop(self, n, seed, ties):
+        rng = np.random.default_rng(seed)
+        v = rng.integers(-3, 4, n - 1).astype(float) if ties else rng.standard_normal(n - 1)
+        assert _tail_violation(v) == _tail_violation_loop(v)
 
     def test_zero_field_in_cone(self):
         report = nk.cone_membership(nk.AngleField.zero(128))

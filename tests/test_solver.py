@@ -145,24 +145,25 @@ class TestSolve:
         assert np.abs(newton.field.values - krylov.field.values).max() < 1e-9
         assert np.abs(newton.field.values - fixed.field.values).max() < 1e-9
 
-    def test_fd_jacobian_fallback(self):
-        mu = 3.4
-        grid = nk.get_grid(64)
-        init = nk.AngleField(grid, values=0.04 * np.sin(grid.theta))
-        analytic = nk.solve(mu, init, method="newton")
-        fd = nk.solve(mu, init, method="newton", jacobian="fd")
-        assert np.abs(analytic.field.values - fd.field.values).max() < 1e-10
-        with pytest.raises(ValueError):
-            nk.solve(mu, init, jacobian="sorcery")
-
-    def test_analytic_jacobian_matches_finite_differences(self, wave_35):
-        # derivative consistency at a genuinely nonlinear state
+    def test_jacobian_operator_matches_dense_and_finite_differences(self, wave_35):
+        # derivative consistency at a genuinely nonlinear state: every column
+        # of the matrix-free Jacobian against the dense Jacobian and a
+        # central difference of the operator
         from nekrasov.solver import get_operator
-        field = wave_35.field.resample(64)
+        values = wave_35.field.resample(64).values
         op = get_operator(64, nk.KernelSpec(n_modes=32))
-        analytic = op.jacobian_dense(field.values, 3.5)
-        fd = op.jacobian_fd(field.values, 3.5)
-        assert np.abs(analytic - fd).max() < 1e-7
+        jac = op.jacobian_operator(values, 3.5)
+        dense = op.jacobian_dense(values, 3.5)
+        step = 1e-7
+
+        def f(x):
+            return x - op.apply(x, 3.5)
+
+        for j, unit in enumerate(np.eye(values.size)):
+            column = jac.matvec(unit)
+            central = (f(values + step * unit) - f(values - step * unit)) / (2.0 * step)
+            assert np.abs(column - dense[:, j]).max() < 1e-7
+            assert np.abs(column - central).max() < 1e-7
 
     def test_grid_refinement_stability(self, wave_35):
         fine = solved_field(3.5, n=1024)
@@ -177,6 +178,21 @@ class TestSolve:
             nk.solve(3.2, init, tol=-1e-12)
         with pytest.raises(ValueError):
             nk.solve(3.2, init, method="sorcery")
+
+    @pytest.mark.parametrize("mu", [np.inf, np.nan])
+    def test_non_finite_mu_is_rejected(self, mu):
+        # a physical seed: at mu = inf the ill-posed spectral route would
+        # otherwise report convergence
+        field = nk.AngleField.from_callable(lambda t: 0.3 * np.sin(t), 256)
+        with pytest.raises(ValueError, match='strategy="direct"'):
+            nk.solve(mu, field)
+
+    def test_non_finite_initial_field_is_rejected(self):
+        grid = nk.get_grid(64)
+        values = 0.04 * np.sin(grid.theta)
+        values[5] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            nk.solve(3.4, nk.AngleField(grid, values=values))
 
 
 class TestSolveSystem:
