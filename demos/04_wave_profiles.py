@@ -13,13 +13,10 @@ import numpy as np
 import nekrasov as nk
 
 print(__doc__)
-grid = nk.get_grid(512)
-series = nk.expand_solution(3)
 
 
 def solved(mu):
-    init = nk.AngleField(grid, values=nk.eval_series(series, mu - 3.0, grid.theta))
-    return nk.solve(mu, init).field
+    return nk.solve_seeded(mu).field
 
 
 print("=== physical parameters along the branch (lambda = 2 pi, g = 1) ===")

@@ -12,7 +12,8 @@ from .kernel import (DEEP, KernelSpec, SingularEvaluationError,
 from .solver import (AmplitudeBound, BreakdownError, DivergenceError,
                      SolveResult, SystemState, apply_nekrasov,
                      check_amplitude_bound, crest_trough_asymmetry,
-                     inner_accumulate, solve, solve_system, system_residual)
+                     inner_accumulate, solve, solve_seeded, solve_system,
+                     system_residual)
 from .series import (MAX_ORDER, RationalSineSeries, UnsupportedOrderError,
                      eval_series, expand_solution,
                      height_coefficients_from_expansion, series_coefficients,
@@ -28,7 +29,7 @@ from .profile import (GeometryWarning, ReconstructionError, WaveProfile,
 from .extreme import (ConvexityReport, ExtremeSolution, GrantFit,
                       convexity_check, crest_jump, extreme_record_from_field,
                       fit_asymptotics, grant_number, solve_extreme,
-                      stokes_limit, verify_constant_solution)
+                      solve_sequence, stokes_limit, verify_constant_solution)
 
 __version__ = "0.1.0"
 
@@ -39,8 +40,8 @@ __all__ = [
     "linearized_factors",
     "AmplitudeBound", "BreakdownError", "DivergenceError", "SolveResult",
     "SystemState", "apply_nekrasov", "check_amplitude_bound",
-    "crest_trough_asymmetry", "inner_accumulate", "solve", "solve_system",
-    "system_residual",
+    "crest_trough_asymmetry", "inner_accumulate", "solve", "solve_seeded",
+    "solve_system", "system_residual",
     "MAX_ORDER", "RationalSineSeries", "UnsupportedOrderError", "eval_series",
     "expand_solution", "height_coefficients_from_expansion",
     "series_coefficients", "wave_height_series",
@@ -53,7 +54,7 @@ __all__ = [
     "surface_speed_ratio", "wave_height",
     "ConvexityReport", "ExtremeSolution", "GrantFit", "convexity_check",
     "crest_jump", "extreme_record_from_field", "fit_asymptotics",
-    "grant_number", "solve_extreme", "stokes_limit",
+    "grant_number", "solve_extreme", "solve_sequence", "stokes_limit",
     "verify_constant_solution",
     "__version__",
 ]

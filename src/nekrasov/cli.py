@@ -14,19 +14,19 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, io as _io
 from .continuation import StepPolicy, trace_branch
-from .extreme import convexity_check, crest_jump, grant_number, solve_extreme
+from .extreme import (convexity_check, crest_jump, grant_number, solve_extreme,
+                      solve_sequence)
 from .grid import AngleField, get_grid
 from .kernel import KernelSpec, characteristic_values
 from .profile import reconstruct_profile
-from .series import UnsupportedOrderError, eval_series, expand_solution
-from .solver import BreakdownError, DivergenceError, solve
+from .series import WAVE_HEIGHT_COEFFICIENTS, UnsupportedOrderError, expand_solution
+from .solver import BreakdownError, DivergenceError, solve_seeded
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -169,26 +169,12 @@ def cmd_eigs(args) -> int:
     return EXIT_OK
 
 
-def _seeded_solve(mu, spec, n, tol, method):
-    mu1 = float(characteristic_values(spec, 1)[0])
-    grid = get_grid(n)
-    if mu <= mu1:
-        return None
-    if spec.is_infinite:
-        guess = AngleField(grid, values=eval_series(expand_solution(3), mu - mu1,
-                                                    grid.theta))
-    else:
-        guess = AngleField(grid, values=(mu - mu1) / 9.0 * np.sin(grid.theta))
-    return solve(mu, guess, method=method, tol=tol, spec=spec)
-
-
 def cmd_solve(args) -> int:
     if args.mu <= 0:
         raise ValidationError(f"mu must be positive, got {args.mu}")
     spec = _spec_from(args)
-    result = _seeded_solve(args.mu, spec, args.n, args.tol, args.method)
     meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol, mu=args.mu)
-    if result is None:
+    if args.mu <= float(characteristic_values(spec, 1)[0]):
         print("warning: subcritical mu (no nontrivial solution); "
               "emitting the trivial solution", file=sys.stderr)
         grid = get_grid(args.n)
@@ -196,6 +182,7 @@ def cmd_solve(args) -> int:
         coeffs = np.zeros(args.n - 1)
         residual, iterations, method = 0.0, 0, args.method
     else:
+        result = solve_seeded(args.mu, spec, args.n, args.tol, args.method)
         values = result.field.values
         coeffs = result.field.coefficients
         residual, iterations, method = result.residual, result.iterations, result.method
@@ -238,8 +225,7 @@ def cmd_series(args) -> int:
             rows_c.append(series.coefficient(p, k))
     spec = _spec_from(args)
     meta = _io.base_metadata(__version__, spec, order=args.order)
-    height = [str(c) for c in
-              (Fraction(1, 9), Fraction(-8, 243), Fraction(71, 6561))][:args.order]
+    height = [str(c) for c in WAVE_HEIGHT_COEFFICIENTS[:args.order]]
     payload = {
         "metadata": meta,
         "coefficients": [
@@ -268,7 +254,7 @@ def cmd_profile(args) -> int:
               file=sys.stderr)
         field = AngleField.zero(args.n)
     else:
-        field = _seeded_solve(args.mu, spec, args.n, args.tol, "newton").field
+        field = solve_seeded(args.mu, spec, args.n, args.tol).field
     profile = reconstruct_profile(field, args.mu, args.wavelength, args.g)
     meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol,
                              mu=args.mu, height=profile.height,
@@ -294,9 +280,7 @@ def cmd_extreme(args) -> int:
         convex_mu = max(sol.mu_sequence)
         convex_field = sol.field
     else:
-        from .extreme import _solve_sequence
-        result, _ = _solve_sequence(spec, (3000.0,), args.tol, args.n,
-                                    1 << 17, tail_threshold=1e-9)
+        result, _ = solve_sequence(spec, (3000.0,), args.tol, args.n, 1 << 17)
         convex_mu = 3000.0
         convex_field = result.field
     convexity = convexity_check(reconstruct_profile(convex_field, convex_mu))

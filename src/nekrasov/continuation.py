@@ -14,10 +14,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import profile as _profile
-from . import series as _series
-from .grid import AngleField, get_grid
-from .kernel import DEEP, KernelSpec, characteristic_values
-from .solver import DivergenceError, BreakdownError, get_operator, solve
+from .grid import AngleField
+from .kernel import DEEP, KernelSpec
+from .solver import (BreakdownError, DivergenceError, SolveResult, _seed_field,
+                     get_operator, solve)
 
 
 @dataclass
@@ -138,20 +138,7 @@ def _tail_violation(v: np.ndarray) -> float:
     return max(0.0, float((right - window_min).max()))
 
 
-def _seed_field(mu: float, spec: KernelSpec, n: int) -> AngleField:
-    """Initial guess near the bifurcation point from the local expansion."""
-    mu1 = float(characteristic_values(spec, 1)[0])
-    grid = get_grid(n)
-    mu_prime = mu - mu1
-    if spec.is_infinite:
-        expansion = _series.expand_solution(3)
-        values = _series.eval_series(expansion, mu_prime, grid.theta)
-    else:
-        values = (mu_prime / 9.0) * np.sin(grid.theta)
-    return AngleField(grid, values=np.asarray(values, dtype=float))
-
-
-def _branch_point(result, spec: KernelSpec, eps: float) -> BranchPoint:
+def _branch_point(result: SolveResult, eps: float) -> BranchPoint:
     height = _profile.reconstruct_profile(result.field, result.mu).height
     return BranchPoint(
         mu=result.mu,
@@ -164,7 +151,7 @@ def _branch_point(result, spec: KernelSpec, eps: float) -> BranchPoint:
     )
 
 
-def _corrector(mu, guess, spec, tol) -> "object":
+def _corrector(mu, guess, spec, tol) -> SolveResult:
     return solve(mu, guess, method="newton", tol=tol,
                  spec=spec.with_modes(guess.n // 2))
 
@@ -189,9 +176,6 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     is returned truncated with a failure record.
     """
     policy = policy or StepPolicy()
-    mu1 = float(characteristic_values(spec, 1)[0])
-    if not mu_start > mu1:
-        raise ValueError(f"mu_start must exceed the bifurcation point {mu1:g}")
     if not mu_end > mu_start:
         raise ValueError("mu_end must exceed mu_start")
 
@@ -200,7 +184,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                               "n_start": policy.n_start})
     result = _converge_resolved(mu_start, _seed_field(mu_start, spec, policy.n_start),
                                 spec, tol, policy)
-    branch.points.append(_branch_point(result, spec, cone_eps))
+    branch.points.append(_branch_point(result, cone_eps))
     if progress:
         progress(branch.points[-1])
 
@@ -240,7 +224,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
             continue
 
         prev_result, result = current, new_result
-        branch.points.append(_branch_point(result, spec, cone_eps))
+        branch.points.append(_branch_point(result, cone_eps))
         if progress:
             progress(branch.points[-1])
         step = min(step * policy.growth, policy.max_step)

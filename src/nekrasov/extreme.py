@@ -20,6 +20,7 @@ from ._graded import GradedCollocation
 from .grid import AngleField, get_grid
 from .kernel import DEEP, KernelSpec
 from .profile import WaveProfile
+from .solver import SolveResult, _seed_field
 
 
 @dataclass
@@ -165,11 +166,15 @@ def crest_jump(sol: ExtremeSolution, **kwargs) -> float:
     return 2.0 * stokes_limit(sol, **kwargs)
 
 
+def _crest_samples(field: AngleField) -> np.ndarray:
+    """Crest-fit sample points, geometric from the grid spacing (>= 1e-6) to 3."""
+    return np.geomspace(max(2.0 * np.pi / field.n, 1e-6), 3.0, 400)
+
+
 def extreme_record_from_field(field: AngleField, mu: float) -> ExtremeSolution:
     """Wrap a finite-mu solution in an ExtremeSolution record so the crest
     diagnostics (stokes_limit, fit_asymptotics) can be applied to it."""
-    lo = 2.0 * np.pi / field.n
-    theta = np.geomspace(max(lo, 1e-6), 3.0, 400)
+    theta = _crest_samples(field)
     return ExtremeSolution(field=field, strategy="sequence",
                            mu_sequence=(float(mu),), theta_samples=theta,
                            phi_samples=field(theta),
@@ -179,21 +184,23 @@ def extreme_record_from_field(field: AngleField, mu: float) -> ExtremeSolution:
 DEFAULT_MU_SEQUENCE = (30.0, 300.0, 3000.0, 30000.0)
 
 
-def _solve_sequence(spec: KernelSpec, mu_sequence, tol, n_start, n_max,
-                    tail_threshold, ramp_ratio: float = 1.6):
-    from .continuation import StepPolicy, _converge_resolved, _seed_field
+def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
+                   n_max: int) -> tuple[SolveResult, list[dict]]:
+    """Solve up a warm-start ladder to max(mu_sequence), each grid refined
+    (up to n_max) until resolved; returns the last result and per-mu records."""
+    from .continuation import StepPolicy, _converge_resolved
 
-    policy = StepPolicy(n_start=n_start, n_max=n_max,
-                        tail_threshold=tail_threshold)
+    policy = StepPolicy(n_start=n_start, n_max=n_max)
     mu_targets = sorted(float(m) for m in mu_sequence)
-    # warm-start ladder, geometric in mu - 3: jumping straight to a large mu
-    # from the local seed lands in the basin of the trivial solution
+    # warm-start ladder, geometric in mu - 3 with ratio 1.6: jumping straight
+    # to a large mu from the local seed lands in the basin of the trivial
+    # solution
     mu0 = 3.3
     s_max = mu_targets[-1] - 3.0
     s = mu0 - 3.0
     ladder: list[float] = []
-    while s * ramp_ratio < s_max:
-        s *= ramp_ratio
+    while s * 1.6 < s_max:
+        s *= 1.6
         ladder.append(3.0 + s)
     ladder = sorted(set(ladder + mu_targets))
     per_mu = []
@@ -228,11 +235,9 @@ def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "sequence",
     if not spec.is_infinite:
         raise ValueError("the extreme limit is computed on deep water")
     if strategy == "sequence":
-        result, per_mu = _solve_sequence(spec, mu_sequence, tol,
-                                         n_start, n_max, tail_threshold=1e-9)
+        result, per_mu = solve_sequence(spec, mu_sequence, tol, n_start, n_max)
         field = result.field
-        lo = 2.0 * np.pi / field.n
-        theta = np.geomspace(max(lo, 1e-6), 3.0, 400)
+        theta = _crest_samples(field)
         phi = field(theta)
         residual = result.residual
         strategy_used = "sequence"

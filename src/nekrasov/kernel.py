@@ -122,7 +122,7 @@ def kernel_series(theta, tau, spec: KernelSpec):
             weights[start:start + k.size],
         )
     out = out.reshape(shape) / (3.0 * np.pi)
-    return float(out[()] if not scalar else out.ravel()[0]) if scalar else out
+    return float(out.ravel()[0]) if scalar else out
 
 
 def linearized_factors(spec: KernelSpec, k_max: int) -> np.ndarray:

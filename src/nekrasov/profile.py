@@ -56,9 +56,14 @@ class WaveProfile:
 
 
 def _denominator(field: AngleField, mu: float) -> np.ndarray:
-    """1 + mu*I on the closed grid, validated positive."""
+    """1 + mu*I on the closed grid, validated finite and positive."""
+    if not (mu > 0 and np.isfinite(mu)):
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     denom = 1.0 + mu * inner_accumulate(field)
-    if denom.min() <= 0.0:
+    lowest = denom.min()
+    if np.isnan(lowest):
+        raise ValueError("the field has non-finite values")
+    if lowest <= 0.0:
         raise BreakdownError("1 + mu*I lost positivity; cannot reconstruct")
     return denom
 
@@ -84,17 +89,26 @@ def _closed_values(field: AngleField) -> np.ndarray:
     return v
 
 
-def _crest_normalized_R(field: AngleField, mu: float):
-    """R with R(0)=1, cos(Phi), and the x-extent integral D = Int_0^pi R cos Phi."""
-    r = reconstruct_R(field, mu)
+def _crest_normalized(field: AngleField, mu: float):
+    """1 + mu*I, R with R(0) = 1, cos(Phi), and the x-extent integral
+    D = Int_0^pi R cos Phi, all from one evaluation of 1 + mu*I."""
+    denom = _denominator(field, mu)
+    r = denom ** (-1.0 / 3.0)
     cos_phi = np.cos(_closed_values(field))
-    integrand = r * cos_phi
     # trapezoid on the uniform closed grid integrates trig polynomials of
     # degree < 2n exactly
-    d = np.trapezoid(integrand, dx=np.pi / field.n)
+    d = np.trapezoid(r * cos_phi, dx=np.pi / field.n)
     if d <= 0.0:
         raise ReconstructionError("horizontal extent integral is nonpositive")
-    return r, cos_phi, d
+    return denom, r, cos_phi, d
+
+
+def _speeds(mu: float, d: float, wavelength: float, g: float) -> tuple[float, float]:
+    """c and q0 from the x-extent integral D (see physical_params)."""
+    q_at = mu ** (1.0 / 3.0) * d / np.pi
+    c = np.sqrt(3.0 * g * wavelength / (2.0 * np.pi * q_at**3))
+    q0 = (3.0 * g * c * wavelength / (2.0 * np.pi * mu)) ** (1.0 / 3.0)
+    return float(c), float(q0)
 
 
 def physical_params(field: AngleField, mu: float, wavelength: float = 2.0 * np.pi,
@@ -105,13 +119,7 @@ def physical_params(field: AngleField, mu: float, wavelength: float = 2.0 * np.p
     (1/2 pi) Int_{-pi}^{pi} cos Phi [mu^(-1) + I]^(-1/3) dtau, after which
     q0 follows from mu = 3 g c lambda / (2 pi q0^3).
     """
-    if not (mu > 0 and np.isfinite(mu)):
-        raise ValueError(f"mu must be positive and finite, got {mu}")
-    _, _, d = _crest_normalized_R(field, mu)
-    q_at = mu ** (1.0 / 3.0) * d / np.pi
-    c = np.sqrt(3.0 * g * wavelength / (2.0 * np.pi * q_at**3))
-    q0 = (3.0 * g * c * wavelength / (2.0 * np.pi * mu)) ** (1.0 / 3.0)
-    return float(c), float(q0)
+    return _speeds(mu, _crest_normalized(field, mu)[3], wavelength, g)
 
 
 def _integrate_profile(field: AngleField, even_series: np.ndarray,
@@ -129,7 +137,7 @@ def _integrate_profile(field: AngleField, even_series: np.ndarray,
     return x, eta
 
 
-def _mean_x_offset(x: np.ndarray, eta: np.ndarray, wavelength: float) -> float:
+def _mean_x_offset(x: np.ndarray, eta: np.ndarray) -> float:
     """Mean of eta over one period in x (trapezoid in the x variable)."""
     return float(np.trapezoid(eta, x) / (x[-1] - x[0]))
 
@@ -144,7 +152,7 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    r_unit, cos_phi, d = _crest_normalized_R(field, mu)
+    denom, r_unit, cos_phi, d = _crest_normalized(field, mu)
     grid = field.grid
     r = (np.pi / d) * r_unit
     rc = r * cos_phi
@@ -156,12 +164,12 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
     even_series = _cosine_coefficients(rc - 1.0, grid)
     odd_series = grid.to_coefficients((r * sin_phi)[1:-1])
     x, eta = _integrate_profile(field, even_series, odd_series, wavelength)
-    offset = _mean_x_offset(x, eta, wavelength)
+    offset = _mean_x_offset(x, eta)
     eta = eta - offset
-    c, q0 = physical_params(field, mu, wavelength, g)
+    c, q0 = _speeds(mu, d, wavelength, g)
     return WaveProfile(
         theta=grid.theta_closed.copy(), x=x, eta=eta, R=r,
-        q_over_q0=surface_speed_ratio(field, mu),
+        q_over_q0=denom ** (1.0 / 3.0),
         wavelength=wavelength, c=c, q0=q0, g=g, mu=mu,
         a_k=even_series,  # cosine modes of R cos Phi are the map modes
         metadata={
@@ -191,6 +199,10 @@ def fourier_map_coefficients(field: AngleField, mu: float,
     what the grid resolves.
     """
     _denominator(field, mu)
+    return _map_coefficients(field, k_max)
+
+
+def _map_coefficients(field: AngleField, k_max: int | None = None) -> np.ndarray:
     b = field.coefficients
     if k_max is None:
         k_max = b.size
@@ -213,16 +225,16 @@ def profile_from_map_coefficients(field: AngleField, mu: float,
         eta = (lambda/2 pi) sum (a_k/k) cos(k theta),
         x   = -(lambda/2 pi) (theta + sum (a_k/k) sin(k theta)).
     """
-    a = fourier_map_coefficients(field, mu)
+    denom, r, _, d = _crest_normalized(field, mu)
+    a = _map_coefficients(field)
     grid = field.grid
     x, eta = _integrate_profile(field, a, a, wavelength)
-    offset = _mean_x_offset(x, eta, wavelength)
+    offset = _mean_x_offset(x, eta)
     eta = eta - offset
-    c, q0 = physical_params(field, mu, wavelength, g)
-    r, _, d = _crest_normalized_R(field, mu)
+    c, q0 = _speeds(mu, d, wavelength, g)
     return WaveProfile(
         theta=grid.theta_closed.copy(), x=x, eta=eta, R=(np.pi / d) * r,
-        q_over_q0=surface_speed_ratio(field, mu),
+        q_over_q0=denom ** (1.0 / 3.0),
         wavelength=wavelength, c=c, q0=q0, g=g, mu=mu, a_k=a,
         metadata={"eta_offset_mean_zero": offset, "route": "map_coefficients",
                   "n": field.n})

@@ -13,13 +13,15 @@ form with nu remains meaningful in the extreme limit nu = 0.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import linalg as _sparse_linalg
 
 from .grid import AngleField, SineGrid, get_grid
-from .kernel import KernelSpec, linearized_factors
+from .kernel import DEEP, KernelSpec, characteristic_values, linearized_factors
+from .series import eval_series, expand_solution
 
 
 class BreakdownError(RuntimeError):
@@ -96,18 +98,22 @@ class NekrasovOperator:
 
     # -- spectral building blocks -------------------------------------------------
 
-    def inner_integral(self, values: np.ndarray) -> np.ndarray:
-        """I(theta) = Int_0^theta sin Phi, on the closed grid [0, pi]."""
-        return self.grid.antiderivative_closed(np.sin(values))
+    def _denominator(self, values: np.ndarray, nu: float):
+        """sin Phi and nu + I on the interior grid, I = Int_0^theta sin Phi;
+        raises BreakdownError unless the denominator is positive."""
+        sin_phi = np.sin(values)
+        denom = nu + self.grid.antiderivative_closed(sin_phi)[1:-1]
+        lowest = denom.min(initial=np.inf)
+        if lowest <= 0.0:
+            raise BreakdownError(
+                f"denominator 1 + mu*I reached {lowest:.3e}/mu; "
+                "the field is outside the physical regime")
+        return sin_phi, denom
 
     def density(self, values: np.ndarray, nu: float) -> np.ndarray:
         """g = sin Phi / (nu + I) on the interior grid; checks positivity."""
-        denom = nu + self.inner_integral(values)[1:-1]
-        if denom.min(initial=np.inf) <= 0.0:
-            raise BreakdownError(
-                f"denominator 1 + mu*I reached {denom.min():.3e}/mu; "
-                "the field is outside the physical regime")
-        return np.sin(values) / denom
+        sin_phi, denom = self._denominator(values, nu)
+        return sin_phi / denom
 
     def apply_linear(self, values: np.ndarray) -> np.ndarray:
         """B applied to interior grid values (diagonal in the sine basis)."""
@@ -143,12 +149,8 @@ class NekrasovOperator:
         return self._w_dense
 
     def _density_derivative_parts(self, values: np.ndarray, nu: float):
-        denom = nu + self.inner_integral(values)[1:-1]
-        if denom.min(initial=np.inf) <= 0.0:
-            raise BreakdownError("denominator lost positivity in Jacobian")
-        c1 = np.cos(values) / denom
-        c2 = np.sin(values) / denom**2
-        return c1, c2
+        sin_phi, denom = self._denominator(values, nu)
+        return np.cos(values) / denom, sin_phi / denom**2
 
     def jacobian_dense(self, values: np.ndarray, mu: float) -> np.ndarray:
         """Dense Jacobian of F(Phi) = Phi - A_mu Phi at the given state."""
@@ -174,17 +176,10 @@ class NekrasovOperator:
         return _sparse_linalg.LinearOperator((m, m), matvec=matvec, dtype=float)
 
 
-_OPERATOR_CACHE: dict[tuple, NekrasovOperator] = {}
-
-
+@functools.lru_cache(maxsize=25)
 def get_operator(n: int, spec: KernelSpec) -> NekrasovOperator:
-    key = (n, spec.depth_ratio, spec.n_modes)
-    op = _OPERATOR_CACHE.get(key)
-    if op is None:
-        if len(_OPERATOR_CACHE) > 24:
-            _OPERATOR_CACHE.clear()
-        op = _OPERATOR_CACHE[key] = NekrasovOperator(get_grid(n), spec)
-    return op
+    """The cached operator for (n, spec); pass both positionally."""
+    return NekrasovOperator(get_grid(n), spec)
 
 
 def _default_spec(field: AngleField, spec: KernelSpec | None) -> KernelSpec:
@@ -296,6 +291,29 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
         raise ValueError(f"unknown method {method!r}")
     return SolveResult(field=AngleField(initial.grid, values=x), mu=mu,
                        residual=res, iterations=its, method=method)
+
+
+def _seed_field(mu: float, spec: KernelSpec, n: int) -> AngleField:
+    """Initial guess near the bifurcation point mu1 from the local expansion:
+    the order-3 series on deep water, (mu - mu1)/9 sin theta at finite depth."""
+    mu1 = float(characteristic_values(spec, 1)[0])
+    if not mu > mu1:
+        raise ValueError(f"mu must exceed the bifurcation point {mu1:g}, got {mu}")
+    grid = get_grid(n)
+    if spec.is_infinite:
+        values = eval_series(expand_solution(3), mu - mu1, grid.theta)
+    else:
+        values = (mu - mu1) / 9.0 * np.sin(grid.theta)
+    return AngleField(grid, values=values)
+
+
+def solve_seeded(mu: float, spec: KernelSpec = DEEP, n: int = 512,
+                 tol: float = 1e-12, method: str = "newton") -> SolveResult:
+    """Seed at mu from the small-amplitude expansion and solve on n points
+    with n/2 kernel modes.  Raises ValueError unless mu exceeds the
+    bifurcation point of the kernel."""
+    return solve(mu, _seed_field(mu, spec, n), method=method, tol=tol,
+                 spec=spec.with_modes(n // 2))
 
 
 def system_residual(state: SystemState, mu: float, spec: KernelSpec | None = None) -> float:

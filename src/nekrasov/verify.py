@@ -13,12 +13,11 @@ import numpy as np
 
 from .continuation import StepPolicy, trace_branch
 from .extreme import grant_number, solve_extreme, verify_constant_solution
-from .grid import AngleField, get_grid
 from .kernel import (DEEP, KernelSpec, characteristic_values,
                      kernel_deep_closed, kernel_series)
 from .profile import physical_params, profile_from_map_coefficients, reconstruct_profile
-from .series import eval_series, expand_solution
-from .solver import get_operator, solve, solve_system
+from .series import expand_solution
+from .solver import get_operator, inner_accumulate, solve_seeded, solve_system
 
 
 def _check_kernel_symmetry():
@@ -60,16 +59,9 @@ def _check_series_coefficients():
     return ok, "orders 1-2: 1/9, -8/243, 1/54"
 
 
-def _small_mu_solution(mu, n=512):
-    grid = get_grid(n)
-    guess = AngleField(grid, values=eval_series(expand_solution(3), mu - 3.0,
-                                                grid.theta))
-    return solve(mu, guess, method="newton")
-
-
 def _check_local_bifurcation():
     mu_prime = 0.05
-    res = _small_mu_solution(3.0 + mu_prime)
+    res = solve_seeded(3.0 + mu_prime)
     b1 = res.field.coefficients[0]
     mismatch = abs(b1 - (mu_prime / 9 - 8 * mu_prime**2 / 243))
     return mismatch < 5e-6, f"leading coefficient mismatch {mismatch:.2e}"
@@ -77,16 +69,11 @@ def _check_local_bifurcation():
 
 def _check_system_equivalence():
     mu = 3.2
-    single = _small_mu_solution(mu)
+    single = solve_seeded(mu)
     state = solve_system(mu, tol=1e-11)
     diff = np.abs(single.field.values - state.phi.values).max()
-    cross = np.abs(state.psi * (1.0 + mu * _inner(state.phi)) - 1.0).max()
+    cross = np.abs(state.psi * (1.0 + mu * inner_accumulate(state.phi)) - 1.0).max()
     return diff < 1e-8 and cross < 1e-9, f"phi diff {diff:.1e}, psi identity {cross:.1e}"
-
-
-def _inner(field):
-    from .solver import inner_accumulate
-    return inner_accumulate(field)
 
 
 def _check_mini_branch():
@@ -108,7 +95,7 @@ def _check_mini_branch():
 def _check_dispersion():
     errs = []
     for mu_prime in (0.01, 0.005):
-        res = _small_mu_solution(3.0 + mu_prime)
+        res = solve_seeded(3.0 + mu_prime)
         c, _ = physical_params(res.field, res.mu)
         errs.append(abs(c**2 - 1.0))
     ok = errs[1] < 0.6 * errs[0] and errs[0] < 1e-3
@@ -116,7 +103,7 @@ def _check_dispersion():
 
 
 def _check_cross_route():
-    res = _small_mu_solution(3.5)
+    res = solve_seeded(3.5)
     p1 = reconstruct_profile(res.field, 3.5)
     p2 = profile_from_map_coefficients(res.field, 3.5)
     diff = max(np.abs(p1.eta - p2.eta).max(), np.abs(p1.x - p2.x).max())

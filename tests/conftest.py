@@ -16,10 +16,7 @@ import nekrasov as nk
 
 
 def solved_field(mu: float, n: int = 512) -> nk.SolveResult:
-    grid = nk.get_grid(n)
-    guess = nk.AngleField(grid, values=nk.eval_series(nk.expand_solution(3),
-                                                      mu - 3.0, grid.theta))
-    return nk.solve(mu, guess, method="newton")
+    return nk.solve_seeded(mu, n=n)
 
 
 @pytest.fixture(scope="session")

@@ -163,9 +163,7 @@ def test_cross_discretization_at_large_mu():
     # the uniform sine-spectral solver and the graded collocation engine
     # discretize the same equation in entirely different ways; at mu = 1000
     # they must agree including inside the crest layer
-    from nekrasov.extreme import _solve_sequence
-    result, _ = _solve_sequence(nk.DEEP, (1000.0,), 1e-12, 512, 1 << 15,
-                                tail_threshold=1e-9)
+    result, _ = nk.solve_sequence(nk.DEEP, (1000.0,), 1e-12, 512, 1 << 15)
     eng = GradedCollocation(n_nodes=700, grading=3.0)
     sol = eng.solve(1e-3, phi0=None, tol=1e-10)
     sup_diff = abs(np.abs(sol.phi[1:-1]).max() - result.field.sup_norm())

@@ -35,6 +35,17 @@ class TestReconstructR:
             nk.reconstruct_R(field, 50.0)
 
 
+@pytest.mark.parametrize("entry", [
+    nk.reconstruct_profile, nk.profile_from_map_coefficients, nk.physical_params,
+    nk.reconstruct_R, nk.surface_speed_ratio, nk.fourier_map_coefficients])
+def test_non_finite_field_is_rejected(entry):
+    grid = nk.get_grid(64)
+    values = 0.04 * np.sin(grid.theta)
+    values[10] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        entry(nk.AngleField(grid, values=values), 3.4)
+
+
 class TestReconstructProfile:
     def test_flat_surface(self):
         profile = nk.reconstruct_profile(nk.AngleField.zero(64), mu=3.0)
@@ -153,8 +164,7 @@ class TestMapCoefficients:
         # both are the power-series coefficients of log f
         from scipy import fft as _fft
         field = wave_35.field
-        r, _, d = nk.profile._crest_normalized_R(field, 3.5)
-        log_r = np.log((np.pi / d) * r)
+        log_r = np.log(nk.reconstruct_profile(field, 3.5).R)
         n = field.n
         cos_coeffs = (_fft.dct(log_r, type=1) / n)[1:-1]
         assert np.abs(cos_coeffs - field.coefficients).max() < 1e-10

@@ -145,6 +145,16 @@ class TestSolve:
         assert np.abs(newton.field.values - krylov.field.values).max() < 1e-9
         assert np.abs(newton.field.values - fixed.field.values).max() < 1e-9
 
+    def test_operator_cache_keeps_recently_used(self):
+        # least-recently-used eviction: an operator in steady use survives
+        # any number of other keys passing through the 25-entry cache
+        from nekrasov.solver import get_operator
+        spec = nk.KernelSpec(n_modes=4)
+        kept = get_operator(8, spec)
+        for modes in range(1, 60):
+            get_operator(16, nk.KernelSpec(n_modes=modes))
+            assert get_operator(8, spec) is kept
+
     def test_jacobian_operator_matches_dense_and_finite_differences(self, wave_35):
         # derivative consistency at a genuinely nonlinear state: every column
         # of the matrix-free Jacobian against the dense Jacobian and a
@@ -193,6 +203,39 @@ class TestSolve:
         values[5] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             nk.solve(3.4, nk.AngleField(grid, values=values))
+
+
+class TestSolveSeeded:
+    """solve_seeded against the hand-built seed-and-solve recipes it replaces."""
+
+    def test_deep_matches_series_seed(self):
+        grid = nk.get_grid(512)
+        guess = nk.AngleField(grid, values=nk.eval_series(nk.expand_solution(3),
+                                                          0.5, grid.theta))
+        reference = nk.solve(3.5, guess, method="newton")
+        result = nk.solve_seeded(3.5)
+        assert np.array_equal(result.field.values, reference.field.values)
+        assert result.residual == reference.residual
+        assert result.iterations == reference.iterations
+
+    def test_finite_depth_matches_sine_seed(self):
+        spec = nk.KernelSpec(depth_ratio=0.5, n_modes=128)
+        mu1 = float(nk.characteristic_values(spec, 1)[0])
+        mu = mu1 + 0.2
+        grid = nk.get_grid(256)
+        guess = nk.AngleField(grid, values=(mu - mu1) / 9.0 * np.sin(grid.theta))
+        reference = nk.solve(mu, guess, method="newton", spec=spec)
+        result = nk.solve_seeded(mu, nk.KernelSpec(depth_ratio=0.5), n=256)
+        assert np.array_equal(result.field.values, reference.field.values)
+        assert result.residual == reference.residual
+        assert result.iterations == reference.iterations
+
+    @pytest.mark.parametrize("depth", [np.inf, 0.5])
+    def test_rejects_bifurcation_point(self, depth):
+        spec = nk.KernelSpec(depth_ratio=depth)
+        mu1 = float(nk.characteristic_values(spec, 1)[0])
+        with pytest.raises(ValueError, match="bifurcation point"):
+            nk.solve_seeded(mu1, spec)
 
 
 class TestSolveSystem:
