@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import linalg as _linalg
 
-from .solver import BreakdownError, DivergenceError
+from .solver import BreakdownError, _newton
+
+# Gauss-Legendre points per panel and dyadic refinement levels toward a
+# collocation node on the two elements that carry its log singularity
+_GAUSS_ORDER = 10
+_DYADIC_LEVELS = 42
 
 
 def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -66,13 +71,11 @@ class GradedSolution:
 class GradedCollocation:
     """Product-integration collocation of the folded equation."""
 
-    def __init__(self, n_nodes: int = 600, grading: float = 3.0,
-                 gauss_order: int = 10, dyadic_levels: int = 42):
+    def __init__(self, n_nodes: int = 600, grading: float = 3.0):
         self.n = int(n_nodes)
         self.grading = float(grading)
         self.tau = np.pi * (np.arange(self.n + 1) / self.n) ** self.grading
-        self.gauss = _gauss_rule(gauss_order)
-        self.dyadic_levels = dyadic_levels
+        self.gauss = _gauss_rule(_GAUSS_ORDER)
         self._weights = None
         self._trapz = None
 
@@ -92,7 +95,7 @@ class GradedCollocation:
         return a + (b - a) * g, (b - a) * w
 
     def _refined_nodes(self, a: float, b: float, singular_at_b: bool):
-        panels = _dyadic_panels(a, b, singular_at_b, self.dyadic_levels)
+        panels = _dyadic_panels(a, b, singular_at_b, _DYADIC_LEVELS)
         g, w = self.gauss
         widths = np.diff(panels)
         nodes = (panels[:-1, None] + widths[:, None] * g[None, :]).ravel()
@@ -171,48 +174,32 @@ class GradedCollocation:
 
     def solve(self, nu: float, phi0: np.ndarray | None = None,
               tol: float = 1e-11, max_iter: int = 60) -> GradedSolution:
-        """Newton solution at fixed nu (nu = 0 is the extreme equation)."""
+        """Solution at fixed nu (nu = 0 is the extreme equation) by the
+        damped Newton loop the spectral solver shares, with a dense
+        Jacobian step."""
         n = self.n
         if phi0 is None:
             phi = (np.pi / 6.0) * (1.0 - self.tau[1:n] / np.pi)
         else:
             phi = phi0.copy()
-        cols = slice(1, n)  # unknown rho columns (0 and n are fixed)
-        res_vec = phi - self.operator(phi, nu)
-        res = float(np.abs(res_vec).max())
-        for it in range(1, max_iter + 1):
-            if res <= tol:
-                return self._finish(phi, nu, res, it - 1)
-            rho, s, denom = self._rho(phi, nu)
+        tau_in = self.tau[1:n]
+
+        def dense_step(phi, f):
+            _, s, denom = self._rho(phi, nu)
             cos_phi = np.cos(phi)
-            tau_in = self.tau[1:n]
             d_in = denom[:n - 1]
             # d rho_i / d phi_m for interior i, m
             core = (-(tau_in * s[:n - 1] / d_in**2)[:, None]
                     * self.trapz[:n - 1, :n - 1] * cos_phi[None, :])
             core[np.diag_indices(n - 1)] += tau_in * cos_phi / d_in
-            jac = -self.weights[:, cols] @ core
+            # only the interior rho columns vary; 0 and n are fixed
+            jac = -self.weights[:, 1:n] @ core
             jac[np.diag_indices(n - 1)] += 1.0
-            step = _linalg.solve(jac, res_vec)
-            scale = 1.0
-            for _ in range(30):
-                trial = phi - scale * step
-                try:
-                    trial_vec = trial - self.operator(trial, nu)
-                except BreakdownError:
-                    scale *= 0.5
-                    continue
-                trial_res = float(np.abs(trial_vec).max())
-                if trial_res <= res * (1.0 + 1e-12) or scale <= 2.0**-16:
-                    phi, res_vec, res = trial, trial_vec, trial_res
-                    break
-                scale *= 0.5
-            else:
-                break
-        if res <= tol:
-            return self._finish(phi, nu, res, max_iter)
-        raise DivergenceError(
-            f"graded Newton stalled (nu={nu:g})", res, max_iter)
+            return _linalg.solve(jac, f)
+
+        phi, res, iterations = _newton(lambda phi: phi - self.operator(phi, nu),
+                                       dense_step, phi, tol, max_iter)
+        return self._finish(phi, nu, res, iterations)
 
     def _finish(self, phi_interior, nu, res, iterations):
         phi = np.concatenate(([0.0], phi_interior, [0.0]))

@@ -233,10 +233,7 @@ def cmd_series(args) -> int:
             for p, k in zip(rows_p, rows_k)],
         "wave_height_over_wavelength": height,
     }
-    out_dir = _out_dir(args)
-    path = out_dir / (args.out or "series.json")
-    _io.write_json(path, payload)
-    print(path)
+    _emit(args, "series", None, meta, payload)
     for p, k, c in zip(rows_p, rows_k, rows_c):
         print(f"mu'^{p} sin({k} theta): {c}")
     return EXIT_OK
@@ -284,9 +281,9 @@ def cmd_extreme(args) -> int:
         convex_mu = 3000.0
         convex_field = result.field
     convexity = convexity_check(reconstruct_profile(convex_field, convex_mu))
+    meta = _io.base_metadata(__version__, spec, n=args.n, strategy=sol.strategy)
     report = {
-        "metadata": _io.base_metadata(__version__, spec, n=args.n,
-                                      strategy=sol.strategy),
+        "metadata": meta,
         "crest_angle_estimate": sol.crest_angle_estimate,
         "crest_angle_target": math.pi / 6.0,
         "jump": crest_jump(sol),
@@ -297,10 +294,7 @@ def cmd_extreme(args) -> int:
                       "max_violation": convexity.max_violation},
         "per_mu": sol.per_mu,
     }
-    out_dir = _out_dir(args)
-    path = out_dir / (args.out or "extreme.json")
-    _io.write_json(path, report)
-    print(path)
+    _emit(args, "extreme", None, meta, report)
     print(f"crest angle estimate: {sol.crest_angle_estimate:.6f} "
           f"(pi/6 = {math.pi / 6.0:.6f})")
     return EXIT_OK

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import integrate as _integrate
 
 from ._graded import GradedCollocation
+from .continuation import StepPolicy, _converge_resolved
 from .grid import AngleField, get_grid
 from .kernel import DEEP, KernelSpec
 from .profile import WaveProfile
@@ -188,8 +189,6 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
                    n_max: int) -> tuple[SolveResult, list[dict]]:
     """Solve up a warm-start ladder to max(mu_sequence), each grid refined
     (up to n_max) until resolved; returns the last result and per-mu records."""
-    from .continuation import StepPolicy, _converge_resolved
-
     policy = StepPolicy(n_start=n_start, n_max=n_max)
     mu_targets = sorted(float(m) for m in mu_sequence)
     # warm-start ladder, geometric in mu - 3 with ratio 1.6: jumping straight

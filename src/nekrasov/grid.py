@@ -8,6 +8,8 @@ handled here is implicitly extended by Phi(-theta) = -Phi(theta).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy import fft as _fft
 
@@ -67,14 +69,9 @@ class SineGrid:
         return out
 
 
-_GRID_CACHE: dict[int, SineGrid] = {}
-
-
+@functools.cache
 def get_grid(n: int) -> SineGrid:
-    grid = _GRID_CACHE.get(n)
-    if grid is None:
-        grid = _GRID_CACHE[n] = SineGrid(n)
-    return grid
+    return SineGrid(n)
 
 
 class AngleField:
@@ -97,11 +94,6 @@ class AngleField:
                 raise ValueError(f"expected {grid.n - 1} coefficients, got {coefficients.shape}")
         self._values = values
         self._coeffs = coefficients
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, n: int | None = None) -> "AngleField":
-        values = np.asarray(values, dtype=float)
-        return cls(get_grid(n if n is not None else values.size + 1), values=values)
 
     @classmethod
     def from_coefficients(cls, coeffs: np.ndarray, n: int | None = None) -> "AngleField":

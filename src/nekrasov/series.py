@@ -48,7 +48,7 @@ class TrigPolynomial:
         return cls(sin={k: Fraction(coeff)})
 
     def is_zero(self) -> bool:
-        return not self._clean().cos and not self._clean().sin
+        return not any(self.cos.values()) and not any(self.sin.values())
 
     def _clean(self) -> "TrigPolynomial":
         return TrigPolynomial(
@@ -62,13 +62,6 @@ class TrigPolynomial:
         for k, c in other.sin.items():
             out.sin[k] = out.sin.get(k, Fraction(0)) + c
         return out._clean()
-
-    def __neg__(self) -> "TrigPolynomial":
-        return TrigPolynomial(cos={k: -c for k, c in self.cos.items()},
-                              sin={k: -c for k, c in self.sin.items()})
-
-    def __sub__(self, other: "TrigPolynomial") -> "TrigPolynomial":
-        return self + (-other)
 
     def scaled(self, factor) -> "TrigPolynomial":
         factor = Fraction(factor)
@@ -151,9 +144,6 @@ class MuSeries:
         order = min(self.order, other.order)
         return MuSeries([self.terms[p] + other.terms[p] for p in range(order + 1)], order)
 
-    def __sub__(self, other: "MuSeries") -> "MuSeries":
-        return self + other.scaled(-1)
-
     def scaled(self, factor) -> "MuSeries":
         return MuSeries([t.scaled(factor) for t in self.terms], self.order)
 
@@ -235,9 +225,6 @@ class RationalSineSeries:
     def mode_series(self, k: int) -> list[Fraction]:
         """Coefficients of mu'^p (p = 0..order) multiplying sin(k theta)."""
         return [self.coefficient(p, k) for p in range(self.order + 1)]
-
-    def leading_coefficient_poly(self) -> list[Fraction]:
-        return self.mode_series(1)
 
 
 def _mu_g_series(phis: list[TrigPolynomial], order: int) -> MuSeries:

@@ -206,55 +206,62 @@ def apply_nekrasov(field: AngleField, mu: float, spec: KernelSpec | None = None)
     return AngleField(field.grid, values=op.apply(field.values, mu))
 
 
-def _solve_newton(op, x, mu, tol, max_iter, inner_rtol=1e-4):
-    """Jacobian-free Newton-Krylov: each step solves J(x) dx = F(x) by
-    LGMRES on the matrix-free Jacobian action, then backtracks."""
-    res = op.residual(x, mu)
+def _newton(residual, newton_step, x, tol, max_iter):
+    """Damped Newton iteration shared by the spectral and graded solvers.
+
+    residual(x) returns the vector F(x) and may raise BreakdownError;
+    newton_step(x, f) returns dx with J(x) dx = f, or raises
+    DivergenceError, which leaves with the current iteration.  Each step tries
+    x - scale*dx, halving scale while the trial breaks down or its residual
+    rises.  The accepted trial's F is the next iterate's, so no iterate is
+    evaluated twice.  Returns (x, max|F(x)|, iterations).
+    """
+    f = residual(x)
+    res = float(np.abs(f).max())
     for it in range(1, max_iter + 1):
         if res <= tol:
             return x, res, it - 1
-        f = x - op.apply(x, mu)
-        jac = op.jacobian_operator(x, mu)
-        step, info = _sparse_linalg.lgmres(jac, f, rtol=inner_rtol, atol=0.0,
-                                           inner_m=50, maxiter=60)
-        if info != 0:
-            raise DivergenceError("inner Krylov solve stagnated", res, it)
-        x, res = _backtrack(op, x, mu, res, -step)
+        try:
+            dx = newton_step(x, f)
+        except DivergenceError as exc:
+            exc.iterations = it
+            raise
+        scale = 1.0
+        for _ in range(25):
+            trial = x - scale * dx
+            try:
+                trial_f = residual(trial)
+            except BreakdownError:
+                scale *= 0.5
+                continue
+            trial_res = float(np.abs(trial_f).max())
+            if trial_res <= res * (1.0 + 1e-12) or scale <= 2.0**-20:
+                break
+            scale *= 0.5
+        else:
+            raise DivergenceError("line search failed to reduce the residual", res, it)
+        x, f, res = trial, trial_f, trial_res
     if res <= tol:
         return x, res, max_iter
-    raise DivergenceError(f"Newton-Krylov did not reach tol={tol:g}", res, max_iter)
+    raise DivergenceError(f"Newton did not reach tol={tol:g}", res, max_iter)
 
 
-def _backtrack(op, x, mu, res, step, max_halvings=25):
-    """Damped update: halve the step until the residual does not increase."""
-    scale = 1.0
-    slack = 1.0 + 1e-12
-    for _ in range(max_halvings):
-        trial = x + scale * step
-        try:
-            trial_res = op.residual(trial, mu)
-        except BreakdownError:
-            scale *= 0.5
-            continue
-        if trial_res <= res * slack or scale <= 2.0**-20:
-            return trial, trial_res
-        scale *= 0.5
-    raise DivergenceError("line search failed to reduce the residual", res, 0)
-
-
-def _solve_fixed_point(op, x, mu, tol, max_iter, damping):
-    omega = damping
-    res = op.residual(x, mu)
+def _solve_fixed_point(op, x, mu, tol, max_iter):
+    """Picard iteration x <- A x, damped by halving omega while the
+    residual rises; A of the accepted iterate is kept for the next step."""
+    omega = 1.0
+    ax = op.apply(x, mu)
+    res = float(np.abs(x - ax).max())
     for it in range(1, max_iter + 1):
         if res <= tol:
             return x, res, it - 1
-        ax = op.apply(x, mu)
         trial = (1.0 - omega) * x + omega * ax
-        trial_res = op.residual(trial, mu)
+        trial_ax = op.apply(trial, mu)
+        trial_res = float(np.abs(trial - trial_ax).max())
         if trial_res > res and omega > 2.0**-8:
             omega *= 0.5
             continue
-        x, res = trial, trial_res
+        x, ax, res = trial, trial_ax, trial_res
     if res <= tol:
         return x, res, max_iter
     raise DivergenceError(f"fixed point did not reach tol={tol:g}", res, max_iter)
@@ -262,13 +269,16 @@ def _solve_fixed_point(op, x, mu, tol, max_iter, damping):
 
 def solve(mu: float, initial: AngleField, method: str = "newton",
           tol: float = 1e-12, max_iter: int | None = None,
-          spec: KernelSpec | None = None, damping: float = 1.0) -> SolveResult:
+          spec: KernelSpec | None = None) -> SolveResult:
     """Solve Phi = A_mu Phi from the given initial field.
 
-    method is "newton" (Jacobian-free Newton-Krylov; "newton_krylov" is
-    accepted as an alias) or "fixed_point" (damped Picard).  mu must be
-    positive and finite: the spectral route is ill-posed at nu = 0, and
-    the extreme wave is computed by solve_extreme(strategy="direct").
+    method is "newton" ("newton_krylov" is accepted as an alias) or
+    "fixed_point" (damped Picard).  Newton is the damped-Newton loop that
+    GradedCollocation.solve shares; its step is LGMRES on the matrix-free
+    Jacobian with F(x) as right-hand side, so each iterate costs one A_mu
+    evaluation.  mu must be positive and finite: the spectral route is
+    ill-posed at nu = 0, and the extreme wave is computed by
+    solve_extreme(strategy="direct").
     Raises DivergenceError on non-convergence and propagates
     BreakdownError when the initial state is outside the physical regime.
     """
@@ -284,9 +294,18 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     op = get_operator(initial.n, _default_spec(initial, spec))
     x = initial.values.copy()
     if method in ("newton", "newton_krylov"):
-        x, res, its = _solve_newton(op, x, mu, tol, max_iter or 100)
+        def krylov_step(x, f):
+            dx, info = _sparse_linalg.lgmres(op.jacobian_operator(x, mu), f, rtol=1e-4,
+                                             atol=0.0, inner_m=50, maxiter=60)
+            if info != 0:
+                raise DivergenceError("inner Krylov solve stagnated",
+                                      float(np.abs(f).max()), 0)
+            return dx
+
+        x, res, its = _newton(lambda x: x - op.apply(x, mu), krylov_step, x, tol,
+                              max_iter or 100)
     elif method == "fixed_point":
-        x, res, its = _solve_fixed_point(op, x, mu, tol, max_iter or 5000, damping)
+        x, res, its = _solve_fixed_point(op, x, mu, tol, max_iter or 5000)
     else:
         raise ValueError(f"unknown method {method!r}")
     return SolveResult(field=AngleField(initial.grid, values=x), mu=mu,
@@ -329,8 +348,7 @@ def system_residual(state: SystemState, mu: float, spec: KernelSpec | None = Non
 
 def solve_system(mu: float, initial: SystemState | None = None,
                  tol: float = 1e-12, max_iter: int = 5000,
-                 spec: KernelSpec | None = None, n: int = 512,
-                 damping: float = 1.0) -> SystemState:
+                 spec: KernelSpec | None = None, n: int = 512) -> SystemState:
     """Solve the coupled system for (Phi, Psi) by damped iteration.
 
     Phi = mu * Int Psi sin Phi K dtau and Psi = 1 - mu Int_0^theta Psi^2 sin Phi.
@@ -351,7 +369,7 @@ def solve_system(mu: float, initial: SystemState | None = None,
     op = get_operator(phi_field.n, _default_spec(phi_field, spec))
     phi = phi_field.values.copy()
     psi = initial.psi.copy()
-    omega = damping
+    omega = 1.0
     res = system_residual(SystemState(AngleField(op.grid, values=phi), psi), mu, op.spec)
     for _ in range(max_iter):
         if res <= tol:

@@ -64,6 +64,21 @@ class TestGradedCollocation:
                                     0.0, np.pi, points=[theta], limit=400)
             assert got[idx] == pytest.approx(val, abs=2e-9)
 
+    def test_iteration_cap_raises_with_iterations(self):
+        eng = GradedCollocation(n_nodes=120)
+        with pytest.raises(nk.DivergenceError) as info:
+            eng.solve(0.0, tol=1e-14, max_iter=1)
+        assert info.value.iterations == 1
+
+    def test_operator_evaluated_once_per_iterate(self, monkeypatch):
+        eng = GradedCollocation(n_nodes=120)
+        calls = []
+        operator = eng.operator
+        monkeypatch.setattr(eng, "operator",
+                            lambda phi, nu: calls.append(nu) or operator(phi, nu))
+        sol = eng.solve_extreme()
+        assert len(calls) == sol.iterations + 1
+
     def test_extreme_solution_properties(self, extreme_direct):
         sol = extreme_direct
         assert sol.residual < 1e-10

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import nekrasov as nk
+from nekrasov.solver import NekrasovOperator, _newton
 from conftest import solved_field
 from oracles import apply_operator_quadrature, inner_integral_quadrature
 
@@ -236,6 +237,59 @@ class TestSolveSeeded:
         mu1 = float(nk.characteristic_values(spec, 1)[0])
         with pytest.raises(ValueError, match="bifurcation point"):
             nk.solve_seeded(mu1, spec)
+
+
+def count_applies(monkeypatch) -> list:
+    """Patch NekrasovOperator.apply to record each call; returns the log."""
+    calls = []
+    apply = NekrasovOperator.apply
+
+    def counted(self, values, mu):
+        calls.append(mu)
+        return apply(self, values, mu)
+
+    monkeypatch.setattr(NekrasovOperator, "apply", counted)
+    return calls
+
+
+class TestEvaluationCounts:
+    """Each accepted iterate is evaluated once: A_mu of the accepted trial
+    is reused for the next step."""
+
+    def test_newton_applies_once_per_iterate(self, monkeypatch):
+        calls = count_applies(monkeypatch)
+        result = nk.solve_seeded(3.5)
+        assert len(calls) == result.iterations + 1 == 4
+
+    def test_fixed_point_applies_once_per_iterate(self, monkeypatch):
+        grid = nk.get_grid(256)
+        init = nk.AngleField(grid, values=0.3 / 9.0 * np.sin(grid.theta))
+        calls = count_applies(monkeypatch)
+        result = nk.solve(3.3, init, method="fixed_point", tol=1e-11)
+        assert len(calls) == result.iterations + 1 == 181
+
+
+class TestNewtonDriver:
+    def test_line_search_failure_reports_iteration(self):
+        x0 = np.array([1.0, -2.0])
+
+        def residual(x):
+            if not np.array_equal(x, x0):
+                raise nk.BreakdownError("outside the physical regime")
+            return x
+
+        with pytest.raises(nk.DivergenceError) as info:
+            _newton(residual, lambda x, f: f, x0, 1e-12, 10)
+        assert info.value.iterations == 1
+        assert info.value.residual == 2.0
+
+    def test_converges_on_linear_problem(self):
+        target = np.array([0.5, -1.5, 2.0])
+        x, res, iterations = _newton(lambda x: x - target, lambda x, f: f,
+                                     np.zeros(3), 1e-12, 5)
+        assert np.array_equal(x, target)
+        assert res == 0.0
+        assert iterations == 1
 
 
 class TestSolveSystem:
