@@ -33,6 +33,11 @@ def _canonical(value):
     if isinstance(value, (float, np.floating)):
         return float(format_float(value))
     if isinstance(value, np.ndarray):
+        # tolist() gives Python bools, ints and floats for these dtypes, and
+        # float(format(x, ".17g")) == x for every double; wider floats
+        # (longdouble) come back as numpy scalars and take the element path
+        if value.dtype.kind in "biuf" and value.dtype.itemsize <= 8:
+            return value.tolist()
         return [_canonical(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]

@@ -17,9 +17,12 @@ done with fractions.Fraction, so the classical coefficients 1/9, -8/243,
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -212,12 +215,20 @@ class UnsupportedOrderError(ValueError):
 MAX_ORDER = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class RationalSineSeries:
-    """Exact coefficients c_{p,k} of sin(k theta) per power p of mu'."""
+    """Exact coefficients c_{p,k} of sin(k theta) per power p of mu'.
+
+    Read-only: `coefficients` and each inner map are stored as mapping
+    proxies, so one instance can be shared by every caller.
+    """
 
     order: int
-    coefficients: dict[int, dict[int, Fraction]] = field(default_factory=dict)
+    coefficients: Mapping[int, Mapping[int, Fraction]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        frozen = {p: MappingProxyType(dict(modes)) for p, modes in self.coefficients.items()}
+        object.__setattr__(self, "coefficients", MappingProxyType(frozen))
 
     def coefficient(self, p: int, k: int) -> Fraction:
         return self.coefficients.get(p, {}).get(k, Fraction(0))
@@ -265,12 +276,15 @@ def _solvability_coefficient(phis: list[TrigPolynomial], p: int, c_value: Fracti
     return _order_term_without_current(trial, p).get(1, Fraction(0))
 
 
+@functools.cache
 def expand_solution(order: int) -> RationalSineSeries:
     """Run the bifurcation recurrence to the given order (1..4).
 
     Order p requires the solvability condition at order p + 1 to pin the
     free sin(theta) constant C_p, so the expansion is carried one order
-    beyond the request internally.
+    beyond the request internally.  The result is computed on the first
+    call for each order and cached; every later caller shares the same
+    read-only series.
     """
     if not 1 <= order <= MAX_ORDER:
         raise UnsupportedOrderError(
@@ -300,8 +314,7 @@ def expand_solution(order: int) -> RationalSineSeries:
         c_p = -f0 / slope
         phis[p - 1] = phis[p - 1] + TrigPolynomial.sine(1, c_p)
 
-    coeffs = {p + 1: dict(phi.pure_sine_coefficients())
-              for p, phi in enumerate(phis)}
+    coeffs = {p + 1: phi.pure_sine_coefficients() for p, phi in enumerate(phis)}
     return RationalSineSeries(order=order, coefficients=coeffs)
 
 

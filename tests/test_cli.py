@@ -112,6 +112,19 @@ class TestBranch:
         assert all(p["cone_ok"] for p in data["points"])
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["profile", "--mu", "3.5"], "profile.json"),
+    (["branch", "--mu-end", "4"], "branch.json"),
+], ids=["profile", "branch"])
+def test_json_output_is_byte_identical_across_runs(tmp_path, argv, name):
+    outputs = []
+    for label in ("first", "second"):
+        assert main([*argv, "--format", "json", "--out-dir", str(tmp_path / label)]) == 0
+        outputs.append((tmp_path / label / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    json.loads(outputs[0])
+
+
 class TestExtreme:
     def test_direct_report(self, tmp_path, capsys):
         assert run(tmp_path, "extreme", "--strategy", "direct") == 0

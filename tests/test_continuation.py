@@ -136,6 +136,19 @@ class TestScaledContinua:
         keep = np.abs(coeffs) > 1e-14
         assert np.all((np.nonzero(keep)[0] + 1) % 3 == 0), "period must be 2 pi/3"
 
+    @settings(max_examples=30, deadline=None)
+    @given(index=st.integers(0, 15), n_fold=st.integers(1, 4),
+           verify_tol=st.sampled_from([None, 1e-11, 1e-10]))
+    def test_scaled_mu_and_residual(self, small_branch, index, n_fold, verify_tol):
+        p = small_branch.points[index % len(small_branch.points)]
+        scaled = nk.scale_branch_point(p, n_fold, verify_tol=verify_tol)
+        tol = verify_tol if verify_tol is not None else 10 * max(p.residual, 1e-12)
+        assert scaled.mu == n_fold * p.mu
+        # the reported residual is the scaled field's own, and within tol
+        op = get_operator(scaled.n, nk.DEEP.with_modes(scaled.n // 2))
+        assert scaled.residual == op.residual(scaled.field.values, scaled.mu)
+        assert scaled.residual <= tol
+
     def test_scaling_requires_deep_water(self, small_branch):
         with pytest.raises(ValueError):
             nk.scale_branch_point(small_branch.points[0], 2,

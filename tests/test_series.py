@@ -34,16 +34,33 @@ class TestExpansion:
         assert s.coefficient(3, 1) == Fraction(115, 13122)
 
     def test_unsupported_orders(self):
-        with pytest.raises(nk.UnsupportedOrderError):
-            nk.expand_solution(0)
-        with pytest.raises(nk.UnsupportedOrderError):
-            nk.expand_solution(9)
+        # failures are not cached: every call raises again
+        for _ in range(2):
+            for order in (0, 9):
+                with pytest.raises(nk.UnsupportedOrderError):
+                    nk.expand_solution(order)
 
     def test_intermediate_free_term(self):
         # the order-2 equation reads Phi_2 = 3 B Phi_2 + sin(2 theta)/108;
         # inverting (I - 3B) on mode 2 gives c_22 (1 - 1/2) = 1/108
         s = nk.expand_solution(2)
         assert s.coefficient(2, 2) * Fraction(1, 2) == Fraction(1, 108)
+
+
+class TestExpansionCache:
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_shared_read_only_and_exact(self, order):
+        s = nk.expand_solution(order)
+        assert nk.expand_solution(order) is s
+        with pytest.raises(TypeError):
+            s.coefficients[1] = {1: Fraction(1)}
+        with pytest.raises(TypeError):
+            s.coefficients[1][1] = Fraction(0)
+        with pytest.raises(AttributeError):
+            s.order = order + 1
+        fresh = nk.expand_solution.__wrapped__(order)
+        assert fresh is not s
+        assert fresh == s
 
 
 class TestEvaluation:

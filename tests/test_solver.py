@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
 from nekrasov.solver import NekrasovOperator, _newton
@@ -40,8 +41,13 @@ class TestInnerAccumulate:
         assert out[13] == pytest.approx(inner_integral_quadrature(field, -tau),
                                         abs=1e-11)
 
-    def test_starts_at_zero(self):
-        field = field_of(64, lambda t: 0.3 * np.sin(2 * t))
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([8, 64, 512, 4096]), st.floats(1e-6, 3.0),
+           st.integers(0, 2**32 - 1))
+    def test_starts_at_zero(self, n, amplitude, seed):
+        # exactly zero for any odd field, not just to round-off
+        coeffs = np.random.default_rng(seed).normal(size=n - 1)
+        field = nk.AngleField.from_coefficients(coeffs * amplitude / np.abs(coeffs).max())
         assert nk.inner_accumulate(field)[0] == 0.0
 
 
