@@ -11,7 +11,9 @@ and collocated on nodes tau_i = pi (i/N)^q clustered at the crest.  The
 density rho is bounded (rho -> 1 at the crest when nu = 0), so piecewise
 linear product integration applies; the nonlinear operator remains usable
 at nu = 0, where the spectral route breaks down because sin Phi / I is no
-longer square integrable.
+longer square integrable.  Newton steps by the spectral solver's LGMRES on
+a matrix-free Jacobian, whose matvec costs one O(N^2) product with the
+weight matrix.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as _linalg
+from scipy.sparse import linalg as _sparse_linalg
 
-from .solver import BreakdownError, _newton
+from .kernel import kernel_deep_closed
+from .solver import BreakdownError, _krylov_step, _newton
 
 # Gauss-Legendre points per panel and dyadic refinement levels toward a
 # collocation node on the two elements that carry its log singularity
@@ -30,10 +33,9 @@ _DYADIC_LEVELS = 42
 
 
 def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Q(theta, tau); tau must avoid 0 and +-theta exactly."""
-    num = np.sin(0.5 * (theta + tau))
-    den = np.sin(0.5 * (theta - tau))
-    return np.log(np.abs(num / den)) / (3.0 * np.pi * tau)
+    """Q(theta, tau) = 2 K(theta, tau) / tau for the deep-water kernel K;
+    tau must avoid 0, and theta = +-tau raises SingularEvaluationError."""
+    return 2.0 * kernel_deep_closed(theta, tau) / tau
 
 
 def _gauss_rule(order: int):
@@ -74,10 +76,14 @@ class GradedCollocation:
     def __init__(self, n_nodes: int = 600, grading: float = 3.0):
         self.n = int(n_nodes)
         self.grading = float(grading)
+        if self.n < 2:
+            raise ValueError(f"n_nodes must be at least 2, got {n_nodes}")
+        if not (np.isfinite(self.grading) and self.grading > 0):
+            raise ValueError(f"grading must be finite and positive, got {grading}")
         self.tau = np.pi * (np.arange(self.n + 1) / self.n) ** self.grading
+        self.widths = np.diff(self.tau)  # cell widths, widths[0] = tau_1
         self.gauss = _gauss_rule(_GAUSS_ORDER)
         self._weights = None
-        self._trapz = None
 
     # -- quadrature weights -------------------------------------------------------
 
@@ -90,10 +96,6 @@ class GradedCollocation:
         w_right = q @ (wts * lam_right)
         return w_left, w_right
 
-    def _plain_nodes(self, a: float, b: float):
-        g, w = self.gauss
-        return a + (b - a) * g, (b - a) * w
-
     def _refined_nodes(self, a: float, b: float, singular_at_b: bool):
         panels = _dyadic_panels(a, b, singular_at_b, _DYADIC_LEVELS)
         g, w = self.gauss
@@ -104,54 +106,40 @@ class GradedCollocation:
 
     @property
     def weights(self) -> np.ndarray:
-        """W[i, j] with Phi(theta_i) = sum_j W[i, j] rho(tau_j)."""
+        """W[i, j] with Phi(theta_i) = sum_j W[i, j] rho(tau_j); the rows at
+        an element's endpoints, where the log singularity sits, take the
+        dyadically refined rule there instead of the plain Gauss rule."""
         if self._weights is not None:
             return self._weights
         n = self.n
         tau = self.tau
         rows = tau[1:n]  # collocation points theta_1 .. theta_{n-1}
+        g, gw = self.gauss
         w = np.zeros((n - 1, n + 1))
         for j in range(n):
             a, b = tau[j], tau[j + 1]
-            nodes, wts = self._plain_nodes(a, b)
-            w_left, w_right = self._element_contribution(rows, a, b, nodes, wts)
+            w_left, w_right = self._element_contribution(rows, a, b, a + (b - a) * g,
+                                                         (b - a) * gw)
+            # row k holds theta_{k+1}: theta_j = a is row j - 1, theta_{j+1} = b row j
+            for k, toward_b in ((j - 1, False), (j, True)):
+                if 0 <= k < n - 1:
+                    nodes, wts = self._refined_nodes(a, b, toward_b)
+                    new_l, new_r = self._element_contribution(rows[k:k + 1], a, b,
+                                                              nodes, wts)
+                    w_left[k], w_right[k] = new_l[0], new_r[0]
             w[:, j] += w_left
             w[:, j + 1] += w_right
-        # rows adjacent to an element endpoint see the log singularity:
-        # redo those two elements with dyadic refinement toward theta_i
-        for i in range(1, n):
-            r = tau[i:i + 1]
-            for j, toward_b in ((i - 1, True), (i, False)):
-                if not 0 <= j < n:
-                    continue
-                a, b = tau[j], tau[j + 1]
-                nodes, wts = self._plain_nodes(a, b)
-                old_l, old_r = self._element_contribution(r, a, b, nodes, wts)
-                nodes, wts = self._refined_nodes(a, b, toward_b)
-                new_l, new_r = self._element_contribution(r, a, b, nodes, wts)
-                w[i - 1, j] += new_l[0] - old_l[0]
-                w[i - 1, j + 1] += new_r[0] - old_r[0]
         self._weights = w
         return w
 
-    @property
-    def trapz(self) -> np.ndarray:
-        """Cumulative trapezoid matrix: I = T sin(Phi) at nodes 1..n.
+    def cumulative_trapezoid(self, s: np.ndarray) -> np.ndarray:
+        """Int_0^tau s at nodes 1..m from s at nodes 1..m, m <= n.
 
-        The first cell treats sin Phi as constant at its tau_1 value, i.e.
-        the crest limit is extrapolated from the first node.
+        The first cell treats s as constant at its tau_1 value, i.e. the
+        crest limit is extrapolated from the first node.
         """
-        if self._trapz is not None:
-            return self._trapz
-        n = self.n
-        d = np.diff(self.tau)  # cell widths, d[0] = tau_1
-        i_idx = np.arange(1, n + 1)[:, None]
-        m_idx = np.arange(1, n + 1)[None, :]
-        t = 0.5 * d[None, :] * (i_idx >= m_idx)          # upper endpoint of cell m
-        t[:, :n - 1] += 0.5 * d[None, 1:] * (i_idx >= m_idx[:, :n - 1] + 1)
-        t[:, 0] += 0.5 * d[0]                            # first cell uses s_0 := s_1
-        self._trapz = t
-        return t
+        s_prev = np.concatenate((s[:1], s[:-1]))
+        return np.cumsum(0.5 * self.widths[:s.size] * (s_prev + s))
 
     # -- nonlinear solve ----------------------------------------------------------
 
@@ -159,8 +147,7 @@ class GradedCollocation:
         """rho at all nodes and the pieces needed for the Jacobian."""
         n = self.n
         s = np.sin(np.concatenate((phi_interior, [0.0])))  # nodes 1..n
-        i_vals = self.trapz @ s
-        denom = nu + i_vals
+        denom = nu + self.cumulative_trapezoid(s)
         if denom.min() <= 0.0:
             raise BreakdownError("denominator lost positivity on the graded mesh")
         rho = np.empty(n + 1)
@@ -172,33 +159,40 @@ class GradedCollocation:
         rho, _, _ = self._rho(phi_interior, nu)
         return self.weights @ rho
 
+    def jacobian_operator(self, phi_interior: np.ndarray, nu: float):
+        """Matrix-free Jacobian of F(Phi) = Phi - operator(Phi, nu) as a
+        scipy LinearOperator; each matvec is one O(N^2) weight product."""
+        n = self.n
+        _, s, denom = self._rho(phi_interior, nu)
+        tau_in = self.tau[1:n]
+        cos_phi = np.cos(phi_interior)
+        d_in = denom[:n - 1]
+        a = tau_in * cos_phi / d_in
+        b = tau_in * s[:n - 1] / d_in**2
+        # only the interior rho columns vary; rho at nodes 0 and n is fixed
+        w_in = self.weights[:, 1:n]
+
+        def matvec(v):
+            inner = self.cumulative_trapezoid(cos_phi * v)
+            return v - w_in @ (a * v - b * inner)
+
+        return _sparse_linalg.LinearOperator((n - 1, n - 1), matvec=matvec, dtype=float)
+
     def solve(self, nu: float, phi0: np.ndarray | None = None,
               tol: float = 1e-11, max_iter: int = 60) -> GradedSolution:
         """Solution at fixed nu (nu = 0 is the extreme equation) by the
-        damped Newton loop the spectral solver shares, with a dense
-        Jacobian step."""
-        n = self.n
+        damped Newton loop and the LGMRES step the spectral solver shares,
+        on the matrix-free jacobian_operator."""
+        if not tol > 0:
+            raise ValueError(f"tol must be positive, got {tol}")
         if phi0 is None:
-            phi = (np.pi / 6.0) * (1.0 - self.tau[1:n] / np.pi)
+            phi = (np.pi / 6.0) * (1.0 - self.tau[1:self.n] / np.pi)
         else:
             phi = phi0.copy()
-        tau_in = self.tau[1:n]
-
-        def dense_step(phi, f):
-            _, s, denom = self._rho(phi, nu)
-            cos_phi = np.cos(phi)
-            d_in = denom[:n - 1]
-            # d rho_i / d phi_m for interior i, m
-            core = (-(tau_in * s[:n - 1] / d_in**2)[:, None]
-                    * self.trapz[:n - 1, :n - 1] * cos_phi[None, :])
-            core[np.diag_indices(n - 1)] += tau_in * cos_phi / d_in
-            # only the interior rho columns vary; 0 and n are fixed
-            jac = -self.weights[:, 1:n] @ core
-            jac[np.diag_indices(n - 1)] += 1.0
-            return _linalg.solve(jac, f)
-
-        phi, res, iterations = _newton(lambda phi: phi - self.operator(phi, nu),
-                                       dense_step, phi, tol, max_iter)
+        phi, res, iterations = _newton(
+            lambda phi: phi - self.operator(phi, nu),
+            lambda phi, f: _krylov_step(self.jacobian_operator(phi, nu), f),
+            phi, tol, max_iter)
         return self._finish(phi, nu, res, iterations)
 
     def _finish(self, phi_interior, nu, res, iterations):

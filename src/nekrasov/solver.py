@@ -246,6 +246,16 @@ def _newton(residual, newton_step, x, tol, max_iter):
     raise DivergenceError(f"Newton did not reach tol={tol:g}", res, max_iter)
 
 
+def _krylov_step(jacobian, f):
+    """Newton step dx with J dx = f by LGMRES on a matrix-free Jacobian;
+    raises DivergenceError if the inner solve stagnates."""
+    dx, info = _sparse_linalg.lgmres(jacobian, f, rtol=1e-4, atol=0.0,
+                                     inner_m=50, maxiter=60)
+    if info != 0:
+        raise DivergenceError("inner Krylov solve stagnated", float(np.abs(f).max()), 0)
+    return dx
+
+
 def _solve_fixed_point(op, x, mu, tol, max_iter):
     """Picard iteration x <- A x, damped by halving omega while the
     residual rises; A of the accepted iterate is kept for the next step."""
@@ -273,12 +283,12 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     """Solve Phi = A_mu Phi from the given initial field.
 
     method is "newton" ("newton_krylov" is accepted as an alias) or
-    "fixed_point" (damped Picard).  Newton is the damped-Newton loop that
-    GradedCollocation.solve shares; its step is LGMRES on the matrix-free
-    Jacobian with F(x) as right-hand side, so each iterate costs one A_mu
-    evaluation.  mu must be positive and finite: the spectral route is
-    ill-posed at nu = 0, and the extreme wave is computed by
-    solve_extreme(strategy="direct").
+    "fixed_point" (damped Picard).  Newton is the damped-Newton loop and
+    the LGMRES step (_krylov_step on the matrix-free Jacobian, F(x) as
+    right-hand side) that GradedCollocation.solve shares, so each iterate
+    costs one A_mu evaluation.  mu must be positive and finite: the
+    spectral route is ill-posed at nu = 0, and the extreme wave is computed
+    by solve_extreme(strategy="direct").
     Raises DivergenceError on non-convergence and propagates
     BreakdownError when the initial state is outside the physical regime.
     """
@@ -294,16 +304,9 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     op = get_operator(initial.n, _default_spec(initial, spec))
     x = initial.values.copy()
     if method in ("newton", "newton_krylov"):
-        def krylov_step(x, f):
-            dx, info = _sparse_linalg.lgmres(op.jacobian_operator(x, mu), f, rtol=1e-4,
-                                             atol=0.0, inner_m=50, maxiter=60)
-            if info != 0:
-                raise DivergenceError("inner Krylov solve stagnated",
-                                      float(np.abs(f).max()), 0)
-            return dx
-
-        x, res, its = _newton(lambda x: x - op.apply(x, mu), krylov_step, x, tol,
-                              max_iter or 100)
+        x, res, its = _newton(lambda x: x - op.apply(x, mu),
+                              lambda x, f: _krylov_step(op.jacobian_operator(x, mu), f),
+                              x, tol, max_iter or 100)
     elif method == "fixed_point":
         x, res, its = _solve_fixed_point(op, x, mu, tol, max_iter or 5000)
     else:

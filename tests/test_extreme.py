@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
 from nekrasov.extreme import crest_jump, extreme_record_from_field
@@ -64,6 +69,37 @@ class TestGradedCollocation:
                                     0.0, np.pi, points=[theta], limit=400)
             assert got[idx] == pytest.approx(val, abs=2e-9)
 
+    def test_kernel_q_diagonal_raises(self):
+        with pytest.raises(nk.SingularEvaluationError):
+            kernel_q(np.array([0.5]), np.array([0.5]))
+
+    @pytest.mark.parametrize("nu", [0.0, 1e-3])
+    def test_jacobian_operator_matches_finite_differences(self, nu):
+        # every column of the matrix-free Jacobian against a central
+        # difference of F at the converged state
+        eng = GradedCollocation(n_nodes=120)
+        phi = eng.solve(nu).phi[1:-1]
+        jac = eng.jacobian_operator(phi, nu)
+        step = 1e-7
+
+        def f(x):
+            return x - eng.operator(x, nu)
+
+        for unit in np.eye(phi.size):
+            central = (f(phi + step * unit) - f(phi - step * unit)) / (2.0 * step)
+            assert np.abs(jac.matvec(unit) - central).max() < 1e-7
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 8, 120, 600]), st.data())
+    def test_cumulative_trapezoid_matches_matrix(self, n_nodes, data):
+        eng = GradedCollocation(n_nodes=n_nodes)
+        s = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n_nodes,
+                                        max_size=n_nodes)))
+        trapz = _trapz_matrix(eng.tau)
+        # the summation scale; it is max|I| for a nonnegative s
+        scale = (trapz @ np.abs(s)).max()
+        assert np.abs(eng.cumulative_trapezoid(s) - trapz @ s).max() <= 1e-13 * scale
+
     def test_iteration_cap_raises_with_iterations(self):
         eng = GradedCollocation(n_nodes=120)
         with pytest.raises(nk.DivergenceError) as info:
@@ -106,6 +142,49 @@ class TestGradedCollocation:
         d2 = abs(estimates[2] - estimates[1])
         assert d2 < d1
         assert abs(estimates[-1] - np.pi / 6) < 2e-3
+
+
+def _trapz_matrix(tau):
+    """Reference: the dense cumulative trapezoid matrix T, I = T s at nodes
+    1..n, that the graded solver multiplied by before it summed cell by cell."""
+    n = tau.size - 1
+    d = np.diff(tau)
+    i_idx = np.arange(1, n + 1)[:, None]
+    m_idx = np.arange(1, n + 1)[None, :]
+    t = 0.5 * d[None, :] * (i_idx >= m_idx)
+    t[:, :n - 1] += 0.5 * d[None, 1:] * (i_idx >= m_idx[:, :n - 1] + 1)
+    t[:, 0] += 0.5 * d[0]
+    return t
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"n_nodes": 0}, {"n_nodes": 1}, {"grading": 0.0}, {"grading": -1.0},
+    {"grading": np.nan}, {"grading": np.inf}, {"tol": np.nan}, {"tol": -1.0},
+    {"tol": 0.0}])
+def test_direct_rejects_ill_posed_input(kwargs):
+    with pytest.raises(ValueError, match="n_nodes|grading|tol"):
+        nk.solve_extreme(strategy="direct", **kwargs)
+
+
+def test_direct_extreme_independent_of_blas_threads():
+    """The direct extreme solve gives the same numbers with one and with
+    two OpenBLAS threads (only these two counts are checked)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import nekrasov as nk\n"
+            "s = nk.solve_extreme(strategy='direct')\n"
+            "print(repr((s.crest_angle_estimate, s.grant_fit.c1, s.grant_fit.c2,"
+            " s.residual)))\n")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ)
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestFits:
