@@ -30,6 +30,12 @@ from .solver import BreakdownError, _krylov_step, _newton
 # collocation node on the two elements that carry its log singularity
 _GAUSS_ORDER = 10
 _DYADIC_LEVELS = 42
+# Weight assembly works on blocks of at most _BLOCK_ENTRIES float64 values
+# (512 KB, so a block stays in cache and no scratch grows with N^2), spanning
+# at most _BLOCK_ROWS rows so that each block adds runs of many neighbouring
+# columns to W
+_BLOCK_ENTRIES = 1 << 16
+_BLOCK_ROWS = 256
 
 
 def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -43,22 +49,15 @@ def _gauss_rule(order: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _dyadic_panels(a: float, b: float, toward_b: bool, levels: int):
-    """Panel endpoints refining dyadically toward one endpoint of [a, b].
+def _dyadic_levels(widths: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Dyadic refinement levels of the elements [right - widths, right].
 
     Refinement stops once a panel would be unresolvable in float64 next to
     the singular endpoint; the dropped sliver contributes O(w log w) and is
     far below the quadrature tolerance.
     """
-    t = b - a
-    min_width = 100.0 * np.finfo(float).eps * max(abs(a), abs(b))
-    if min_width > 0:
-        levels = min(levels, max(4, int(np.log2(t / min_width))))
-    breaks = [0.0] + [t * 2.0 ** (k - levels) for k in range(1, levels + 1)]
-    pts = np.array(breaks)
-    if toward_b:
-        pts = t - pts[::-1]
-    return a + pts
+    min_width = 100.0 * np.finfo(float).eps * right
+    return np.minimum(_DYADIC_LEVELS, np.maximum(4, np.log2(widths / min_width).astype(int)))
 
 
 @dataclass
@@ -87,50 +86,115 @@ class GradedCollocation:
 
     # -- quadrature weights -------------------------------------------------------
 
-    def _element_contribution(self, theta_rows: np.ndarray, a: float, b: float,
-                              nodes: np.ndarray, wts: np.ndarray):
-        """Weights of the two hat functions on [a, b] for all rows."""
-        q = kernel_q(theta_rows[:, None], nodes[None, :])
-        lam_right = (nodes - a) / (b - a)
-        w_left = q @ (wts * (1.0 - lam_right))
-        w_right = q @ (wts * lam_right)
-        return w_left, w_right
+    def _regular_weights(self) -> np.ndarray:
+        """W from the plain Gauss rule on every element, with zeros for the
+        two rows at the element's endpoints.
 
-    def _refined_nodes(self, a: float, b: float, singular_at_b: bool):
-        panels = _dyadic_panels(a, b, singular_at_b, _DYADIC_LEVELS)
-        g, w = self.gauss
-        widths = np.diff(panels)
-        nodes = (panels[:-1, None] + widths[:, None] * g[None, :]).ravel()
-        wts = (widths[:, None] * w[None, :]).ravel()
-        return nodes, wts
+        For theta = tau_i and a node x = tau_j + h_j g of element j, the
+        numerator of Q's ratio exceeds |sin((theta - x)/2)| by 2m, where
+        m = min(sin(theta/2) cos(x/2), cos(theta/2) sin(x/2)), so
+
+            3 pi x Q = log1p(2m / |sin(A - B)|),
+            A = (theta - tau_j)/2 per (row, element),  B = h_j g/2 per node.
+
+        sin(A - B) = cos B (sin A - cos A tan B) comes from those tables,
+        and an entry costs one log1p and a few multiply-adds.  Rows below
+        the element add two positive terms; rows at or above tau_{j+2} cancel
+        by at most a factor 1 + h_j/h_{j+1}.
+        """
+        n, tau, h = self.n, self.tau, self.widths
+        g, gw = self.gauss
+        rows = tau[1:n]
+        sin_row, cos_row = 2.0 * np.sin(0.5 * rows), 2.0 * np.cos(0.5 * rows)
+        x = tau[:-1, None] + h[:, None] * g  # (element, node)
+        half_b = 0.5 * h[:, None] * g
+        sin_b, cos_b = np.sin(half_b), np.cos(half_b)
+        tan_b = sin_b / cos_b
+        sin_x, cos_x = np.sin(0.5 * x), np.cos(0.5 * x)
+        # numerators 2m/(2 sin(theta/2)) below the element, 2m/(2 cos(theta/2)) above
+        num_below, num_above = cos_x / cos_b, sin_x / cos_b
+        lam = (x - tau[:-1, None]) / h[:, None]
+        c = h[:, None] * gw / (3.0 * np.pi * x)
+        hats = np.stack((c * (1.0 - lam), c * lam), axis=1)  # (element, hat, node)
+        w = np.zeros((n - 1, n + 1))
+        row_block = min(n - 1, _BLOCK_ROWS)
+        per_block = max(1, _BLOCK_ENTRIES // (g.size * row_block))
+        buffer = np.empty(per_block * g.size * row_block)
+        for j0 in range(0, n, per_block):
+            e = slice(j0, min(j0 + per_block, n))
+            j = np.arange(e.start, e.stop)
+            for r0 in range(0, n - 1, row_block):
+                r = slice(r0, min(r0 + row_block, n - 1))
+                s_row, c_row = sin_row[r], cos_row[r]
+                half_a = 0.5 * (rows[r] - tau[e, None])  # (element, row)
+                sin_a, cos_a = np.sin(half_a)[:, None], np.cos(half_a)[:, None]
+                arg = buffer[:half_a.size * g.size].reshape(half_a.shape[0], g.size, -1)
+                # rows below every element of the block, then rows above them all
+                lo = min(max(j0 - 1 - r0, 0), arg.shape[2])
+                hi = min(max(e.stop - r0, lo), arg.shape[2])
+                below, above = arg[..., :lo], arg[..., hi:]
+                np.multiply(cos_a[..., :lo] / s_row[:lo], tan_b[e, :, None], out=below)
+                below -= sin_a[..., :lo] / s_row[:lo]
+                np.divide(num_below[e, :, None], below, out=below)
+                np.multiply(cos_a[..., hi:] / c_row[hi:], tan_b[e, :, None], out=above)
+                np.subtract(sin_a[..., hi:] / c_row[hi:], above, out=above)
+                np.divide(num_above[e, :, None], above, out=above)
+                # the band rows lo..hi-1 hold both sides and the endpoint rows
+                band = arg[..., lo:hi]
+                np.divide(np.minimum(s_row[lo:hi] * cos_x[e, :, None],
+                                     c_row[lo:hi] * sin_x[e, :, None]),
+                          np.abs(sin_a[..., lo:hi] * cos_b[e, :, None]
+                                 - cos_a[..., lo:hi] * sin_b[e, :, None]), out=band)
+                for k in (j - 1, j):  # row k holds tau_{k+1}
+                    inside = (k >= r0 + lo) & (k < r0 + hi)
+                    band[j[inside] - j0, :, k[inside] - r0 - lo] = 0.0
+                np.log1p(arg, out=arg)
+                terms = np.einsum("emr,esm->esr", arg, hats[e])
+                w[r, e] += terms[:, 0].T
+                w[r, j0 + 1:e.stop + 1] += terms[:, 1].T
+        return w
+
+    def _add_near_singular(self, w: np.ndarray) -> None:
+        """Add the dyadically refined rule for the row at each endpoint of
+        each element, in blocks of (element, row) pairs of one panel count."""
+        n, tau, h = self.n, self.tau, self.widths
+        g, gw = self.gauss
+        # row k holds tau_{k+1}: the right end of element k, the left of k + 1
+        row = np.tile(np.arange(n - 1), 2)
+        elem = row + np.repeat([0, 1], n - 1)
+        toward_b = elem == row
+        levels = _dyadic_levels(h, tau[1:])[elem]
+        for count in np.unique(levels):
+            pairs = np.flatnonzero(levels == count)
+            frac = np.concatenate(([0.0], 2.0 ** np.arange(1 - count, 1)))
+            per_block = max(1, _BLOCK_ENTRIES // (count * g.size))
+            for start in range(0, pairs.size, per_block):
+                p = pairs[start:start + per_block]
+                j, width = elem[p], h[elem[p]]
+                offsets = width[:, None] * frac
+                flip = toward_b[p]
+                offsets[flip] = width[flip, None] - offsets[flip, ::-1]
+                panels = tau[j, None] + offsets
+                sizes = np.diff(panels, axis=1)
+                nodes = (panels[:, :-1, None] + sizes[..., None] * g).reshape(p.size, -1)
+                wts = (sizes[..., None] * gw).reshape(p.size, -1)
+                q = kernel_q(tau[row[p] + 1, None], nodes)
+                lam = (nodes - tau[j, None]) / width[:, None]
+                w[row[p], j] += np.einsum("pk,pk->p", q, wts * (1.0 - lam))
+                w[row[p], j + 1] += np.einsum("pk,pk->p", q, wts * lam)
 
     @property
     def weights(self) -> np.ndarray:
-        """W[i, j] with Phi(theta_i) = sum_j W[i, j] rho(tau_j); the rows at
-        an element's endpoints, where the log singularity sits, take the
-        dyadically refined rule there instead of the plain Gauss rule."""
-        if self._weights is not None:
-            return self._weights
-        n = self.n
-        tau = self.tau
-        rows = tau[1:n]  # collocation points theta_1 .. theta_{n-1}
-        g, gw = self.gauss
-        w = np.zeros((n - 1, n + 1))
-        for j in range(n):
-            a, b = tau[j], tau[j + 1]
-            w_left, w_right = self._element_contribution(rows, a, b, a + (b - a) * g,
-                                                         (b - a) * gw)
-            # row k holds theta_{k+1}: theta_j = a is row j - 1, theta_{j+1} = b row j
-            for k, toward_b in ((j - 1, False), (j, True)):
-                if 0 <= k < n - 1:
-                    nodes, wts = self._refined_nodes(a, b, toward_b)
-                    new_l, new_r = self._element_contribution(rows[k:k + 1], a, b,
-                                                              nodes, wts)
-                    w_left[k], w_right[k] = new_l[0], new_r[0]
-            w[:, j] += w_left
-            w[:, j + 1] += w_right
-        self._weights = w
-        return w
+        """W[i, j] with Phi(theta_i) = sum_j W[i, j] rho(tau_j), built once
+        and read-only; the rows at an element's endpoints, where the log
+        singularity sits, take a dyadically refined rule there instead of
+        the plain Gauss rule."""
+        if self._weights is None:
+            w = self._regular_weights()
+            self._add_near_singular(w)
+            w.setflags(write=False)
+            self._weights = w
+        return self._weights
 
     def cumulative_trapezoid(self, s: np.ndarray) -> np.ndarray:
         """Int_0^tau s at nodes 1..m from s at nodes 1..m, m <= n.

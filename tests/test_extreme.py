@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
 from nekrasov.extreme import crest_jump, extreme_record_from_field
-from nekrasov._graded import GradedCollocation, kernel_q
+from nekrasov._graded import _DYADIC_LEVELS, GradedCollocation, kernel_q
 
 
 class TestGrantNumber:
@@ -56,18 +56,44 @@ class TestConstantSolution:
 class TestGradedCollocation:
     def test_quadrature_weights_against_quad(self):
         # integrate a known bounded density: rho = 1 gives
-        # Phi(theta) = Int_0^pi Q(theta, tau) dtau
+        # Phi(theta) = Int_0^pi Q(theta, tau) dtau.  The reference splits
+        # [0, pi] at theta 2^k: at the first rows of a steep mesh theta is
+        # ~1e-8, and one quad call over [0, pi] misses half the integral.
         from scipy import integrate
-        eng = GradedCollocation(n_nodes=120, grading=3.0)
-        w = eng.weights
-        rho = np.ones(eng.n + 1)
-        got = w @ rho
-        for idx in (20, 60, 100):
-            theta = eng.tau[idx + 1]
-            val, _ = integrate.quad(lambda t: kernel_q(np.array([theta]),
-                                                       np.array([t]))[0],
-                                    0.0, np.pi, points=[theta], limit=400)
-            assert got[idx] == pytest.approx(val, abs=2e-9)
+        for grading, rows in ((3.0, (20, 60, 100)), (1.0, (0, 1, 118)),
+                              (4.0, (0, 1, 118))):
+            eng = GradedCollocation(n_nodes=120, grading=grading)
+            got = eng.weights @ np.ones(eng.n + 1)
+            for idx in rows:
+                theta = eng.tau[idx + 1]
+                breaks = theta * 2.0 ** np.arange(-60, 60)
+                breaks = np.concatenate(([0.0], breaks[breaks < np.pi], [np.pi]))
+                val = sum(integrate.quad(lambda t: kernel_q(np.array([theta]),
+                                                            np.array([t]))[0],
+                                         a, b, limit=200)[0]
+                          for a, b in zip(breaks[:-1], breaks[1:]))
+                assert got[idx] == pytest.approx(val, abs=2e-9), (grading, idx)
+
+    @pytest.mark.parametrize("grading", [0.5, 1.0, 3.0, 4.5])
+    @pytest.mark.parametrize("n_nodes", [2, 3, 8, 120, 600])
+    def test_weights_match_element_loop(self, n_nodes, grading):
+        # n_nodes = 2 has one row, which carries both near-singular pairs
+        eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
+        assert np.abs(eng.weights - _reference_weights(eng)).max() <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 300), st.floats(0.5, 4.5))
+    def test_weights_finite_and_positive(self, n_nodes, grading):
+        # Q > 0 on (0, pi)^2 and the hat functions are nonnegative
+        w = GradedCollocation(n_nodes=n_nodes, grading=grading).weights
+        assert np.isfinite(w).all()
+        assert (w > 0).all()
+
+    def test_weights_cache_is_read_only(self):
+        eng = GradedCollocation(n_nodes=8)
+        with pytest.raises(ValueError):
+            eng.weights[0, 0] = 1.0
+        assert eng.weights is eng.weights
 
     def test_kernel_q_diagonal_raises(self):
         with pytest.raises(nk.SingularEvaluationError):
@@ -155,6 +181,45 @@ def _trapz_matrix(tau):
     t[:, :n - 1] += 0.5 * d[None, 1:] * (i_idx >= m_idx[:, :n - 1] + 1)
     t[:, 0] += 0.5 * d[0]
     return t
+
+
+def _reference_weights(eng):
+    """Reference: the per-element loop that assembled the weights before
+    they were blocked, with the plain Gauss rule on each element for all
+    rows and the dyadically refined rule assigned at its two endpoint rows."""
+    n, tau = eng.n, eng.tau
+    rows = tau[1:n]
+    g, gw = eng.gauss
+
+    def contribution(theta, a, b, nodes, wts):
+        q = kernel_q(theta[:, None], nodes[None, :])
+        lam_right = (nodes - a) / (b - a)
+        return q @ (wts * (1.0 - lam_right)), q @ (wts * lam_right)
+
+    def refined_rule(a, b, toward_b):
+        t = b - a
+        levels = min(_DYADIC_LEVELS,
+                     max(4, int(np.log2(t / (100.0 * np.finfo(float).eps * b)))))
+        pts = np.array([0.0] + [t * 2.0 ** (k - levels) for k in range(1, levels + 1)])
+        if toward_b:
+            pts = t - pts[::-1]
+        panels = a + pts
+        widths = np.diff(panels)
+        return ((panels[:-1, None] + widths[:, None] * g[None, :]).ravel(),
+                (widths[:, None] * gw[None, :]).ravel())
+
+    w = np.zeros((n - 1, n + 1))
+    for j in range(n):
+        a, b = tau[j], tau[j + 1]
+        left, right = contribution(rows, a, b, a + (b - a) * g, (b - a) * gw)
+        # row k holds theta_{k+1}: theta_j = a is row j - 1, theta_{j+1} = b row j
+        for k, toward_b in ((j - 1, False), (j, True)):
+            if 0 <= k < n - 1:
+                new_l, new_r = contribution(rows[k:k + 1], a, b, *refined_rule(a, b, toward_b))
+                left[k], right[k] = new_l[0], new_r[0]
+        w[:, j] += left
+        w[:, j + 1] += right
+    return w
 
 
 @pytest.mark.parametrize("kwargs", [
