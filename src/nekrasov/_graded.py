@@ -14,6 +14,12 @@ at nu = 0, where the spectral route breaks down because sin Phi / I is no
 longer square integrable.  Newton steps by the spectral solver's LGMRES on
 a matrix-free Jacobian, whose matvec costs one O(N^2) product with the
 weight matrix.
+
+The weight matrix is assembled once per mesh in O(N^2) time and flat
+memory: each of its 10 N^2 Gauss-node terms costs one log1p and a few
+multiply-adds over sine tables, the 2(N-1) near-singular (element, endpoint
+row) pairs take one batched, dyadically refined pass, and the scratch
+besides W is a fixed 512 KB block and tables of O(N) values.
 """
 
 from __future__ import annotations
@@ -90,17 +96,20 @@ class GradedCollocation:
         """W from the plain Gauss rule on every element, with zeros for the
         two rows at the element's endpoints.
 
-        For theta = tau_i and a node x = tau_j + h_j g of element j, the
-        numerator of Q's ratio exceeds |sin((theta - x)/2)| by 2m, where
-        m = min(sin(theta/2) cos(x/2), cos(theta/2) sin(x/2)), so
+        For theta = tau_i and a node x = tau_j + h_j g of element j, with
+        A = (theta - tau_j)/2 per (row, element) and B = h_j g/2 per node,
 
             3 pi x Q = log1p(2m / |sin(A - B)|),
-            A = (theta - tau_j)/2 per (row, element),  B = h_j g/2 per node.
+            m = min(sin(theta/2) cos(x/2), cos(theta/2) sin(x/2)),
 
-        sin(A - B) = cos B (sin A - cos A tan B) comes from those tables,
-        and an entry costs one log1p and a few multiply-adds.  Rows below
-        the element add two positive terms; rows at or above tau_{j+2} cancel
-        by at most a factor 1 + h_j/h_{j+1}.
+        since Q's numerator exceeds |sin((theta - x)/2)| by 2m.  Below the
+        element (theta < x) the argument is cos(x/2)/cos B over
+        (cos A tan B - sin A)/(2 sin(theta/2)), two positive terms; above
+        it, sin(x/2)/cos B over (sin A - cos A tan B)/(2 cos(theta/2)), which
+        cancels by at most a factor 1 + h_j/h_{j+1} on rows at or above
+        tau_{j+2}.  An entry thus costs one log1p and three arithmetic
+        operations on tables; the few rows of a block that lie between its
+        elements take the general form.
         """
         n, tau, h = self.n, self.tau, self.widths
         g, gw = self.gauss
@@ -111,7 +120,6 @@ class GradedCollocation:
         sin_b, cos_b = np.sin(half_b), np.cos(half_b)
         tan_b = sin_b / cos_b
         sin_x, cos_x = np.sin(0.5 * x), np.cos(0.5 * x)
-        # numerators 2m/(2 sin(theta/2)) below the element, 2m/(2 cos(theta/2)) above
         num_below, num_above = cos_x / cos_b, sin_x / cos_b
         lam = (x - tau[:-1, None]) / h[:, None]
         c = h[:, None] * gw / (3.0 * np.pi * x)
@@ -129,7 +137,8 @@ class GradedCollocation:
                 half_a = 0.5 * (rows[r] - tau[e, None])  # (element, row)
                 sin_a, cos_a = np.sin(half_a)[:, None], np.cos(half_a)[:, None]
                 arg = buffer[:half_a.size * g.size].reshape(half_a.shape[0], g.size, -1)
-                # rows below every element of the block, then rows above them all
+                # chunk rows [0, lo) lie below every element of the block and
+                # rows [hi, ...) above them all
                 lo = min(max(j0 - 1 - r0, 0), arg.shape[2])
                 hi = min(max(e.stop - r0, lo), arg.shape[2])
                 below, above = arg[..., :lo], arg[..., hi:]
@@ -139,7 +148,7 @@ class GradedCollocation:
                 np.multiply(cos_a[..., hi:] / c_row[hi:], tan_b[e, :, None], out=above)
                 np.subtract(sin_a[..., hi:] / c_row[hi:], above, out=above)
                 np.divide(num_above[e, :, None], above, out=above)
-                # the band rows lo..hi-1 hold both sides and the endpoint rows
+                # the rows between hold both sides and the elements' endpoints
                 band = arg[..., lo:hi]
                 np.divide(np.minimum(s_row[lo:hi] * cos_x[e, :, None],
                                      c_row[lo:hi] * sin_x[e, :, None]),
