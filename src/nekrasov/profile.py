@@ -16,7 +16,6 @@ import numpy as np
 from scipy import fft as _fft
 
 from .grid import AngleField
-from .kernel import KernelSpec
 from .solver import BreakdownError, inner_accumulate
 
 
@@ -190,27 +189,17 @@ def _cosine_coefficients(values_closed: np.ndarray, grid) -> np.ndarray:
 
 
 def fourier_map_coefficients(field: AngleField, mu: float,
-                             k_max: int | None = None,
-                             spec: KernelSpec | None = None) -> np.ndarray:
+                             k_max: int | None = None) -> np.ndarray:
     """Power-series coefficients a_k of the conformal map derivative factor
     f(u) = 1 + sum a_k u^k.
 
     The boundary values of i log f are (-Phi, log R), so log f has power
     series coefficients equal to Phi's sine coefficients b_k; f follows by
     exact series exponentiation.  Raises when the requested modes exceed
-    what the grid resolves, and ValueError for a finite-depth spec.
+    what the grid resolves.
     """
-    _require_deep(spec)
     _denominator(field, mu)
     return _map_coefficients(field, k_max)
-
-
-def _require_deep(spec: KernelSpec | None) -> None:
-    """The map route's power series is the map from a disc, which is deep
-    water; a finite-depth flow maps from an annulus."""
-    if spec is not None and not spec.is_infinite:
-        raise ValueError("the map-coefficient route is valid on deep water only; "
-                         "use reconstruct_profile at finite depth")
 
 
 def _map_coefficients(field: AngleField, k_max: int | None = None) -> np.ndarray:
@@ -230,16 +219,12 @@ def _map_coefficients(field: AngleField, k_max: int | None = None) -> np.ndarray
 
 def profile_from_map_coefficients(field: AngleField, mu: float,
                                   wavelength: float = 2.0 * np.pi,
-                                  g: float = 1.0,
-                                  spec: KernelSpec | None = None) -> WaveProfile:
+                                  g: float = 1.0) -> WaveProfile:
     """Independent reconstruction route through the map coefficients a_k:
 
         eta = (lambda/2 pi) sum (a_k/k) cos(k theta),
         x   = -(lambda/2 pi) (theta + sum (a_k/k) sin(k theta)).
-
-    Deep water only: raises ValueError for a finite-depth spec.
     """
-    _require_deep(spec)
     denom, r, _, d = _crest_normalized(field, mu)
     a = _map_coefficients(field)
     grid = field.grid

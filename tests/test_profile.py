@@ -178,17 +178,3 @@ class TestMapCoefficients:
     def test_refinement_error(self, wave_35):
         with pytest.raises(nk.ReconstructionError):
             nk.fourier_map_coefficients(wave_35.field, 3.5, k_max=2000)
-
-    @pytest.mark.parametrize("entry", [nk.fourier_map_coefficients,
-                                       nk.profile_from_map_coefficients])
-    def test_finite_depth_is_refused(self, wave_35, entry):
-        # the power series is the conformal map from a disc: deep water only
-        with pytest.raises(ValueError, match="deep water"):
-            entry(wave_35.field, 3.5, spec=nk.KernelSpec(depth_ratio=0.5))
-
-    def test_deep_spec_keeps_results(self, wave_35):
-        a = nk.fourier_map_coefficients(wave_35.field, 3.5)
-        assert np.array_equal(nk.fourier_map_coefficients(wave_35.field, 3.5, spec=nk.DEEP), a)
-        p1 = nk.profile_from_map_coefficients(wave_35.field, 3.5)
-        p2 = nk.profile_from_map_coefficients(wave_35.field, 3.5, spec=nk.DEEP)
-        assert np.array_equal(p1.eta, p2.eta) and np.array_equal(p1.x, p2.x)
