@@ -4,6 +4,10 @@ Identical inputs must produce byte-identical files: floats are formatted
 with 17 significant digits, lines end with a bare newline, and no
 timestamps or environment-dependent values are written.  Every file starts
 with a metadata block (tool version, grid size, tolerances, kernel spec).
+
+JSON files have the standard library's ``indent=2`` layout, byte for byte,
+but are produced with its C encoder: ``json.dump(..., indent=2)`` always
+runs the pure-Python one.
 """
 
 from __future__ import annotations
@@ -67,10 +71,40 @@ def _metadata_text(value) -> str:
     return str(value)
 
 
+# without indent, encode() runs the C encoder; its ", " item separator
+# then marks the line breaks of the indented layout
+_encode = json.JSONEncoder(separators=(", ", ": ")).encode
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+def _indented(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2) for the values _canonical returns."""
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{_encode_key(k)}: {_indented(v, inner)}" for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        text = _encode(value)
+        # a string may itself contain ", " and a nested list is indented
+        # further, so only a list of numbers, bools, nulls and empty dicts
+        # can be split at the encoder's separators (any other dict shows a
+        # quoted key)
+        if '"' in text or "[" in text[1:]:
+            body = (",\n" + inner).join([_indented(v, inner) for v in value])
+        else:
+            body = text[1:-1].replace(", ", ",\n" + inner)
+        return "[\n" + inner + body + "\n" + pad + "]"
+    return _encode(value)
+
+
 def write_json(path, payload: dict) -> None:
+    text = _indented(_canonical(payload)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_canonical(payload), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def base_metadata(version: str, spec, n: int | None = None,

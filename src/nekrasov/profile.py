@@ -195,8 +195,9 @@ def fourier_map_coefficients(field: AngleField, mu: float,
 
     The boundary values of i log f are (-Phi, log R), so log f has power
     series coefficients equal to Phi's sine coefficients b_k; f follows by
-    exact series exponentiation.  Raises when the requested modes exceed
-    what the grid resolves.
+    exact series exponentiation.  Raises ReconstructionError when the
+    requested modes exceed what the grid resolves, and ValueError when
+    k_max is negative or not an integer.
     """
     _denominator(field, mu)
     return _map_coefficients(field, k_max)
@@ -206,15 +207,20 @@ def _map_coefficients(field: AngleField, k_max: int | None = None) -> np.ndarray
     b = field.coefficients
     if k_max is None:
         k_max = b.size
+    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
     if k_max > b.size:
         raise ReconstructionError(
             f"requested {k_max} map modes but the grid resolves {b.size}")
-    a = np.zeros(k_max + 1)
-    a[0] = 1.0
+    # k a_k = sum_{m=1..k} m b_m a_{k-m}.  a is kept reversed, a_j at
+    # rev[k_max - j], so a_{k-1}, ..., a_0 is the contiguous tail
+    # rev[k_max - k + 1:] and each step is one dot of two slices
+    mb = np.arange(1, k_max + 1) * b[:k_max]
+    rev = np.zeros(k_max + 1)
+    rev[k_max] = 1.0
     for k in range(1, k_max + 1):
-        m = np.arange(1, k + 1)
-        a[k] = float(np.dot(m * b[m - 1], a[k - m]) / k)
-    return a[1:]
+        rev[k_max - k] = float(np.dot(mb[:k], rev[k_max - k + 1:]) / k)
+    return rev[:k_max][::-1].copy()
 
 
 def profile_from_map_coefficients(field: AngleField, mu: float,

@@ -125,10 +125,28 @@ def test_json_output_is_byte_identical_across_runs(tmp_path, argv, name):
     json.loads(outputs[0])
 
 
+def _is_stdlib_indent(text: str) -> bool:
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["eigs", "--depth", "inf", "--kmax", "3"], "eigs.json"),
+    (["solve", "--mu", "3.2", "--n", "256"], "solution.json"),
+    (["branch", "--mu-end", "4"], "branch.json"),
+    (["series", "--order", "3"], "series.json"),
+    (["profile", "--mu", "3.5"], "profile.json"),
+], ids=["eigs", "solve", "branch", "series", "profile"])
+def test_json_layout_is_stdlib_indent(tmp_path, argv, name):
+    assert run(tmp_path, *argv, "--format", "json") == 0
+    assert _is_stdlib_indent((tmp_path / name).read_text(encoding="utf-8"))
+
+
 class TestExtreme:
     def test_direct_report(self, tmp_path, capsys):
         assert run(tmp_path, "extreme", "--strategy", "direct") == 0
-        data = json.loads((tmp_path / "extreme.json").read_text())
+        text = (tmp_path / "extreme.json").read_text(encoding="utf-8")
+        assert _is_stdlib_indent(text)
+        data = json.loads(text)
         assert data["crest_angle_estimate"] == pytest.approx(math.pi / 6, abs=0.01)
         assert data["jump"] == pytest.approx(math.pi / 3, abs=0.02)
         assert data["C1"] < 0 < data["C2"]

@@ -2,10 +2,11 @@ import json
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nekrasov.io import _canonical, format_float
+from nekrasov.io import _canonical, format_float, write_json
 
 
 def _canonical_elementwise(value):
@@ -72,3 +73,54 @@ class TestCanonical:
         out = _canonical(array)
         assert all(type(x) is float for x in out)
         assert _text(out) == _text(_canonical_elementwise(array))
+
+
+_STRINGS = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from([", ", "a, b", "[1, 2]", '"quoted", "pair"', "\\", "{}",
+                     "caf\u00e9 \u2202\u03b8 \U0001d4b3", "\x00\x1f\n\t\x7f", ""]))
+_NUMBERS = st.one_of(
+    st.sampled_from(_EDGES[64]), st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(), st.booleans(), st.none())
+_PAYLOADS = st.recursive(
+    st.one_of(_NUMBERS, _STRINGS),
+    lambda children: st.one_of(
+        st.lists(_NUMBERS, max_size=8),
+        st.lists(children, max_size=5),
+        st.dictionaries(_STRINGS, children, max_size=5)),
+    max_leaves=30)
+
+
+class TestWriteJson:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("json") / "payload.json"
+
+    def _written(self, path, payload):
+        write_json(path, payload)
+        return path.read_text(encoding="utf-8")
+
+    @settings(max_examples=200, deadline=None)
+    @given(_PAYLOADS)
+    def test_matches_stdlib_indent(self, path, value):
+        payload = {"value": value}
+        assert self._written(path, payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        {}, {"a": []}, {"a": {}}, {"a": [[], {}, [[]]]}, {"a": [1, {}, 2.5]},
+        {"": [1, [2.5, None], "x, y"]},
+        {"values": [-0.0, 5e-324, float("nan"), float("inf"), -float("inf")]},
+    ])
+    def test_edge_payloads(self, path, payload):
+        assert self._written(path, payload) == json.dumps(payload, indent=2) + "\n"
+
+    def test_canonical_arrays(self, path):
+        payload = {
+            "fractions": np.array([Fraction(1, 9), Fraction(-8, 243)], dtype=object),
+            "long": np.array([0.1, -0.0, np.inf, 5e-324], dtype=np.longdouble),
+            "matrix": np.arange(6.0).reshape(2, 3),
+            "flags": np.array([True, False]),
+        }
+        text = self._written(path, payload)
+        assert text == json.dumps(_canonical(payload), indent=2) + "\n"
+        assert '"1/9"' in text

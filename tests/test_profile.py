@@ -1,8 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import nekrasov as nk
 from conftest import solved_field
+from nekrasov.profile import _map_coefficients
+
+
+def _reference_map_coefficients(field, k_max=None):
+    """Reference: the recursion with an index gather of a at every step."""
+    b = field.coefficients
+    if k_max is None:
+        k_max = b.size
+    a = np.zeros(k_max + 1)
+    a[0] = 1.0
+    for k in range(1, k_max + 1):
+        m = np.arange(1, k + 1)
+        a[k] = float(np.dot(m * b[m - 1], a[k - m]) / k)
+    return a[1:]
+
+
+@st.composite
+def _coefficient_fields(draw):
+    n = draw(st.sampled_from([8, 64, 300, 512]))
+    coeffs = draw(hnp.arrays(np.float64, n - 1, elements=st.floats(-1.0, 1.0)))
+    return nk.AngleField.from_coefficients(coeffs, n)
 
 
 class TestReconstructR:
@@ -178,3 +201,27 @@ class TestMapCoefficients:
     def test_refinement_error(self, wave_35):
         with pytest.raises(nk.ReconstructionError):
             nk.fourier_map_coefficients(wave_35.field, 3.5, k_max=2000)
+
+    @pytest.mark.parametrize("k_max", [-1, -2, 2.0, 2.5, "3", True])
+    def test_bad_k_max_is_value_error(self, wave_35, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            nk.fourier_map_coefficients(wave_35.field, 3.5, k_max=k_max)
+
+    def test_zero_modes(self, wave_35):
+        a = nk.fourier_map_coefficients(wave_35.field, 3.5, k_max=np.int64(0))
+        assert a.shape == (0,)
+
+    @pytest.mark.parametrize("n", [128, 512, 1024])
+    @pytest.mark.parametrize("mu", [3.05, 3.5, 6.0])
+    def test_matches_reference_loop_on_solved_fields(self, mu, n):
+        field = solved_field(mu, n).field
+        for k_max in (None, 1, 7, n // 4):
+            assert np.array_equal(_map_coefficients(field, k_max),
+                                  _reference_map_coefficients(field, k_max))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_coefficient_fields())
+    def test_matches_reference_loop_on_random_coefficients(self, field):
+        a = _map_coefficients(field)
+        assert a.flags.c_contiguous
+        assert np.array_equal(a, _reference_map_coefficients(field))
