@@ -20,8 +20,7 @@ import numpy as np
 
 from . import __version__, io as _io
 from .continuation import StepPolicy, trace_branch
-from .extreme import (convexity_check, crest_jump, grant_number, solve_extreme,
-                      solve_sequence)
+from .extreme import convexity_check, crest_jump, solve_extreme, solve_sequence
 from .grid import AngleField, get_grid
 from .kernel import KernelSpec, characteristic_values
 from .profile import reconstruct_profile
@@ -270,7 +269,6 @@ def cmd_extreme(args) -> int:
     if not spec.is_infinite:
         raise ValidationError("the extreme limit is computed on deep water")
     sol = solve_extreme(strategy=args.strategy, n_start=args.n)
-    beta1 = grant_number(1e-9)
     # convexity is judged on a near-extreme finite-mu representative: the
     # sequence's own final field, or a mu = 3000 solve for the direct route
     if sol.strategy == "sequence":
@@ -289,7 +287,7 @@ def cmd_extreme(args) -> int:
         "jump": crest_jump(sol),
         "C1": sol.grant_fit.c1,
         "C2": sol.grant_fit.c2,
-        "beta1": beta1,
+        "beta1": sol.grant_fit.beta1,
         "convexity": {"convex": convexity.convex, "mu": convex_mu,
                       "max_violation": convexity.max_violation},
         "per_mu": sol.per_mu,

@@ -19,7 +19,7 @@ from scipy import integrate as _integrate
 from ._graded import GradedCollocation
 from .continuation import StepPolicy, _converge_resolved
 from .grid import AngleField, get_grid
-from .kernel import DEEP, KernelSpec
+from .kernel import DEEP, KernelSpec, characteristic_values
 from .profile import WaveProfile
 from .solver import SolveResult, _seed_field
 
@@ -191,16 +191,17 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
     (up to n_max) until resolved; returns the last result and per-mu records."""
     policy = StepPolicy(n_start=n_start, n_max=n_max)
     mu_targets = sorted(float(m) for m in mu_sequence)
-    # warm-start ladder, geometric in mu - 3 with ratio 1.6: jumping straight
-    # to a large mu from the local seed lands in the basin of the trivial
-    # solution
-    mu0 = 3.3
-    s_max = mu_targets[-1] - 3.0
-    s = mu0 - 3.0
+    # warm-start ladder, geometric in mu - mu1 with ratio 1.6: jumping
+    # straight to a large mu from the local seed lands in the basin of the
+    # trivial solution
+    mu1 = float(characteristic_values(spec, 1)[0])
+    mu0 = mu1 + 0.3
+    s_max = mu_targets[-1] - mu1
+    s = mu0 - mu1
     ladder: list[float] = []
     while s * 1.6 < s_max:
         s *= 1.6
-        ladder.append(3.0 + s)
+        ladder.append(mu1 + s)
     ladder = sorted(set(ladder + mu_targets))
     per_mu = []
     result = _converge_resolved(mu0, _seed_field(mu0, spec, n_start),

@@ -201,7 +201,10 @@ def inner_accumulate(field: AngleField) -> np.ndarray:
 
 
 def apply_nekrasov(field: AngleField, mu: float, spec: KernelSpec | None = None) -> AngleField:
-    """Evaluate A_mu Phi.  Raises BreakdownError if 1 + mu*I loses positivity."""
+    """Evaluate A_mu Phi.  Raises ValueError on a non-finite field and
+    BreakdownError if 1 + mu*I loses positivity."""
+    if not np.isfinite(field.values).all():
+        raise ValueError("the field has non-finite values")
     op = get_operator(field.n, _default_spec(field, spec))
     return AngleField(field.grid, values=op.apply(field.values, mu))
 
@@ -338,70 +341,66 @@ def solve_seeded(mu: float, spec: KernelSpec = DEEP, n: int = 512,
                  spec=spec.with_modes(n // 2))
 
 
+def _system_f(op: NekrasovOperator, phi: np.ndarray, psi: np.ndarray, mu: float):
+    """The coupled system's F = (Phi - mu B[Psi sin Phi], Psi - 1 + mu Int_0^theta
+    Psi^2 sin Phi), stacked: n - 1 interior values, then n + 1 closed-grid ones."""
+    psi_sin = psi[1:-1] * np.sin(phi)
+    return np.concatenate((phi - mu * op.apply_linear(psi_sin),
+                           psi - 1.0 + mu * op.grid.antiderivative_closed(psi[1:-1] * psi_sin)))
+
+
 def system_residual(state: SystemState, mu: float, spec: KernelSpec | None = None) -> float:
     """Sup-norm residual of the coupled system at the given state."""
     op = get_operator(state.phi.n, _default_spec(state.phi, spec))
-    phi = state.phi.values
-    psi_in = state.psi[1:-1]
-    phi_rhs = mu * op.apply_linear(psi_in * np.sin(phi))
-    psi_rhs = 1.0 - mu * op.grid.antiderivative_closed(state.psi[1:-1]**2 * np.sin(phi))
-    return float(max(np.abs(phi - phi_rhs).max(),
-                     np.abs(state.psi - psi_rhs).max()))
+    return float(np.abs(_system_f(op, state.phi.values, state.psi, mu)).max())
 
 
 def solve_system(mu: float, initial: SystemState | None = None,
-                 tol: float = 1e-12, max_iter: int = 5000,
+                 tol: float = 1e-12, max_iter: int = 100,
                  spec: KernelSpec | None = None, n: int = 512) -> SystemState:
-    """Solve the coupled system for (Phi, Psi) by damped iteration.
+    """Solve the coupled system for (Phi, Psi) with the shared Newton loop.
 
     Phi = mu * Int Psi sin Phi K dtau and Psi = 1 - mu Int_0^theta Psi^2 sin Phi.
+    The stacked (Phi, Psi), 2n values, is solved by _newton with the
+    _krylov_step on the matrix-free Jacobian, as in solve; max_iter counts
+    Newton iterations, and a trial with Psi <= 0 on (0, pi] breaks down.
     Psi is advanced through its own Volterra equation, not through the
-    closed form 1/(1 + mu*I); the latter is only a cross-check identity.
+    closed form 1/(1 + mu*I), which only seeds it and is a cross-check
+    identity.  Without initial, Phi is seeded by _seed_field as in
+    solve_seeded, so mu must exceed the bifurcation point.
     """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if initial is None:
-        seed = (mu - 3.0) / 9.0 if mu > 3.0 else 0.01
-        grid = get_grid(n)
-        phi0 = AngleField(grid, values=seed * np.sin(grid.theta))
-        # seeding Psi consistently with the seed angle keeps the first
-        # sweeps inside the physical regime at larger mu
-        psi0 = 1.0 / (1.0 + mu * inner_accumulate(phi0))
-        initial = SystemState(phi=phi0, psi=psi0)
-    phi_field = initial.phi
-    op = get_operator(phi_field.n, _default_spec(phi_field, spec))
-    phi = phi_field.values.copy()
-    psi = initial.psi.copy()
-    omega = 1.0
-    res = system_residual(SystemState(AngleField(op.grid, values=phi), psi), mu, op.spec)
-    for _ in range(max_iter):
-        if res <= tol:
-            break
-        # Gauss-Seidel sweep: Phi from the current Psi, then Psi from the
-        # updated Phi; the staggered update is monotone where the joint
-        # update transiently overshoots
-        phi_rhs = mu * op.apply_linear(psi[1:-1] * np.sin(phi))
-        phi_new = (1.0 - omega) * phi + omega * phi_rhs
-        psi_rhs = 1.0 - mu * op.grid.antiderivative_closed(
-            psi[1:-1]**2 * np.sin(phi_new))
-        psi_new = (1.0 - omega) * psi + omega * psi_rhs
-        if psi_new[1:].min() <= 0.0:
-            if omega > 2.0**-8:
-                omega *= 0.5
-                continue
-            raise BreakdownError("Psi lost positivity during iteration")
-        new_res = system_residual(SystemState(AngleField(op.grid, values=phi_new), psi_new),
-                                  mu, op.spec)
-        if new_res > res and omega > 2.0**-8:
-            omega *= 0.5
-            continue
-        phi, psi, res = phi_new, psi_new, new_res
-    else:
-        if res > tol:
-            raise DivergenceError(f"system iteration did not reach tol={tol:g}",
-                                  res, max_iter)
-    psi[0] = 1.0
-    return SystemState(phi=AngleField(op.grid, values=phi), psi=psi)
+        phi0 = _seed_field(mu, DEEP if spec is None else spec, n)
+        initial = SystemState(phi0, 1.0 / (1.0 + mu * inner_accumulate(phi0)))
+    elif not (np.isfinite(initial.phi.values).all() and np.isfinite(initial.psi).all()):
+        raise ValueError("the initial state has non-finite values")
+    op = get_operator(initial.phi.n, _default_spec(initial.phi, spec))
+    m = op.grid.n - 1
+
+    def residual(x):
+        if not x[m + 1:].min() > 0.0:
+            raise BreakdownError("Psi lost positivity; the state is outside the physical regime")
+        return _system_f(op, x[:m], x[m:], mu)
+
+    def jacobian(x):
+        sin_phi, psi_in = np.sin(x[:m]), x[m + 1:-1]
+        psi_cos = psi_in * np.cos(x[:m])
+
+        def matvec(v):
+            dpsi_sin, dphi_part = v[m + 1:-1] * sin_phi, psi_cos * v[:m]
+            return np.concatenate((
+                v[:m] - mu * op.apply_linear(dpsi_sin + dphi_part),
+                v[m:] + mu * op.grid.antiderivative_closed(
+                    psi_in * (2.0 * dpsi_sin + dphi_part))))
+
+        return _sparse_linalg.LinearOperator((2 * m + 2,) * 2, matvec=matvec, dtype=float)
+
+    x = np.concatenate((initial.phi.values, initial.psi))
+    x, _, _ = _newton(residual, lambda x, f: _krylov_step(jacobian(x), f), x, tol, max_iter)
+    x[m] = 1.0
+    return SystemState(phi=AngleField(op.grid, values=x[:m]), psi=x[m:])
 
 
 def check_amplitude_bound(field: AngleField, mu: float) -> AmplitudeBound:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nekrasov.extreme
 from nekrasov.cli import main
 
 
@@ -151,6 +152,7 @@ class TestExtreme:
         assert data["jump"] == pytest.approx(math.pi / 3, abs=0.02)
         assert data["C1"] < 0 < data["C2"]
         assert data["beta1"] == pytest.approx(0.802679, abs=1e-6)
+        assert data["beta1"] == nekrasov.extreme.GRANT_BETA1
         assert data["convexity"]["convex"] is True
         assert "crest angle estimate" in capsys.readouterr().out
 

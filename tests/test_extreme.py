@@ -318,6 +318,18 @@ class TestSequenceStrategy:
             nk.solve_extreme(spec=nk.KernelSpec(depth_ratio=0.5))
 
 
+@pytest.mark.parametrize("depth", [0.1, 0.5])
+def test_sequence_at_finite_depth(depth):
+    # the warm-start ladder starts just above the kernel's own mu1
+    # (5.387 at h/lambda = 0.1), not above the deep-water value 3
+    spec = nk.KernelSpec(depth_ratio=depth)
+    result, per_mu = nk.solve_sequence(spec, (30.0,), 1e-12, 256, 1 << 15)
+    assert [r["mu"] for r in per_mu] == [30.0]
+    assert per_mu[0]["residual"] <= 1e-12
+    assert per_mu[0]["tail"] <= 1e-9
+    assert result.field.sup_norm() > 0.1
+
+
 def test_cross_discretization_at_large_mu():
     # the uniform sine-spectral solver and the graded collocation engine
     # discretize the same equation in entirely different ways; at mu = 1000

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
+from nekrasov import solver as _solver
 from nekrasov.solver import NekrasovOperator, _newton
 from conftest import solved_field
 from oracles import apply_operator_quadrature, inner_integral_quadrature
@@ -112,6 +113,13 @@ class TestApplyNekrasov:
         field = field_of(64, lambda t: -2.0 * np.sin(t))
         with pytest.raises(nk.BreakdownError):
             nk.apply_nekrasov(field, 50.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_is_rejected(self, bad):
+        field = field_of(64, lambda t: 0.2 * np.sin(t))
+        field.values[7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            nk.apply_nekrasov(field, 3.2)
 
 
 class TestSolve:
@@ -310,13 +318,47 @@ class TestSolveSystem:
 
     @pytest.mark.parametrize("mu", [3.05, 3.2, 4.0, 5.0])
     def test_equivalence_with_single_equation(self, mu):
-        # the residual-to-error map is conditioned by the distance to the
-        # bifurcation point, so the comparison margin grows as mu drops to 3
-        tol = 1e-12
-        state = nk.solve_system(mu, tol=tol, max_iter=30000, n=512)
+        state = nk.solve_system(mu, tol=1e-12, n=512)
         single = solved_field(mu, n=512)
-        margin = 10.0 * tol * max(1.0, 0.01 / (mu - 3.0))
-        assert np.abs(state.phi.values - single.field.values).max() < 100 * margin
+        assert np.abs(state.phi.values - single.field.values).max() < 1e-10
+
+    @pytest.mark.parametrize("depth", [0.1, 0.5])
+    def test_equivalence_at_finite_depth(self, depth):
+        spec = nk.KernelSpec(depth_ratio=depth)
+        mu = float(nk.characteristic_values(spec, 1)[0]) + 0.5
+        state = nk.solve_system(mu, tol=1e-12, spec=spec, n=512)
+        single = nk.solve_seeded(mu, spec, n=512)
+        assert np.abs(state.phi.values - single.field.values).max() < 1e-10
+
+    @pytest.mark.parametrize("mu", [3.05, 3.2, 4.5])
+    def test_runs_the_shared_newton_loop(self, mu, monkeypatch):
+        iterations = []
+
+        def counted(*args):
+            out = _newton(*args)
+            iterations.append(out[2])
+            return out
+
+        monkeypatch.setattr(_solver, "_newton", counted)
+        state = nk.solve_system(mu, tol=1e-12, n=512)
+        assert len(iterations) == 1 and iterations[0] <= 8
+        assert nk.system_residual(state, mu) <= 1e-12
+
+    @pytest.mark.parametrize("mu, depth", [(3.0, np.inf), (2.0, np.inf),
+                                           (5.3, 0.1)])
+    def test_subcritical_mu_without_initial_is_rejected(self, mu, depth):
+        with pytest.raises(ValueError, match="bifurcation point"):
+            nk.solve_system(mu, n=64, spec=nk.KernelSpec(depth_ratio=depth))
+
+    @pytest.mark.parametrize("part", ["phi", "psi"])
+    def test_non_finite_initial_is_rejected(self, part):
+        grid = nk.get_grid(64)
+        phi = 0.02 * np.sin(grid.theta)
+        psi = np.ones(65)
+        (phi if part == "phi" else psi)[5] = np.nan
+        state = nk.SystemState(phi=nk.AngleField(grid, values=phi), psi=psi)
+        with pytest.raises(ValueError, match="non-finite"):
+            nk.solve_system(3.2, initial=state)
 
     def test_equivalence_at_3_2_within_1e8(self):
         state = nk.solve_system(3.2, tol=1e-11, n=512)
