@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io as _io
-from .continuation import StepPolicy, trace_branch
+from .continuation import N_MAX, StepPolicy, trace_branch
 from .extreme import convexity_check, crest_jump, solve_extreme, solve_sequence
 from .grid import AngleField, get_grid
 from .kernel import KernelSpec, characteristic_values
@@ -275,7 +275,7 @@ def cmd_extreme(args) -> int:
         convex_mu = max(sol.mu_sequence)
         convex_field = sol.field
     else:
-        result, _ = solve_sequence(spec, (3000.0,), args.tol, args.n, 1 << 17)
+        result, _ = solve_sequence(spec, (3000.0,), args.tol, args.n, N_MAX)
         convex_mu = 3000.0
         convex_field = result.field
     convexity = convexity_check(reconstruct_profile(convex_field, convex_mu))

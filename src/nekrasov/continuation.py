@@ -9,6 +9,7 @@ crest boundary layer sharpens for large mu.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -81,30 +82,40 @@ class BranchExtrema:
     monotone_increasing: bool
 
 
+INITIAL_STEP = 0.01
+GROWTH = 1.5
+MAX_STEP = 1.0
+GEOMETRIC_START = 10.0
+MIN_STEP = 1e-8
+TAIL_THRESHOLD = 1e-9
+N_MAX = 1 << 17
+MAX_POINTS = 2000
+CONE_EPS = 1e-9
+
+
 @dataclass
 class StepPolicy:
-    """Continuation step control.
+    """Continuation step control; its settings are `ratio`, `n_start` and
+    `n_max`, and the rest of the rule is the module constants above.
 
-    Steps grow multiplicatively while corrections succeed and are halved on
-    failure; above geometric_start the sampling becomes geometric in mu
-    (the extreme limit is approached logarithmically).  n doubles whenever
-    the spectral tail of a converged point exceeds tail_threshold.
+    Below GEOMETRIC_START, mu advances by steps that start at INITIAL_STEP
+    and grow by GROWTH per accepted point up to MAX_STEP; from there on it
+    is multiplied by `ratio` (the extreme limit is approached
+    logarithmically).  A failed corrector halves the step (takes the square
+    root of the ratio) until it falls below MIN_STEP.  The grid starts at
+    `n_start` and doubles, up to `n_max`, while the spectral tail of a
+    converged point exceeds TAIL_THRESHOLD.  A point still unresolved at
+    n_max is not accepted: the branch ends before it and comes back
+    truncated, as it does at the MAX_POINTS cap and when the step underflows.
     """
 
-    initial_step: float = 0.01
-    growth: float = 1.5
-    max_step: float = 1.0
-    geometric_start: float = 10.0
     ratio: float = 1.25
-    min_step: float = 1e-8
-    tail_threshold: float = 1e-9
     n_start: int = 512
-    n_max: int = 1 << 17
-    max_points: int = 2000
+    n_max: int = N_MAX
 
 
-def cone_membership(field: AngleField, eps: float = 1e-9) -> ConeReport:
-    """Check the three cone conditions on the grid, within tolerance eps."""
+def cone_membership(field: AngleField) -> ConeReport:
+    """Check the three cone conditions on the grid, within CONE_EPS."""
     v = field.values
     theta = field.grid.theta
     neg_violation = max(0.0, float((-v).max(initial=0.0)))
@@ -116,9 +127,9 @@ def cone_membership(field: AngleField, eps: float = 1e-9) -> ConeReport:
     tail_violation = _tail_violation(v)
 
     return ConeReport(
-        nonneg_ok=neg_violation <= eps,
-        ratio_monotone_ok=ratio_violation <= eps,
-        tail_ordering_ok=tail_violation <= eps,
+        nonneg_ok=neg_violation <= CONE_EPS,
+        ratio_monotone_ok=ratio_violation <= CONE_EPS,
+        tail_ordering_ok=tail_violation <= CONE_EPS,
         max_violation=max(neg_violation, ratio_violation, tail_violation),
     )
 
@@ -138,17 +149,11 @@ def _tail_violation(v: np.ndarray) -> float:
     return max(0.0, float((right - window_min).max()))
 
 
-def _branch_point(result: SolveResult, eps: float) -> BranchPoint:
-    height = _profile.reconstruct_profile(result.field, result.mu).height
-    return BranchPoint(
-        mu=result.mu,
-        field=result.field,
-        sup_norm=result.field.sup_norm(),
-        wave_height=height / (2.0 * np.pi),
-        residual=result.residual,
-        n=result.field.n,
-        cone=cone_membership(result.field, eps),
-    )
+def _branch_point(mu: float, field: AngleField, residual: float) -> BranchPoint:
+    height = _profile.reconstruct_profile(field, mu).height
+    return BranchPoint(mu=mu, field=field, sup_norm=field.sup_norm(),
+                       wave_height=height / (2.0 * np.pi), residual=residual,
+                       n=field.n, cone=cone_membership(field))
 
 
 def _corrector(mu, guess, spec, tol) -> SolveResult:
@@ -156,79 +161,90 @@ def _corrector(mu, guess, spec, tol) -> SolveResult:
                  spec=spec.with_modes(guess.n // 2))
 
 
+def _tail(field: AngleField) -> float:
+    """Spectral tail within the retained band of the dealiased operator."""
+    return field.spectral_tail(band=field.n // 2)
+
+
 def _converge_resolved(mu, guess, spec, tol, policy):
-    """Solve at mu, doubling the grid until the spectral tail decays."""
+    """Solve at mu, doubling the grid until the spectral tail decays or
+    n reaches policy.n_max; the result may be unresolved at n_max."""
     result = _corrector(mu, guess, spec, tol)
-    while (result.field.spectral_tail(band=result.field.n // 2) > policy.tail_threshold
-           and result.field.n < policy.n_max):
+    while _tail(result.field) > TAIL_THRESHOLD and result.field.n < policy.n_max:
         result = _corrector(mu, result.field.resample(result.field.n * 2), spec, tol)
     return result
 
 
 def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                  policy: StepPolicy | None = None, tol: float = 1e-12,
-                 cone_eps: float = 1e-9, progress=None) -> Branch:
+                 progress=None) -> Branch:
     """Trace the solution branch from mu_start to mu_end.
 
-    mu_start must exceed the first characteristic value of the kernel;
-    every accepted point satisfies the residual bound on its own grid.
-    On corrector failure the step is halved; if it underflows the branch
-    is returned truncated with a failure record.
+    mu_start must exceed the first characteristic value of the kernel and
+    both ends must be finite; every accepted point satisfies the residual
+    bound on its own grid and is spectrally resolved.  On corrector failure
+    the step is halved.  The branch is returned truncated, with a failure
+    record, when the step underflows, when a point stays unresolved at
+    policy.n_max (that point is left out), or when MAX_POINTS points are
+    reached before mu_end.
     """
     policy = policy or StepPolicy()
+    if not (math.isfinite(mu_start) and math.isfinite(mu_end)):
+        raise ValueError(f"mu_start and mu_end must be finite, got {mu_start}, {mu_end}")
     if not mu_end > mu_start:
         raise ValueError("mu_end must exceed mu_start")
 
     branch = Branch(points=[], spec=spec, tol=tol,
                     metadata={"mu_start": mu_start, "mu_end": mu_end,
                               "n_start": policy.n_start})
-    result = _converge_resolved(mu_start, _seed_field(mu_start, spec, policy.n_start),
-                                spec, tol, policy)
-    branch.points.append(_branch_point(result, cone_eps))
-    if progress:
-        progress(branch.points[-1])
-
-    prev_result = None
-    step = policy.initial_step
+    candidate = _converge_resolved(mu_start, _seed_field(mu_start, spec, policy.n_start),
+                                   spec, tol, policy)
+    result = prev_result = None
+    step = INITIAL_STEP
     ratio = policy.ratio
-    while branch.points[-1].mu < mu_end and len(branch.points) < policy.max_points:
-        current = result
-        mu_now = current.mu
-        if mu_now >= policy.geometric_start:
-            mu_next = min(mu_now * ratio, mu_end)
-        else:
-            mu_next = min(mu_now + step, mu_end)
-
-        guess = current.field
-        if prev_result is not None:
-            n_common = max(current.field.n, prev_result.field.n)
-            b_now = current.field.resample(n_common).coefficients
-            b_prev = prev_result.field.resample(n_common).coefficients
-            slope = (b_now - b_prev) / (current.mu - prev_result.mu)
-            guess = AngleField.from_coefficients(
-                b_now + slope * (mu_next - current.mu), n_common)
-
-        try:
-            new_result = _converge_resolved(mu_next, guess, spec, tol, policy)
-        except (DivergenceError, BreakdownError) as exc:
-            if mu_now >= policy.geometric_start:
-                ratio = np.sqrt(ratio)
-                too_small = ratio - 1.0 < policy.min_step
-            else:
-                step *= 0.5
-                too_small = step < policy.min_step
-            if too_small:
-                branch.truncated = True
-                branch.failure = f"corrector failed near mu={mu_next:g}: {exc}"
-                break
-            continue
-
-        prev_result, result = current, new_result
-        branch.points.append(_branch_point(result, cone_eps))
+    while candidate is not None:
+        tail = _tail(candidate.field)
+        if not tail <= TAIL_THRESHOLD:
+            branch.failure = (f"unresolved at mu={candidate.mu:g}: spectral tail "
+                              f"{tail:.3e} above {TAIL_THRESHOLD:g} at n={candidate.field.n}")
+            break
+        if result is not None:
+            step = min(step * GROWTH, MAX_STEP)
+            ratio = min(ratio * np.sqrt(GROWTH), policy.ratio)
+        prev_result, result = result, candidate
+        branch.points.append(_branch_point(result.mu, result.field, result.residual))
         if progress:
             progress(branch.points[-1])
-        step = min(step * policy.growth, policy.max_step)
-        ratio = min(ratio * np.sqrt(policy.growth), policy.ratio)
+        if result.mu >= mu_end:
+            break
+        if len(branch.points) >= MAX_POINTS:
+            branch.failure = (f"stopped at the {MAX_POINTS}-point cap at "
+                              f"mu={result.mu:g}, before mu_end={mu_end:g}")
+            break
+
+        candidate = None
+        while candidate is None:
+            geometric = result.mu >= GEOMETRIC_START
+            mu_next = min(result.mu * ratio if geometric else result.mu + step, mu_end)
+            guess = result.field
+            if prev_result is not None:
+                n_common = max(result.field.n, prev_result.field.n)
+                b_now = result.field.resample(n_common).coefficients
+                b_prev = prev_result.field.resample(n_common).coefficients
+                slope = (b_now - b_prev) / (result.mu - prev_result.mu)
+                guess = AngleField.from_coefficients(
+                    b_now + slope * (mu_next - result.mu), n_common)
+            try:
+                candidate = _converge_resolved(mu_next, guess, spec, tol, policy)
+            except (DivergenceError, BreakdownError) as exc:
+                if geometric:
+                    ratio = np.sqrt(ratio)
+                else:
+                    step *= 0.5
+                if (ratio - 1.0 if geometric else step) < MIN_STEP:
+                    branch.failure = f"corrector failed near mu={mu_next:g}: {exc}"
+                    break
+    branch.truncated = branch.failure is not None
     return branch
 
 
@@ -288,10 +304,7 @@ def scale_branch_point(point: BranchPoint, n_fold: int, spec: KernelSpec = DEEP,
         raise ReconstructionOverflowError(
             f"scaled point residual {residual:.3e} exceeds {tol:.3e} "
             "after refinement")
-    height = _profile.reconstruct_profile(field, mu_new).height
-    return BranchPoint(mu=mu_new, field=field, sup_norm=field.sup_norm(),
-                       wave_height=height / (2.0 * np.pi), residual=residual,
-                       n=field.n, cone=cone_membership(field))
+    return _branch_point(mu_new, field, residual)
 
 
 class ReconstructionOverflowError(RuntimeError):

@@ -11,13 +11,13 @@ and direct collocation of the limiting equation on a crest-graded mesh.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 from scipy import integrate as _integrate
 
 from ._graded import GradedCollocation
-from .continuation import StepPolicy, _converge_resolved
+from .continuation import N_MAX, StepPolicy, _converge_resolved, _tail
 from .grid import AngleField, get_grid
 from .kernel import DEEP, KernelSpec, characteristic_values
 from .profile import WaveProfile
@@ -102,21 +102,6 @@ def grant_number(tol: float = 1e-12) -> float:
 GRANT_BETA1 = grant_number(1e-14)
 
 
-def _grant_design(theta: np.ndarray, beta1: float, intercept: bool) -> np.ndarray:
-    cols = [theta ** beta1, theta ** (2.0 * beta1)]
-    if intercept:
-        cols.insert(0, np.ones_like(theta))
-    return np.stack(cols, axis=1)
-
-
-def _window_mask(theta: np.ndarray, window: tuple[float, float]) -> np.ndarray:
-    lo, hi = window
-    mask = (theta >= lo) & (theta <= hi)
-    if mask.sum() < 4:
-        raise ValueError(f"fit window {window} contains fewer than 4 samples")
-    return mask
-
-
 def _default_window(sol: ExtremeSolution) -> tuple[float, float]:
     if sol.strategy == "direct":
         return (1e-5, 0.2)
@@ -127,44 +112,56 @@ def _default_window(sol: ExtremeSolution) -> tuple[float, float]:
     return (max(4.0 * spacing, 4.0 * 2.0 * np.pi / 512), 0.3)
 
 
-def fit_asymptotics(sol: ExtremeSolution,
-                    window: tuple[float, float] | None = None,
-                    beta1: float = GRANT_BETA1) -> GrantFit:
-    """Least squares for Phi*(s) - pi/6 = C1 s^b1 + C2 s^(2 b1) near the crest."""
+def _grant_lstsq(sol: ExtremeSolution, window: tuple[float, float] | None,
+                 intercept: bool):
+    """Least squares of the crest samples in the window on the Grant basis
+    s^b1, s^(2 b1): with an intercept, of Phi on (1, s^b1, s^(2 b1));
+    without one, of Phi - pi/6.  Returns the window, design matrix,
+    right-hand side and coefficients."""
     window = window or _default_window(sol)
-    mask = _window_mask(sol.theta_samples, window)
+    lo, hi = window
+    mask = (sol.theta_samples >= lo) & (sol.theta_samples <= hi)
+    if mask.sum() < 4:
+        raise ValueError(f"fit window {window} contains fewer than 4 samples")
     theta = sol.theta_samples[mask]
-    rhs = sol.phi_samples[mask] - np.pi / 6.0
-    design = _grant_design(theta, beta1, intercept=False)
+    rhs = sol.phi_samples[mask]
+    cols = [theta ** GRANT_BETA1, theta ** (2.0 * GRANT_BETA1)]
+    if intercept:
+        cols.insert(0, np.ones_like(theta))
+    else:
+        rhs = rhs - np.pi / 6.0
+    design = np.stack(cols, axis=1)
     coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    return window, design, rhs, coef
+
+
+def fit_asymptotics(sol: ExtremeSolution,
+                    window: tuple[float, float] | None = None) -> GrantFit:
+    """Least squares for Phi*(s) - pi/6 = C1 s^b1 + C2 s^(2 b1) near the crest."""
+    window, design, rhs, coef = _grant_lstsq(sol, window, intercept=False)
     resid = float(np.abs(design @ coef - rhs).max())
     cond = np.linalg.cond(design)
     if cond > 1e12:
         raise ValueError(f"fit window {window} is ill conditioned (cond={cond:.2e})")
-    return GrantFit(c1=float(coef[0]), c2=float(coef[1]), beta1=beta1,
+    return GrantFit(c1=float(coef[0]), c2=float(coef[1]), beta1=GRANT_BETA1,
                     fit_residual=resid, window=window)
 
 
 def stokes_limit(sol: ExtremeSolution,
-                 window: tuple[float, float] | None = None,
-                 beta1: float = GRANT_BETA1) -> float:
+                 window: tuple[float, float] | None = None) -> float:
     """One-sided crest limit of Phi, extrapolated in the Grant basis.
 
     Fits Phi ~ A + C1 s^b1 + C2 s^(2 b1) on the window and returns A.
     For the extreme wave A ~ pi/6 (the odd extension jumps by pi/3 across
     the crest); smooth finite-mu solutions extrapolate to approximately 0.
     """
-    window = window or _default_window(sol)
-    mask = _window_mask(sol.theta_samples, window)
-    theta = sol.theta_samples[mask]
-    design = _grant_design(theta, beta1, intercept=True)
-    coef, *_ = np.linalg.lstsq(design, sol.phi_samples[mask], rcond=None)
+    *_, coef = _grant_lstsq(sol, window, intercept=True)
     return float(coef[0])
 
 
-def crest_jump(sol: ExtremeSolution, **kwargs) -> float:
+def crest_jump(sol: ExtremeSolution) -> float:
     """Jump of the odd extension across theta = 0 (twice the crest limit)."""
-    return 2.0 * stokes_limit(sol, **kwargs)
+    return 2.0 * stokes_limit(sol)
 
 
 def _crest_samples(field: AngleField) -> np.ndarray:
@@ -188,9 +185,12 @@ DEFAULT_MU_SEQUENCE = (30.0, 300.0, 3000.0, 30000.0)
 def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
                    n_max: int) -> tuple[SolveResult, list[dict]]:
     """Solve up a warm-start ladder to max(mu_sequence), each grid refined
-    (up to n_max) until resolved; returns the last result and per-mu records."""
+    (up to n_max) until resolved; returns the last result and per-mu records.
+    Raises ValueError for a non-finite target."""
     policy = StepPolicy(n_start=n_start, n_max=n_max)
     mu_targets = sorted(float(m) for m in mu_sequence)
+    if not all(math.isfinite(m) for m in mu_targets):
+        raise ValueError(f"mu targets must be finite, got {tuple(mu_sequence)}")
     # warm-start ladder, geometric in mu - mu1 with ratio 1.6: jumping
     # straight to a large mu from the local seed lands in the basin of the
     # trivial solution
@@ -214,54 +214,44 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
                 "n": result.field.n,
                 "sup_norm": result.field.sup_norm(),
                 "residual": result.residual,
-                "tail": result.field.spectral_tail(band=result.field.n // 2),
+                "tail": _tail(result.field),
             })
     return result, per_mu
 
 
 def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "sequence",
-                  mu_sequence=DEFAULT_MU_SEQUENCE, tol: float = 1e-11,
-                  n_start: int = 512, n_max: int = 1 << 17,
+                  tol: float = 1e-11, n_start: int = 512,
                   n_nodes: int = 600, grading: float = 3.0) -> ExtremeSolution:
     """Compute the extreme-wave angle field.
 
-    strategy "sequence": solve the finite-mu equation along mu_sequence,
-    each grid refined until the crest layer is resolved, and take the last
-    field as the near-extreme representative.  strategy "direct": collocate
-    the limiting equation (1/mu = 0) on a crest-graded mesh, where the
-    quadrature in the bounded density tau sin Phi / I sidesteps the loss of
-    compactness at the crest.
+    strategy "sequence": solve the finite-mu equation along
+    DEFAULT_MU_SEQUENCE, each grid refined (up to N_MAX) until the crest
+    layer is resolved, and take the last field as the near-extreme
+    representative.  strategy "direct": collocate the limiting equation
+    (1/mu = 0) on a crest-graded mesh, where the quadrature in the bounded
+    density tau sin Phi / I sidesteps the loss of compactness at the crest.
     """
     if not spec.is_infinite:
         raise ValueError("the extreme limit is computed on deep water")
     if strategy == "sequence":
-        result, per_mu = solve_sequence(spec, mu_sequence, tol, n_start, n_max)
-        field = result.field
-        theta = _crest_samples(field)
-        phi = field(theta)
-        residual = result.residual
-        strategy_used = "sequence"
-        mu_used = tuple(float(m) for m in mu_sequence)
+        result, per_mu = solve_sequence(spec, DEFAULT_MU_SEQUENCE, tol, n_start, N_MAX)
+        sol = replace(extreme_record_from_field(result.field, result.mu),
+                      mu_sequence=DEFAULT_MU_SEQUENCE, per_mu=per_mu,
+                      residual=result.residual)
     elif strategy == "direct":
         engine = GradedCollocation(n_nodes=n_nodes, grading=grading)
-        sol = engine.solve_extreme(tol=tol)
-        theta = sol.theta[1:-1]
-        phi = sol.phi[1:-1]
-        n_out = 2048
-        grid = get_grid(n_out)
-        field = AngleField(grid, values=np.interp(grid.theta, sol.theta, sol.phi))
-        residual = sol.residual
-        per_mu = [{"nu": sol.nu, "n_nodes": n_nodes, "residual": sol.residual,
-                   "sup_norm": float(np.abs(phi).max())}]
-        strategy_used = "direct"
-        mu_used = (math.inf,)
+        graded = engine.solve_extreme(tol=tol)
+        phi = graded.phi[1:-1]
+        grid = get_grid(2048)
+        sol = ExtremeSolution(
+            field=AngleField(grid, values=np.interp(grid.theta, graded.theta, graded.phi)),
+            strategy="direct", mu_sequence=(math.inf,), theta_samples=graded.theta[1:-1],
+            phi_samples=phi, crest_angle_estimate=np.nan, grant_fit=None,
+            per_mu=[{"nu": graded.nu, "n_nodes": n_nodes, "residual": graded.residual,
+                     "sup_norm": float(np.abs(phi).max())}],
+            residual=graded.residual)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-
-    sol = ExtremeSolution(field=field, strategy=strategy_used,
-                          mu_sequence=mu_used, theta_samples=theta,
-                          phi_samples=phi, crest_angle_estimate=np.nan,
-                          grant_fit=None, per_mu=per_mu, residual=residual)
     sol.crest_angle_estimate = stokes_limit(sol)
     sol.grant_fit = fit_asymptotics(sol)
     return sol
@@ -300,8 +290,11 @@ def verify_constant_solution(theta_samples=(0.3, 1.0, 3.0),
                                   truncation=truncation)
 
 
-def convexity_check(profile: WaveProfile, exclusion: float | None = None,
-                    eps: float = 1e-8) -> ConvexityReport:
+CONVEXITY_EPS = 1e-8
+
+
+def convexity_check(profile: WaveProfile,
+                    exclusion: float | None = None) -> ConvexityReport:
     """Discrete convexity of eta(x) between successive crests.
 
     The surface is mirrored about the trough to cover one full inter-crest
@@ -309,8 +302,8 @@ def convexity_check(profile: WaveProfile, exclusion: float | None = None,
     interval): the extreme profile has a corner there, and at finite mu the
     rounded cap is locally concave over the stagnation length q0^2/g, so
     the default exclusion is max(0.005 * wavelength, 8 q0^2/g).  Convex
-    means the three-point second derivative stays above -eps everywhere
-    checked.
+    means the three-point second derivative stays above -CONVEXITY_EPS
+    everywhere checked.
     """
     lam = profile.wavelength
     if exclusion is None:
@@ -331,7 +324,7 @@ def convexity_check(profile: WaveProfile, exclusion: float | None = None,
     second = 2.0 * ((yr - yc) / (xr - xc) - (yc - yl) / (xc - xl)) / (xr - xl)
 
     violations = -second
-    bad = violations > eps
+    bad = violations > CONVEXITY_EPS
     max_violation = float(violations.max(initial=0.0))
     worst = float(xc[np.argmax(violations)]) if idx.size else None
     checked = (float(xc.min()), float(xc.max())) if idx.size else (np.nan, np.nan)

@@ -13,6 +13,8 @@ import functools
 import numpy as np
 from scipy import fft as _fft
 
+TAIL_FRACTION = 0.25
+
 
 class SineGrid:
     """Interior nodes theta_j = j*pi/n, j = 1..n-1, with DST-I transforms."""
@@ -152,8 +154,8 @@ class AngleField:
         out[:keep] = coeffs[:keep]
         return AngleField(get_grid(n_new), coefficients=out)
 
-    def spectral_tail(self, fraction: float = 0.25, band: int | None = None) -> float:
-        """Relative magnitude of the top `fraction` of the spectrum.
+    def spectral_tail(self, band: int | None = None) -> float:
+        """Relative magnitude of the top TAIL_FRACTION of the spectrum.
 
         Used to decide whether the grid resolves the field: an analytic
         field has an exponentially small tail once resolved.  `band`
@@ -164,5 +166,5 @@ class AngleField:
         peak = coeffs.max(initial=0.0)
         if peak == 0.0:
             return 0.0
-        cut = int((1.0 - fraction) * coeffs.size)
+        cut = int((1.0 - TAIL_FRACTION) * coeffs.size)
         return float(coeffs[cut:].max(initial=0.0) / peak)

@@ -122,11 +122,14 @@ def physical_params(field: AngleField, mu: float, wavelength: float = 2.0 * np.p
     return _speeds(mu, _crest_normalized(field, mu)[3], wavelength, g)
 
 
-def _integrate_profile(field: AngleField, even_series: np.ndarray,
-                       odd_series: np.ndarray, wavelength: float):
-    """x and eta on the closed grid from the cosine/sine series of
-    -(2 pi/lambda) dx/dtheta = 1 + sum e_k cos and -(2 pi/lambda) deta/dtheta
-    = sum o_k sin."""
+def _wave_profile(field: AngleField, mu: float, wavelength: float, g: float,
+                  denom: np.ndarray, d: float, r: np.ndarray,
+                  even_series: np.ndarray, odd_series: np.ndarray) -> WaveProfile:
+    """The profile from the cosine/sine series of -(2 pi/lambda) dx/dtheta
+    = 1 + sum e_k cos and -(2 pi/lambda) deta/dtheta = sum o_k sin; the e_k
+    are also the map coefficients a_k.  x and eta are integrated on the
+    closed grid and eta is shifted to zero mean over one period in x
+    (trapezoid in the x variable); c and q0 follow from D."""
     grid = field.grid
     scale = wavelength / (2.0 * np.pi)
     theta = grid.theta_closed
@@ -134,12 +137,13 @@ def _integrate_profile(field: AngleField, even_series: np.ndarray,
     x = -scale * (theta + np.concatenate(
         ([0.0], grid.to_values(even_series / k), [0.0])))
     eta = scale * grid.cosine_values_closed(odd_series / k)
-    return x, eta
-
-
-def _mean_x_offset(x: np.ndarray, eta: np.ndarray) -> float:
-    """Mean of eta over one period in x (trapezoid in the x variable)."""
-    return float(np.trapezoid(eta, x) / (x[-1] - x[0]))
+    offset = float(np.trapezoid(eta, x) / (x[-1] - x[0]))
+    eta = eta - offset
+    c, q0 = _speeds(mu, d, wavelength, g)
+    return WaveProfile(
+        theta=theta.copy(), x=x, eta=eta, R=r, q_over_q0=denom ** (1.0 / 3.0),
+        wavelength=wavelength, c=c, q0=q0, g=g, mu=mu, a_k=even_series,
+        metadata={"eta_offset_mean_zero": offset})
 
 
 def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * np.pi,
@@ -163,21 +167,11 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
     # cosine series of R cos Phi - 1 (its mean is 0 after normalization)
     even_series = _cosine_coefficients(rc - 1.0, grid)
     odd_series = grid.to_coefficients((r * sin_phi)[1:-1])
-    x, eta = _integrate_profile(field, even_series, odd_series, wavelength)
-    offset = _mean_x_offset(x, eta)
-    eta = eta - offset
-    c, q0 = _speeds(mu, d, wavelength, g)
-    return WaveProfile(
-        theta=grid.theta_closed.copy(), x=x, eta=eta, R=r,
-        q_over_q0=denom ** (1.0 / 3.0),
-        wavelength=wavelength, c=c, q0=q0, g=g, mu=mu,
-        a_k=even_series,  # cosine modes of R cos Phi are the map modes
-        metadata={
-            "eta_offset_mean_zero": offset,
-            "eta_trough": float(eta[-1]),
-            "eta_crest": float(eta[0]),
-            "n": field.n,
-        })
+    profile = _wave_profile(field, mu, wavelength, g, denom, d, r,
+                            even_series, odd_series)
+    profile.metadata.update(eta_trough=float(profile.eta[-1]),
+                            eta_crest=float(profile.eta[0]), n=field.n)
+    return profile
 
 
 def _cosine_coefficients(values_closed: np.ndarray, grid) -> np.ndarray:
@@ -233,17 +227,9 @@ def profile_from_map_coefficients(field: AngleField, mu: float,
     """
     denom, r, _, d = _crest_normalized(field, mu)
     a = _map_coefficients(field)
-    grid = field.grid
-    x, eta = _integrate_profile(field, a, a, wavelength)
-    offset = _mean_x_offset(x, eta)
-    eta = eta - offset
-    c, q0 = _speeds(mu, d, wavelength, g)
-    return WaveProfile(
-        theta=grid.theta_closed.copy(), x=x, eta=eta, R=(np.pi / d) * r,
-        q_over_q0=denom ** (1.0 / 3.0),
-        wavelength=wavelength, c=c, q0=q0, g=g, mu=mu, a_k=a,
-        metadata={"eta_offset_mean_zero": offset, "route": "map_coefficients",
-                  "n": field.n})
+    profile = _wave_profile(field, mu, wavelength, g, denom, d, (np.pi / d) * r, a, a)
+    profile.metadata.update(route="map_coefficients", n=field.n)
+    return profile
 
 
 def wave_height(profile: WaveProfile) -> float:

@@ -325,17 +325,15 @@ def eval_series(series: RationalSineSeries, mu_prime: float, theta) -> np.ndarra
     theta = np.asarray(theta, dtype=float)
     out = np.zeros_like(theta, dtype=float)
     modes = sorted({k for d in series.coefficients.values() for k in d})
+    amps = series_coefficients(series, mu_prime, max(modes, default=0))
     for k in modes:
-        poly = series.mode_series(k)
-        amp = 0.0
-        for coeff in reversed(poly):
-            amp = amp * mu_prime + float(coeff)
-        out = out + amp * np.sin(k * theta)
+        out = out + amps[k - 1] * np.sin(k * theta)
     return out if out.ndim else float(out)
 
 
 def series_coefficients(series: RationalSineSeries, mu_prime: float, k_max: int) -> np.ndarray:
-    """Floating-point sine coefficients b_k of the truncated expansion."""
+    """Floating-point sine coefficients b_k of the truncated expansion,
+    each mode's polynomial in mu' evaluated by Horner's rule."""
     out = np.zeros(k_max)
     for k in range(1, k_max + 1):
         amp = 0.0

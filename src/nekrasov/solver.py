@@ -209,6 +209,9 @@ def apply_nekrasov(field: AngleField, mu: float, spec: KernelSpec | None = None)
     return AngleField(field.grid, values=op.apply(field.values, mu))
 
 
+NEWTON_MAX_ITER = 100
+
+
 def _newton(residual, newton_step, x, tol, max_iter):
     """Damped Newton iteration shared by the spectral and graded solvers.
 
@@ -309,7 +312,7 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     if method in ("newton", "newton_krylov"):
         x, res, its = _newton(lambda x: x - op.apply(x, mu),
                               lambda x, f: _krylov_step(op.jacobian_operator(x, mu), f),
-                              x, tol, max_iter or 100)
+                              x, tol, max_iter or NEWTON_MAX_ITER)
     elif method == "fixed_point":
         x, res, its = _solve_fixed_point(op, x, mu, tol, max_iter or 5000)
     else:
@@ -356,14 +359,14 @@ def system_residual(state: SystemState, mu: float, spec: KernelSpec | None = Non
 
 
 def solve_system(mu: float, initial: SystemState | None = None,
-                 tol: float = 1e-12, max_iter: int = 100,
-                 spec: KernelSpec | None = None, n: int = 512) -> SystemState:
+                 tol: float = 1e-12, spec: KernelSpec | None = None,
+                 n: int = 512) -> SystemState:
     """Solve the coupled system for (Phi, Psi) with the shared Newton loop.
 
     Phi = mu * Int Psi sin Phi K dtau and Psi = 1 - mu Int_0^theta Psi^2 sin Phi.
     The stacked (Phi, Psi), 2n values, is solved by _newton with the
-    _krylov_step on the matrix-free Jacobian, as in solve; max_iter counts
-    Newton iterations, and a trial with Psi <= 0 on (0, pi] breaks down.
+    _krylov_step on the matrix-free Jacobian, as in solve, for at most
+    NEWTON_MAX_ITER iterations; a trial with Psi <= 0 on (0, pi] breaks down.
     Psi is advanced through its own Volterra equation, not through the
     closed form 1/(1 + mu*I), which only seeds it and is a cross-check
     identity.  Without initial, Phi is seeded by _seed_field as in
@@ -398,7 +401,8 @@ def solve_system(mu: float, initial: SystemState | None = None,
         return _sparse_linalg.LinearOperator((2 * m + 2,) * 2, matvec=matvec, dtype=float)
 
     x = np.concatenate((initial.phi.values, initial.psi))
-    x, _, _ = _newton(residual, lambda x, f: _krylov_step(jacobian(x), f), x, tol, max_iter)
+    x, _, _ = _newton(residual, lambda x, f: _krylov_step(jacobian(x), f), x, tol,
+                      NEWTON_MAX_ITER)
     x[m] = 1.0
     return SystemState(phi=AngleField(op.grid, values=x[:m]), psi=x[m:])
 

@@ -106,6 +106,14 @@ class TestBranch:
     def test_inverted_range_is_validation_error(self, tmp_path):
         assert run(tmp_path, "branch", "--mu-start", "5", "--mu-end", "4") == 2
 
+    @pytest.mark.parametrize("mu_end", ["inf", "nan"])
+    def test_non_finite_mu_end_is_validation_error(self, tmp_path, monkeypatch, mu_end):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before the input was checked")
+
+        monkeypatch.setattr(nekrasov.continuation, "_converge_resolved", no_solve)
+        assert run(tmp_path, "branch", "--mu-end", mu_end) == 2
+
     def test_json_payload(self, tmp_path):
         assert run(tmp_path, "branch", "--mu-end", "3.3", "--format", "json") == 0
         data = json.loads((tmp_path / "branch.json").read_text())

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
+from nekrasov import continuation, extreme
 from nekrasov.continuation import _tail_violation
 from nekrasov.solver import get_operator
 
@@ -25,12 +28,62 @@ def _tail_violation_loop(v):
     return tail_violation
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("a solve started before the input was checked")
+
+
 class TestTraceBranch:
     def test_validation(self):
         with pytest.raises(ValueError):
             nk.trace_branch(2.5, 5.0)
         with pytest.raises(ValueError):
             nk.trace_branch(3.5, 3.1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: nk.trace_branch(3.01, math.inf),
+        lambda: nk.trace_branch(3.01, math.nan),
+        lambda: nk.trace_branch(math.nan, 4.0),
+        lambda: nk.trace_branch(-math.inf, 4.0),
+        lambda: nk.solve_sequence(nk.DEEP, (math.inf,), 1e-12, 256, 1 << 15),
+        lambda: nk.solve_sequence(nk.DEEP, (30.0, math.nan), 1e-12, 256, 1 << 15),
+    ], ids=["branch-end-inf", "branch-end-nan", "branch-start-nan", "branch-start-minus-inf",
+            "sequence-inf", "sequence-nan"])
+    def test_non_finite_mu_fails_before_solving(self, monkeypatch, call):
+        monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
+        monkeypatch.setattr(extreme, "_converge_resolved", _no_solve)
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+    def test_default_step_rule(self):
+        # additive steps from 0.01, growing by 1.5 up to 1; geometric with
+        # ratio 1.25 from mu = 10; the last step clipped at mu_end.  No step
+        # on this range is rejected, so the rule alone fixes every mu
+        expected = [3.01]
+        step = 0.01
+        while expected[-1] < 20.0:
+            mu = expected[-1]
+            expected.append(min(mu * 1.25 if mu >= 10.0 else mu + step, 20.0))
+            step = min(step * 1.5, 1.0)
+        branch = nk.trace_branch(3.01, 20.0)
+        assert not branch.truncated
+        assert branch.mus.tolist() == expected
+
+    def test_unresolved_at_n_max_truncates(self):
+        policy = nk.StepPolicy(n_start=64, n_max=128, ratio=1.6)
+        branch = nk.trace_branch(3.01, 200.0, policy=policy)
+        assert branch.truncated
+        assert "unresolved at mu=" in branch.failure and "n=128" in branch.failure
+        assert branch.mus[-1] < 200.0
+        for p in branch:
+            assert p.field.spectral_tail(band=p.n // 2) <= 1e-9
+
+    def test_point_cap_truncates(self, monkeypatch):
+        monkeypatch.setattr(continuation, "MAX_POINTS", 5)
+        branch = nk.trace_branch(3.01, 50.0)
+        assert len(branch) == 5
+        assert branch.truncated
+        assert "5-point cap" in branch.failure
+        assert branch.mus[-1] < 50.0
 
     def test_initial_growth_matches_series(self):
         branch = nk.trace_branch(3.01, 3.5)

@@ -282,8 +282,7 @@ class TestFits:
 
 @pytest.fixture(scope="module")
 def seq():
-    return nk.solve_extreme(strategy="sequence",
-                            mu_sequence=(30.0, 300.0, 3000.0, 30000.0))
+    return nk.solve_extreme(strategy="sequence")
 
 
 class TestSequenceStrategy:
