@@ -113,6 +113,16 @@ class StepPolicy:
     n_start: int = 512
     n_max: int = N_MAX
 
+    def check(self) -> None:
+        """Raise ValueError unless ratio > 1 is finite and 4 <= n_start <= n_max."""
+        if not (math.isfinite(self.ratio) and self.ratio > 1.0):
+            raise ValueError(f"StepPolicy.ratio must be finite and exceed 1, got {self.ratio}")
+        if not self.n_start >= 4:
+            raise ValueError(f"StepPolicy.n_start must be at least 4, got {self.n_start}")
+        if not self.n_max >= self.n_start:
+            raise ValueError(f"StepPolicy.n_max must be at least n_start={self.n_start}, "
+                             f"got {self.n_max}")
+
 
 def cone_membership(field: AngleField) -> ConeReport:
     """Check the three cone conditions on the grid, within CONE_EPS."""
@@ -186,9 +196,11 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     the step is halved.  The branch is returned truncated, with a failure
     record, when the step underflows, when a point stays unresolved at
     policy.n_max (that point is left out), or when MAX_POINTS points are
-    reached before mu_end.
+    reached before mu_end.  Raises ValueError for a bad policy (see
+    StepPolicy.check) or bad ends.
     """
     policy = policy or StepPolicy()
+    policy.check()
     if not (math.isfinite(mu_start) and math.isfinite(mu_end)):
         raise ValueError(f"mu_start and mu_end must be finite, got {mu_start}, {mu_end}")
     if not mu_end > mu_start:

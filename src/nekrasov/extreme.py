@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy import integrate as _integrate
 
 from ._graded import GradedCollocation
 from .continuation import N_MAX, StepPolicy, _converge_resolved, _tail
@@ -186,8 +185,10 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
                    n_max: int) -> tuple[SolveResult, list[dict]]:
     """Solve up a warm-start ladder to max(mu_sequence), each grid refined
     (up to n_max) until resolved; returns the last result and per-mu records.
-    Raises ValueError for a non-finite target."""
+    Raises ValueError for a non-finite target or n_start, n_max that
+    StepPolicy.check rejects."""
     policy = StepPolicy(n_start=n_start, n_max=n_max)
+    policy.check()
     mu_targets = sorted(float(m) for m in mu_sequence)
     if not all(math.isfinite(m) for m in mu_targets):
         raise ValueError(f"mu targets must be finite, got {tuple(mu_sequence)}")
@@ -268,6 +269,8 @@ def verify_constant_solution(theta_samples=(0.3, 1.0, 3.0),
     (theta, T) -> (a theta, a T) is exact here.  The truncation tail is
     bounded by 2 theta/(3 pi T) (1 + O((theta/T)^2)).
     """
+    from scipy import integrate as _integrate  # deferred: only this check uses it
+
     theta_samples = np.atleast_1d(np.asarray(theta_samples, dtype=float))
     if np.any(theta_samples <= 0) or np.any(theta_samples >= truncation / 10.0):
         raise ValueError("theta samples must lie in (0, truncation/10)")

@@ -4,6 +4,28 @@ The tangent angle of a symmetric periodic wave is an odd 2pi-periodic
 function, zero at theta = 0 and theta = pi.  Working on the interior grid
 theta_j = j*pi/n with a sine basis hard-codes that symmetry: every field
 handled here is implicitly extended by Phi(-theta) = -Phi(theta).
+
+The grid's transforms are scipy's unnormalised DST-I on the n - 1 interior
+values and DCT-I on the n + 1 closed-grid values.  pocketfft computes both
+through a real FFT of length 2n.  For even n >= _SPLIT_MIN they are split
+instead.  With m = n/2, x_j the input at theta_j and Y_k the output for
+mode k:
+
+    DST-I:  Y_2k   = DST-I  on grid m of  x_j - x_{n-j}, j = 1..m-1;
+            Y_2k+1 = DST-III of length m of  x_j + x_{n-j}, j = 1..m
+                     (the j = m entry is 2 x_m);
+    DCT-I:  Y_2k   = DCT-I  on grid m of  x_j + x_{n-j}, j = 0..m
+                     (the j = m entry is 2 x_m);
+            Y_2k+1 = DCT-III of length m of  x_j - x_{n-j}, j = 0..m-1.
+
+The even half recurses down to the cut; the odd half is one pocketfft
+DST-III/DCT-III (a length-m real FFT and twiddles), so rounding stays
+O(eps log n).  Below the cut, and for odd n, the transform is the plain
+scipy call, bitwise.  Measured on a 2-vCPU Xeon (best of 60, random
+input), DST-I took 0.20 / 0.65 / 1.66 / 4.1-5.1 ms at n = 16384 / 32768 /
+65536 / 131072 as one call, and 0.18 / 0.32 / 0.72 / 1.54 ms split;
+DCT-I is within a few percent of DST-I.  At n = 8192 the split gains
+nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +36,34 @@ import numpy as np
 from scipy import fft as _fft
 
 TAIL_FRACTION = 0.25
+# smallest (even) grid size whose transforms are split in half; see above
+_SPLIT_MIN = 16384
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """scipy.fft.dst(x, type=1) of the n - 1 interior values of grid n."""
+    n = x.size + 1
+    if n % 2 or n < _SPLIT_MIN:
+        return _fft.dst(x, type=1)
+    m = n // 2
+    lo, hi = x[:m], x[m - 1:][::-1]  # x_j and x_{n-j}, j = 1..m
+    out = np.empty(n - 1)
+    out[1::2] = _dst1((lo - hi)[:-1])
+    out[0::2] = _fft.dst(lo + hi, type=3)
+    return out
+
+
+def _dct1(x: np.ndarray) -> np.ndarray:
+    """scipy.fft.dct(x, type=1) of the n + 1 closed-grid values of grid n."""
+    n = x.size - 1
+    if n % 2 or n < _SPLIT_MIN:
+        return _fft.dct(x, type=1)
+    m = n // 2
+    lo, hi = x[:m + 1], x[m:][::-1]  # x_j and x_{n-j}, j = 0..m
+    out = np.empty(n + 1)
+    out[0::2] = _dct1(lo + hi)
+    out[1::2] = _fft.dct((lo - hi)[:-1], type=3)
+    return out
 
 
 class SineGrid:
@@ -33,11 +83,11 @@ class SineGrid:
 
     def to_coefficients(self, values: np.ndarray) -> np.ndarray:
         """Sine coefficients b_k of the interpolant sum b_k sin(k theta)."""
-        return _fft.dst(values, type=1) / self.n
+        return _dst1(values) / self.n
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of sum b_k sin(k theta_j)."""
-        return _fft.dst(coeffs, type=1) / 2.0
+        return _dst1(coeffs) / 2.0
 
     def cosine_values_closed(self, coeffs: np.ndarray) -> np.ndarray:
         """Values of sum_{k>=1} c_k cos(k theta) on the closed grid [0, pi].
@@ -46,7 +96,13 @@ class SineGrid:
         """
         y = np.zeros(self.n + 1)
         y[1:self.n] = coeffs
-        return _fft.dct(y, type=1) / 2.0
+        return _dct1(y) / 2.0
+
+    def cosine_coefficients_closed(self, values: np.ndarray) -> np.ndarray:
+        """Cosine coefficients c_k, k = 1..n-1, of a zero-mean even function
+        sampled on the closed grid; the inverse of cosine_values_closed."""
+        # DCT-I is self-inverse up to 2/n on this grid
+        return _dct1(values)[1:-1] / self.n
 
     def antiderivative_closed(self, values: np.ndarray) -> np.ndarray:
         """Integral from 0 to theta of the sine interpolant, on [0, pi].

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy import fft as _fft
 
 from .grid import AngleField
 from .solver import BreakdownError, inner_accumulate
@@ -165,21 +164,13 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
                       GeometryWarning, stacklevel=2)
     sin_phi = np.sin(_closed_values(field))
     # cosine series of R cos Phi - 1 (its mean is 0 after normalization)
-    even_series = _cosine_coefficients(rc - 1.0, grid)
+    even_series = grid.cosine_coefficients_closed(rc - 1.0)
     odd_series = grid.to_coefficients((r * sin_phi)[1:-1])
     profile = _wave_profile(field, mu, wavelength, g, denom, d, r,
                             even_series, odd_series)
     profile.metadata.update(eta_trough=float(profile.eta[-1]),
                             eta_crest=float(profile.eta[0]), n=field.n)
     return profile
-
-
-def _cosine_coefficients(values_closed: np.ndarray, grid) -> np.ndarray:
-    """Cosine coefficients c_k (k = 1..n-1) of an even function sampled on
-    the closed grid, assuming zero mean."""
-    # DCT-I is self-inverse up to 2/n on this grid
-    full = _fft.dct(values_closed, type=1) / grid.n
-    return full[1:-1]
 
 
 def fourier_map_coefficients(field: AngleField, mu: float,

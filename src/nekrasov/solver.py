@@ -95,6 +95,8 @@ class NekrasovOperator:
         self.weights[:keep] = linearized_factors(spec, keep)
         self._b_dense = None
         self._w_dense = None
+        # (values, nu, sin Phi, nu + I) of the last _denominator call
+        self._last_denominator = None
 
     # -- spectral building blocks -------------------------------------------------
 
@@ -108,6 +110,7 @@ class NekrasovOperator:
             raise BreakdownError(
                 f"denominator 1 + mu*I reached {lowest:.3e}/mu; "
                 "the field is outside the physical regime")
+        self._last_denominator = (values, nu, sin_phi, denom)
         return sin_phi, denom
 
     def density(self, values: np.ndarray, nu: float) -> np.ndarray:
@@ -149,7 +152,15 @@ class NekrasovOperator:
         return self._w_dense
 
     def _density_derivative_parts(self, values: np.ndarray, nu: float):
-        sin_phi, denom = self._denominator(values, nu)
+        """cos Phi/(nu + I) and sin Phi/(nu + I)^2.  Newton linearises at the
+        iterate whose residual apply has just evaluated, so the denominator
+        of that very array (not a copy) is reused; the solver never
+        modifies an iterate in place."""
+        last = self._last_denominator
+        if last is not None and last[0] is values and last[1] == nu:
+            sin_phi, denom = last[2], last[3]
+        else:
+            sin_phi, denom = self._denominator(values, nu)
         return np.cos(values) / denom, sin_phi / denom**2
 
     def jacobian_dense(self, values: np.ndarray, mu: float) -> np.ndarray:

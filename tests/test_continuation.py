@@ -54,6 +54,23 @@ class TestTraceBranch:
         with pytest.raises(ValueError, match="finite"):
             call()
 
+    @pytest.mark.parametrize("call, field", [
+        (lambda: nk.trace_branch(9.0, 12.0, policy=nk.StepPolicy(ratio=1.0)), "ratio"),
+        (lambda: nk.trace_branch(9.0, 12.0, policy=nk.StepPolicy(ratio=0.9)), "ratio"),
+        (lambda: nk.trace_branch(9.0, 12.0, policy=nk.StepPolicy(ratio=math.nan)), "ratio"),
+        (lambda: nk.trace_branch(9.0, 12.0, policy=nk.StepPolicy(ratio=math.inf)), "ratio"),
+        (lambda: nk.trace_branch(3.01, 4.0, policy=nk.StepPolicy(n_start=2)), "n_start"),
+        (lambda: nk.trace_branch(3.01, 4.0, policy=nk.StepPolicy(n_max=256)), "n_max"),
+        (lambda: nk.solve_sequence(nk.DEEP, (30.0,), 1e-12, 2, 1 << 15), "n_start"),
+        (lambda: nk.solve_sequence(nk.DEEP, (30.0,), 1e-12, 512, 256), "n_max"),
+    ], ids=["ratio-one", "ratio-below-one", "ratio-nan", "ratio-inf", "n-start-below-4",
+            "n-max-below-n-start", "sequence-n-start-below-4", "sequence-n-max-below-n-start"])
+    def test_bad_step_policy_fails_before_solving(self, monkeypatch, call, field):
+        monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
+        monkeypatch.setattr(extreme, "_converge_resolved", _no_solve)
+        with pytest.raises(ValueError, match=f"StepPolicy.{field}"):
+            call()
+
     def test_default_step_rule(self):
         # additive steps from 0.01, growing by 1.5 up to 1; geometric with
         # ratio 1.25 from mu = 10; the last step clipped at mu_end.  No step

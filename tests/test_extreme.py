@@ -43,6 +43,19 @@ class TestConstantSolution:
         d5 = nk.verify_constant_solution((1.0,), 1e5).max_deviation
         assert d5 < d3 / 50.0
 
+    def test_import_leaves_scipy_integrate_out(self):
+        """scipy.integrate serves only verify_constant_solution and is
+        imported there, not by `import nekrasov`."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ("import sys, nekrasov\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_scale_invariance(self):
         a = nk.verify_constant_solution((1.0,), 1e4).max_deviation
         b = nk.verify_constant_solution((2.0,), 2e4).max_deviation

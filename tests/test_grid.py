@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from scipy import fft
 
 import nekrasov as nk
+from nekrasov import grid as grid_module
 from oracles import inner_integral_quadrature, sup_norm_scan
+
+# pi to long-double precision (np.pi would limit the reference to double)
+PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
 
 
 def test_transform_roundtrip():
@@ -75,3 +80,78 @@ def test_field_validation():
         nk.AngleField(nk.get_grid(32))
     with pytest.raises(ValueError):
         nk.get_grid(2)
+
+
+def _trig_long(func, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """func(pi j k / n) for j in rows, k in cols, in long double, with the
+    argument reduced exactly mod 2 pi."""
+    phase = np.multiply.outer(rows, cols) % (2 * n)
+    return func(phase.astype(np.longdouble) * PI_LONG / n)
+
+
+def _direct_transforms(n: int, x: np.ndarray, c: np.ndarray) -> dict:
+    """The grid's transforms of interior values x and closed values c by
+    O(n^2) sums in long double."""
+    j = np.arange(1, n)
+    closed = np.arange(n + 1)
+    sine = _trig_long(np.sin, n, j, j)
+    cosine = _trig_long(np.cos, n, closed, j)
+    xl, cl = x.astype(np.longdouble), c.astype(np.longdouble)
+    b = 2 * sine @ xl / n
+    s = b / j
+    full = cl[0] + (-1) ** closed * cl[n] + 2 * cosine @ cl[1:-1]  # DCT-I
+    return {
+        "to_coefficients": b,
+        "to_values": sine @ xl,
+        "cosine_values_closed": cosine @ xl,
+        "cosine_coefficients_closed": full[1:-1] / n,
+        "antiderivative_closed": s.sum() - cosine @ s,
+    }
+
+
+@pytest.mark.parametrize("n", [64, 40, 42])
+def test_split_transforms_match_direct_sums(monkeypatch, n):
+    """With the cut forced down to 8 the transforms recurse (64 down to
+    4, 40 to the odd 5, 42 to the odd 21) and still agree with direct
+    long-double sums to 1e-15 of their largest entry."""
+    monkeypatch.setattr(grid_module, "_SPLIT_MIN", 8)
+    grid = grid_module.SineGrid(n)
+    rng = np.random.default_rng(n)
+    x, c = rng.standard_normal(n - 1), rng.standard_normal(n + 1)
+    got = {
+        "to_coefficients": grid.to_coefficients(x),
+        "to_values": grid.to_values(x),
+        "cosine_values_closed": grid.cosine_values_closed(x),
+        "cosine_coefficients_closed": grid.cosine_coefficients_closed(c),
+        "antiderivative_closed": grid.antiderivative_closed(x),
+    }
+    for name, expected in _direct_transforms(n, x, c).items():
+        scale = float(np.abs(expected).max())
+        gap = float(np.abs(got[name] - expected).max())
+        assert gap <= 1e-15 * scale, (name, gap / scale)
+
+
+@pytest.mark.parametrize("n", [grid_module._SPLIT_MIN - 2, grid_module._SPLIT_MIN + 1, 513])
+def test_unsplit_transforms_are_scipy_bitwise(n):
+    """Below the cut and for odd n the transforms are the plain scipy calls."""
+    grid = nk.get_grid(n)
+    rng = np.random.default_rng(7)
+    x, c = rng.standard_normal(n - 1), rng.standard_normal(n + 1)
+    padded = np.concatenate(([0.0], x, [0.0]))
+    assert np.array_equal(grid.to_coefficients(x), fft.dst(x, type=1) / n)
+    assert np.array_equal(grid.to_values(x), fft.dst(x, type=1) / 2.0)
+    assert np.array_equal(grid.cosine_values_closed(x), fft.dct(padded, type=1) / 2.0)
+    assert np.array_equal(grid.cosine_coefficients_closed(c), fft.dct(c, type=1)[1:-1] / n)
+
+
+def test_split_roundtrip_at_2_pow_17():
+    n = 1 << 17
+    grid = grid_module.SineGrid(n)
+    assert n >= 8 * grid_module._SPLIT_MIN  # three levels of the split
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal(n - 1)
+    assert np.abs(grid.to_values(grid.to_coefficients(x)) - x).max() < 1e-13
+    assert np.abs(grid.to_coefficients(grid.to_values(x)) - x).max() < 1e-13
+    # cosine modes 1..n-1 sample to values of zero (trapezoid) mean and back
+    back = grid.cosine_coefficients_closed(grid.cosine_values_closed(x))
+    assert np.abs(back - x).max() < 1e-13
