@@ -11,9 +11,9 @@ and collocated on nodes tau_i = pi (i/N)^q clustered at the crest.  The
 density rho is bounded (rho -> 1 at the crest when nu = 0), so piecewise
 linear product integration applies; the nonlinear operator remains usable
 at nu = 0, where the spectral route breaks down because sin Phi / I is no
-longer square integrable.  Newton steps by the spectral solver's LGMRES on
-a matrix-free Jacobian, whose matvec costs one O(N^2) product with the
-weight matrix.
+longer square integrable.  Newton steps by the spectral solver's restarted
+GMRES on a matrix-free Jacobian, whose matvec costs one O(N^2) product with
+the weight matrix.
 
 The weight matrix is assembled once per mesh in O(N^2) time and flat
 memory: each of its 10 N^2 Gauss-node terms costs one log1p and a few
@@ -256,8 +256,8 @@ class GradedCollocation:
     def solve(self, nu: float, phi0: np.ndarray | None = None,
               tol: float = 1e-11, max_iter: int = 60) -> GradedSolution:
         """Solution at fixed nu (nu = 0 is the extreme equation) by the
-        damped Newton loop and the LGMRES step the spectral solver shares,
-        on the matrix-free jacobian_operator."""
+        damped Newton loop and the restarted-GMRES step the spectral solver
+        shares, on the matrix-free jacobian_operator."""
         if not tol > 0:
             raise ValueError(f"tol must be positive, got {tol}")
         if phi0 is None:

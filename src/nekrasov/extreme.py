@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from ._graded import GradedCollocation
-from .continuation import N_MAX, StepPolicy, _converge_resolved, _tail
+from .continuation import N_MAX, TAIL_THRESHOLD, StepPolicy, _converge_resolved, _tail
 from .grid import AngleField, get_grid
 from .kernel import DEEP, KernelSpec, characteristic_values
 from .profile import WaveProfile
@@ -184,7 +184,9 @@ DEFAULT_MU_SEQUENCE = (30.0, 300.0, 3000.0, 30000.0)
 def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
                    n_max: int) -> tuple[SolveResult, list[dict]]:
     """Solve up a warm-start ladder to max(mu_sequence), each grid refined
-    (up to n_max) until resolved; returns the last result and per-mu records.
+    (up to n_max) until resolved; returns the last result and per-mu records,
+    whose "resolved" says whether the tail is within TAIL_THRESHOLD (a grid
+    capped at n_max may leave it above).
     Raises ValueError for a non-finite target or n_start, n_max that
     StepPolicy.check rejects."""
     policy = StepPolicy(n_start=n_start, n_max=n_max)
@@ -210,12 +212,14 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
     for mu in ladder:
         result = _converge_resolved(mu, result.field, spec, tol, policy)
         if mu in mu_targets:
+            tail = _tail(result.field)
             per_mu.append({
                 "mu": mu,
                 "n": result.field.n,
                 "sup_norm": result.field.sup_norm(),
                 "residual": result.residual,
-                "tail": _tail(result.field),
+                "tail": tail,
+                "resolved": tail <= TAIL_THRESHOLD,
             })
     return result, per_mu
 

@@ -14,9 +14,11 @@ form with nu remains meaningful in the extreme limit nu = 0.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.sparse import linalg as _sparse_linalg
 
 from .grid import AngleField, SineGrid, get_grid
@@ -263,14 +265,70 @@ def _newton(residual, newton_step, x, tol, max_iter):
     raise DivergenceError(f"Newton did not reach tol={tol:g}", res, max_iter)
 
 
+# restarted GMRES of the Newton step: stop at KRYLOV_RTOL |f|_2, restart
+# every KRYLOV_RESTART Arnoldi steps, give up after KRYLOV_CYCLES cycles
+KRYLOV_RTOL = 1e-4
+KRYLOV_RESTART = 50
+KRYLOV_CYCLES = 60
+
+
 def _krylov_step(jacobian, f):
-    """Newton step dx with J dx = f by LGMRES on a matrix-free Jacobian;
-    raises DivergenceError if the inner solve stagnates."""
-    dx, info = _sparse_linalg.lgmres(jacobian, f, rtol=1e-4, atol=0.0,
-                                     inner_m=50, maxiter=60)
-    if info != 0:
-        raise DivergenceError("inner Krylov solve stagnated", float(np.abs(f).max()), 0)
-    return dx
+    """Newton step dx with J dx = f by restarted GMRES on a matrix-free
+    Jacobian (any object with .matvec).
+
+    Each cycle starts from the residual r (r = f at dx = 0, so no matvec)
+    and runs Arnoldi with classical Gram-Schmidt and one
+    reorthogonalisation; Givens rotations on Python scalars carry the
+    residual norm, and the cycle stops once it is at most KRYLOV_RTOL |f|_2.
+    A zero subdiagonal (an invariant subspace) makes that estimate zero, so
+    the exact solution is returned.  f - J dx is recomputed only before a
+    restart.  Raises DivergenceError at the first non-finite Arnoldi value
+    and after KRYLOV_CYCLES unconverged cycles.
+    """
+    target = KRYLOV_RTOL * float(np.linalg.norm(f))
+    dx = np.zeros_like(f)
+    # rows are written as the Arnoldi steps reach them, so unused ones stay
+    # untouched memory
+    basis = np.empty((KRYLOV_RESTART + 1, f.size))
+    r = f
+    for _ in range(KRYLOV_CYCLES):
+        r_norm = float(np.linalg.norm(r))
+        if r_norm <= target:
+            return dx
+        basis[0] = r / r_norm
+        upper = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART))
+        rotations = []
+        g = [r_norm]  # Q^T (r_norm e_1), one entry longer than the steps taken
+        for j in range(KRYLOV_RESTART):
+            w = jacobian.matvec(basis[j])
+            v = basis[:j + 1]
+            h = v @ w
+            w -= h @ v
+            h2 = v @ w
+            w -= h2 @ v
+            h_next = float(np.linalg.norm(w))
+            col = (h + h2).tolist()
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            rho = math.hypot(col[j], h_next)
+            if not (math.isfinite(rho) and rho > 0.0):
+                raise DivergenceError("inner Krylov solve stagnated",
+                                      float(np.abs(f).max()), 0)
+            c, s = col[j] / rho, h_next / rho
+            rotations.append((c, s))
+            col[j] = rho
+            upper[:j + 1, j] = col
+            g[j], g_next = c * g[j], -s * g[j]
+            g.append(g_next)
+            if abs(g_next) <= target:
+                break
+            basis[j + 1] = w / h_next
+        k = len(rotations)
+        dx += solve_triangular(upper[:k, :k], g[:k]) @ basis[:k]
+        if abs(g[k]) <= target:
+            return dx
+        r = f - jacobian.matvec(dx)
+    raise DivergenceError("inner Krylov solve stagnated", float(np.abs(f).max()), 0)
 
 
 def _solve_fixed_point(op, x, mu, tol, max_iter):
@@ -294,21 +352,10 @@ def _solve_fixed_point(op, x, mu, tol, max_iter):
     raise DivergenceError(f"fixed point did not reach tol={tol:g}", res, max_iter)
 
 
-def solve(mu: float, initial: AngleField, method: str = "newton",
-          tol: float = 1e-12, max_iter: int | None = None,
-          spec: KernelSpec | None = None) -> SolveResult:
-    """Solve Phi = A_mu Phi from the given initial field.
-
-    method is "newton" ("newton_krylov" is accepted as an alias) or
-    "fixed_point" (damped Picard).  Newton is the damped-Newton loop and
-    the LGMRES step (_krylov_step on the matrix-free Jacobian, F(x) as
-    right-hand side) that GradedCollocation.solve shares, so each iterate
-    costs one A_mu evaluation.  mu must be positive and finite: the
-    spectral route is ill-posed at nu = 0, and the extreme wave is computed
-    by solve_extreme(strategy="direct").
-    Raises DivergenceError on non-convergence and propagates
-    BreakdownError when the initial state is outside the physical regime.
-    """
+def _check_mu_tol(mu: float, tol: float) -> None:
+    """Raise ValueError unless mu is positive and finite and tol is positive:
+    the spectral route is ill-posed at nu = 0, and a tol of zero or below
+    can never be met."""
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}; the extreme wave "
                          "(mu = inf) is solved by solve_extreme(strategy=\"direct\")")
@@ -316,6 +363,25 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
         raise ValueError(f"mu must be positive, got {mu}")
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+
+
+def solve(mu: float, initial: AngleField, method: str = "newton",
+          tol: float = 1e-12, max_iter: int | None = None,
+          spec: KernelSpec | None = None) -> SolveResult:
+    """Solve Phi = A_mu Phi from the given initial field.
+
+    method is "newton" ("newton_krylov" is accepted as an alias) or
+    "fixed_point" (damped Picard).  Newton is the damped-Newton loop and
+    the restarted-GMRES step (_krylov_step on the matrix-free Jacobian,
+    F(x) as right-hand side) that GradedCollocation.solve shares, so each
+    iterate costs one A_mu evaluation.  mu must be positive and finite and
+    tol positive (ValueError before any work otherwise): the
+    spectral route is ill-posed at nu = 0, and the extreme wave is computed
+    by solve_extreme(strategy="direct").
+    Raises DivergenceError on non-convergence and propagates
+    BreakdownError when the initial state is outside the physical regime.
+    """
+    _check_mu_tol(mu, tol)
     if not np.isfinite(initial.values).all():
         raise ValueError("the initial field has non-finite values")
     op = get_operator(initial.n, _default_spec(initial, spec))
@@ -376,15 +442,15 @@ def solve_system(mu: float, initial: SystemState | None = None,
 
     Phi = mu * Int Psi sin Phi K dtau and Psi = 1 - mu Int_0^theta Psi^2 sin Phi.
     The stacked (Phi, Psi), 2n values, is solved by _newton with the
-    _krylov_step on the matrix-free Jacobian, as in solve, for at most
+    restarted-GMRES _krylov_step on the matrix-free Jacobian, as in solve,
+    with the same mu and tol checks as solve, for at most
     NEWTON_MAX_ITER iterations; a trial with Psi <= 0 on (0, pi] breaks down.
     Psi is advanced through its own Volterra equation, not through the
     closed form 1/(1 + mu*I), which only seeds it and is a cross-check
     identity.  Without initial, Phi is seeded by _seed_field as in
     solve_seeded, so mu must exceed the bifurcation point.
     """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    _check_mu_tol(mu, tol)
     if initial is None:
         phi0 = _seed_field(mu, DEEP if spec is None else spec, n)
         initial = SystemState(phi0, 1.0 / (1.0 + mu * inner_accumulate(phi0)))

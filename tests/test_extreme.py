@@ -310,6 +310,13 @@ class TestSequenceStrategy:
     def test_residuals(self, seq):
         assert all(r["residual"] < 1e-10 for r in seq.per_mu)
 
+    def test_unresolved_record_is_flagged(self, seq):
+        # the mu = 30000 field hits N_MAX with its tail still above
+        # TAIL_THRESHOLD; its record must say so
+        assert [r["resolved"] for r in seq.per_mu] == [r["tail"] <= 1e-9 for r in seq.per_mu]
+        assert seq.per_mu[-1]["mu"] == 30000.0
+        assert seq.per_mu[-1]["resolved"] is False
+
     def test_crest_angle(self, seq):
         assert seq.crest_angle_estimate == pytest.approx(np.pi / 6, abs=0.01)
         assert seq.grant_fit.c1 < 0
@@ -339,6 +346,7 @@ def test_sequence_at_finite_depth(depth):
     assert [r["mu"] for r in per_mu] == [30.0]
     assert per_mu[0]["residual"] <= 1e-12
     assert per_mu[0]["tail"] <= 1e-9
+    assert per_mu[0]["resolved"] is True
     assert result.field.sup_norm() > 0.1
 
 

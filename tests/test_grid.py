@@ -56,6 +56,17 @@ def test_sup_norm_oversampling():
     assert field.sup_norm() == pytest.approx(sup_norm_scan(field), abs=1e-3)
 
 
+def test_sup_norm_caches_no_grid():
+    # n = 1234 is used nowhere else, so a cached 4n grid would be new
+    field = nk.AngleField.from_callable(lambda t: np.sin(t) + 0.2 * np.sin(7 * t), 1234)
+    before = nk.get_grid.cache_info().currsize
+    value = field.sup_norm()
+    assert nk.get_grid.cache_info().currsize == before
+    padded = np.zeros(4 * 1234 - 1)
+    padded[:1233] = field.coefficients
+    assert value == np.abs(nk.SineGrid(4 * 1234).to_values(padded)).max()
+
+
 def test_resample_padding_and_truncation():
     field = nk.AngleField.from_callable(lambda t: np.sin(t) + 0.5 * np.sin(2 * t), 32)
     finer = field.resample(128)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.linalg import LinearOperator
 
 import nekrasov as nk
 from nekrasov import solver as _solver
-from nekrasov.solver import NekrasovOperator, _newton
+from nekrasov.solver import NekrasovOperator, _krylov_step, _newton
 from conftest import solved_field
 from oracles import apply_operator_quadrature, inner_integral_quadrature
 
@@ -306,6 +307,69 @@ class TestNewtonDriver:
         assert iterations == 1
 
 
+def recording(jacobian, calls):
+    """jacobian as a LinearOperator that appends a copy of each matvec input
+    to calls."""
+
+    def matvec(v):
+        calls.append(np.array(v))
+        return jacobian.matvec(v)
+
+    return LinearOperator(jacobian.shape, matvec=matvec, dtype=float)
+
+
+def recording_diagonal(diagonal, calls):
+    diag = LinearOperator((diagonal.size,) * 2, matvec=lambda v: diagonal * v, dtype=float)
+    return recording(diag, calls)
+
+
+class TestKrylovStep:
+    def test_distinct_eigenvalues_take_one_matvec_each(self):
+        # GMRES is exact after as many steps as J has distinct eigenvalues
+        diagonal = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0], 4)
+        f = np.linspace(1.0, 2.0, diagonal.size)
+        calls = []
+        dx = _krylov_step(recording_diagonal(diagonal, calls), f)
+        assert len(calls) == 5
+        assert not any((v == 0.0).all() for v in calls)
+        assert np.abs(diagonal * dx - f).max() < 1e-12
+
+    def test_invariant_subspace_returns_the_exact_solution(self):
+        diagonal = np.array([2.0, 3.0, 5.0])
+        calls = []
+        dx = _krylov_step(recording_diagonal(diagonal, calls), np.array([1.0, 0.0, 0.0]))
+        assert len(calls) == 1
+        assert np.array_equal(dx, [0.5, 0.0, 0.0])
+
+    def test_restarts_reach_the_target(self, monkeypatch):
+        monkeypatch.setattr(_solver, "KRYLOV_RESTART", 2)
+        diagonal = np.repeat([1.0, 1.5, 2.0, 3.0, 4.0, 6.0], 3)
+        f = np.linspace(1.0, 2.0, diagonal.size)
+        assert len(np.unique(diagonal)) == 6  # six Arnoldi steps without restarts
+        calls = []
+        dx = _krylov_step(recording_diagonal(diagonal, calls), f)
+        assert len(calls) > 6
+        assert np.linalg.norm(f - diagonal * dx) <= 1e-4 * np.linalg.norm(f)
+
+    def test_non_finite_matvec_fails_after_one_call(self):
+        calls = []
+        nan_jacobian = LinearOperator((8, 8), matvec=lambda v: np.full_like(v, np.nan),
+                                      dtype=float)
+        with pytest.raises(nk.DivergenceError, match="stagnated"):
+            _krylov_step(recording(nan_jacobian, calls), np.ones(8))
+        assert len(calls) == 1
+
+    def test_newton_never_multiplies_a_zero_vector(self, monkeypatch):
+        calls = []
+        jacobian_operator = NekrasovOperator.jacobian_operator
+        monkeypatch.setattr(NekrasovOperator, "jacobian_operator",
+                            lambda self, values, mu: recording(
+                                jacobian_operator(self, values, mu), calls))
+        result = nk.solve_seeded(3.5)
+        assert result.iterations == 3
+        assert calls and not any((v == 0.0).all() for v in calls)
+
+
 class TestSolveSystem:
     def test_trivial_fixed_point(self):
         grid = nk.get_grid(64)
@@ -359,6 +423,18 @@ class TestSolveSystem:
         state = nk.SystemState(phi=nk.AngleField(grid, values=phi), psi=psi)
         with pytest.raises(ValueError, match="non-finite"):
             nk.solve_system(3.2, initial=state)
+
+    @pytest.mark.parametrize("mu", [np.inf, np.nan])
+    def test_non_finite_mu_is_rejected_before_any_work(self, mu, monkeypatch):
+        monkeypatch.setattr(_solver, "_seed_field", None)
+        with pytest.raises(ValueError, match="finite"):
+            nk.solve_system(mu)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_non_positive_tol_is_rejected_before_any_work(self, tol, monkeypatch):
+        monkeypatch.setattr(_solver, "_seed_field", None)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            nk.solve_system(4.0, tol=tol)
 
     def test_equivalence_at_3_2_within_1e8(self):
         state = nk.solve_system(3.2, tol=1e-11, n=512)
