@@ -15,11 +15,16 @@ longer square integrable.  Newton steps by the spectral solver's restarted
 GMRES on a matrix-free Jacobian, whose matvec costs one O(N^2) product with
 the weight matrix.
 
-The weight matrix is assembled once per mesh in O(N^2) time and flat
-memory: each of its 10 N^2 Gauss-node terms costs one log1p and a few
-multiply-adds over sine tables, the 2(N-1) near-singular (element, endpoint
-row) pairs take one batched, dyadically refined pass, and the scratch
-besides W is a fixed 512 KB block and tables of O(N) values.
+The weight matrix is assembled once per mesh in O(N^2) time, with scratch
+of O(N) values per cluster besides W.  The elements are taken in clusters of
+_CLUSTER.  The far field, rows at least _FAR_DISTANCE cluster lengths from
+the kernel's singular points, interpolates the kernel at _CHEB_NODES
+Chebyshev nodes per cluster: N^2/2 log1p in all and one small matrix product
+per cluster, against 10 N^2 log1p for the Gauss rule at every pair.  The
+near field, a share of the (row, element) pairs that shrinks like 1/N (28%
+at N = 600, 7% at N = 2400 for grading 3), takes the 10-point Gauss rule
+node by node, and the 2(N-1) near-singular (element, endpoint row) pairs
+take one batched, dyadically refined pass.
 """
 
 from __future__ import annotations
@@ -27,22 +32,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import linalg as _sparse_linalg
 
 from .kernel import kernel_deep_closed
-from .solver import BreakdownError, _krylov_step, _newton
+from .solver import BreakdownError, JacobianOperator, _krylov_step, _newton
 
 # Gauss-Legendre points per panel and dyadic refinement levels toward a
 # collocation node on the two elements that carry its log singularity
 _GAUSS_ORDER = 10
 _DYADIC_LEVELS = 42
-# Weight assembly works on blocks of at most _BLOCK_ENTRIES float64 values
-# (512 KB, so a block stays in cache and no scratch grows with N^2), spanning
-# at most _BLOCK_ROWS rows so that each block adds runs of many neighbouring
-# columns to W; blocks over all rows, a few strided columns each, made the
-# assembly 18-33% slower at N = 1200 and 2400 on a 2-vCPU Xeon host
+# The node-by-node parts of the weight assembly work on blocks of at most
+# _BLOCK_ENTRIES float64 values (512 KB, so a block stays in cache)
 _BLOCK_ENTRIES = 1 << 16
-_BLOCK_ROWS = 256
+# The far field takes the elements in clusters of _CLUSTER and interpolates
+# the kernel at _CHEB_NODES Chebyshev nodes per cluster, for the rows at
+# least _FAR_DISTANCE cluster lengths from the kernel's singular points
+_CLUSTER = 32
+_CHEB_NODES = 16
+_FAR_DISTANCE = 2.0
 
 
 def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -65,6 +71,21 @@ def _dyadic_levels(widths: np.ndarray, right: np.ndarray) -> np.ndarray:
     """
     min_width = 100.0 * np.finfo(float).eps * right
     return np.minimum(_DYADIC_LEVELS, np.maximum(4, np.log2(widths / min_width).astype(int)))
+
+
+def _cluster_moments(x: np.ndarray, y: np.ndarray, bary: np.ndarray,
+                     hats: np.ndarray) -> np.ndarray:
+    """M[k, j] = sum over a cluster's elements and Gauss nodes of
+    l_k(x) hat_j(x) times the Gauss weight, for the Lagrange basis l_k at
+    the nodes y with barycentric weights bary; x is (element, node) and hats
+    (element, hat, node) carries the weighted hat values."""
+    basis = bary / (x[..., None] - y)  # (element, node, k)
+    basis /= basis.sum(axis=-1, keepdims=True)
+    terms = np.einsum("emk,esm->kes", basis, hats)
+    moments = np.zeros((y.size, x.shape[0] + 1))
+    moments[:, :-1] += terms[..., 0]
+    moments[:, 1:] += terms[..., 1]
+    return moments
 
 
 @dataclass
@@ -94,24 +115,33 @@ class GradedCollocation:
     # -- quadrature weights -------------------------------------------------------
 
     def _regular_weights(self) -> np.ndarray:
-        """W from the plain Gauss rule on every element, with zeros for the
-        two rows at the element's endpoints.
+        """W from the 10-point Gauss rule on every element, interpolated in
+        the far field, with zeros for the two rows at the element's
+        endpoints.
 
-        For theta = tau_i and a node x = tau_j + h_j g of element j, with
-        A = (theta - tau_j)/2 per (row, element) and B = h_j g/2 per node,
+        For theta = tau_i and a point x,
 
-            3 pi x Q = log1p(2m / |sin(A - B)|),
+            3 pi x Q = log1p(2m / |sin((theta - x)/2)|),
             m = min(sin(theta/2) cos(x/2), cos(theta/2) sin(x/2)),
 
-        since Q's numerator exceeds |sin((theta - x)/2)| by 2m.  Below the
-        element (theta < x) the argument is cos(x/2)/cos B over
-        (cos A tan B - sin A)/(2 sin(theta/2)), two positive terms; above
-        it, sin(x/2)/cos B over (sin A - cos A tan B)/(2 cos(theta/2)), which
-        cancels by at most a factor 1 + h_j/h_{j+1} on rows at or above
-        tau_{j+2}.  An entry thus costs one log1p and three arithmetic
-        operations on tables; the few rows of a block that lie between its
-        elements take the general form, which on every row made the
-        assembly 20-38% slower on a 2-vCPU Xeon host.
+        since Q's numerator exceeds |sin((theta - x)/2)| by 2m.  Q(theta, .)
+        is analytic except at x = theta and x = -theta (mod 2 pi), so the
+        elements are taken in clusters of _CLUSTER.  A row at least
+        _FAR_DISTANCE cluster lengths L from both points is far: there Q is
+        interpolated at _CHEB_NODES first-kind Chebyshev nodes y_k on the
+        cluster (its Bernstein ellipse has rho = 9.9, so the error is near
+        rho^-16 ~ 1e-16 of Q), and the far rows of the cluster take
+
+            W[rows, cluster columns] += F @ M,
+            F[r, k] = Q(theta_r, y_k),
+            M[k, j] = Gauss rule of l_k times hat j over the cluster,
+
+        with l_k the Lagrange basis at the y_k.  The far rows are at most two
+        runs, below and above the cluster.  The near rows, within a few
+        cluster lengths, take the Gauss rule node by node, with theta - x
+        split as (theta - tau_j) - h_j g so that it keeps its relative
+        precision next to the element, in blocks of at most _BLOCK_ENTRIES
+        values.
         """
         n, tau, h = self.n, self.tau, self.widths
         g, gw = self.gauss
@@ -120,49 +150,51 @@ class GradedCollocation:
         x = tau[:-1, None] + h[:, None] * g  # (element, node)
         half_b = 0.5 * h[:, None] * g
         sin_b, cos_b = np.sin(half_b), np.cos(half_b)
-        tan_b = sin_b / cos_b
         sin_x, cos_x = np.sin(0.5 * x), np.cos(0.5 * x)
-        num_below, num_above = cos_x / cos_b, sin_x / cos_b
-        lam = (x - tau[:-1, None]) / h[:, None]
-        c = h[:, None] * gw / (3.0 * np.pi * x)
-        hats = np.stack((c * (1.0 - lam), c * lam), axis=1)  # (element, hat, node)
+        # the hats take the exact Gauss abscissae g: from the rounded x they
+        # would be off by eps x / h, up to 1e-13 far from the crest
+        mass = h[:, None] * gw
+        hats = np.stack((mass * (1.0 - g), mass * g), axis=1)  # (element, hat, node)
+        near_hats = hats / (3.0 * np.pi * x[:, None, :])
+        k = np.arange(_CHEB_NODES)
+        cheb = np.cos((2 * k + 1) * np.pi / (2 * _CHEB_NODES))
+        bary = (-1.0) ** k * np.sin((2 * k + 1) * np.pi / (2 * _CHEB_NODES))
         w = np.zeros((n - 1, n + 1))
-        row_block = min(n - 1, _BLOCK_ROWS)
-        per_block = max(1, _BLOCK_ENTRIES // (g.size * row_block))
-        buffer = np.empty(per_block * g.size * row_block)
-        for j0 in range(0, n, per_block):
-            e = slice(j0, min(j0 + per_block, n))
-            j = np.arange(e.start, e.stop)
-            for r0 in range(0, n - 1, row_block):
-                r = slice(r0, min(r0 + row_block, n - 1))
-                s_row, c_row = sin_row[r], cos_row[r]
-                half_a = 0.5 * (rows[r] - tau[e, None])  # (element, row)
-                sin_a, cos_a = np.sin(half_a)[:, None], np.cos(half_a)[:, None]
-                arg = buffer[:half_a.size * g.size].reshape(half_a.shape[0], g.size, -1)
-                # chunk rows [0, lo) lie below every element of the block and
-                # rows [hi, ...) above them all
-                lo = min(max(j0 - 1 - r0, 0), arg.shape[2])
-                hi = min(max(e.stop - r0, lo), arg.shape[2])
-                below, above = arg[..., :lo], arg[..., hi:]
-                np.multiply(cos_a[..., :lo] / s_row[:lo], tan_b[e, :, None], out=below)
-                below -= sin_a[..., :lo] / s_row[:lo]
-                np.divide(num_below[e, :, None], below, out=below)
-                np.multiply(cos_a[..., hi:] / c_row[hi:], tan_b[e, :, None], out=above)
-                np.subtract(sin_a[..., hi:] / c_row[hi:], above, out=above)
-                np.divide(num_above[e, :, None], above, out=above)
-                # the rows between hold both sides and the elements' endpoints
-                band = arg[..., lo:hi]
-                np.divide(np.minimum(s_row[lo:hi] * cos_x[e, :, None],
-                                     c_row[lo:hi] * sin_x[e, :, None]),
-                          np.abs(sin_a[..., lo:hi] * cos_b[e, :, None]
-                                 - cos_a[..., lo:hi] * sin_b[e, :, None]), out=band)
-                for k in (j - 1, j):  # row k holds tau_{k+1}
-                    inside = (k >= r0 + lo) & (k < r0 + hi)
-                    band[j[inside] - j0, :, k[inside] - r0 - lo] = 0.0
-                np.log1p(arg, out=arg)
-                terms = np.einsum("emr,esm->esr", arg, hats[e])
-                w[r, e] += terms[:, 0].T
-                w[r, j0 + 1:e.stop + 1] += terms[:, 1].T
+        for c0 in range(0, n, _CLUSTER):
+            c1 = min(c0 + _CLUSTER, n)
+            e = slice(c0, c1)
+            reach = _FAR_DISTANCE * (tau[c1] - tau[c0])
+            # far rows: [lo, mid) below the cluster and [hi, n - 1) above it
+            lo = np.searchsorted(rows, reach - tau[c0])
+            mid = max(lo, np.searchsorted(rows, tau[c0] - reach, side="right"))
+            hi = np.searchsorted(rows, tau[c1] + reach)
+            if lo < mid or hi < n - 1:
+                y = tau[c0] + 0.5 * (tau[c1] - tau[c0]) * (1.0 + cheb)
+                moments = _cluster_moments(x[e], y, bary, hats[e])
+                sin_y, cos_y = np.sin(0.5 * y), np.cos(0.5 * y)
+                for r in (slice(lo, mid), slice(hi, n - 1)):
+                    f = np.minimum(sin_row[r, None] * cos_y, cos_row[r, None] * sin_y)
+                    f /= np.abs(np.sin(0.5 * (rows[r, None] - y)))
+                    np.log1p(f, out=f)
+                    f /= 3.0 * np.pi * y
+                    w[r, c0:c1 + 1] += f @ moments
+            step = max(1, _BLOCK_ENTRIES // ((c1 - c0) * g.size))
+            for r0, r1 in ((0, lo), (mid, hi)):
+                for start in range(r0, r1, step):
+                    r = slice(start, min(start + step, r1))
+                    half_a = 0.5 * (rows[r] - tau[e, None])  # (element, row)
+                    sin_a, cos_a = np.sin(half_a)[:, None], np.cos(half_a)[:, None]
+                    arg = np.minimum(sin_row[r] * cos_x[e, :, None],
+                                     cos_row[r] * sin_x[e, :, None])
+                    arg /= np.abs(sin_a * cos_b[e, :, None] - cos_a * sin_b[e, :, None])
+                    # row j - 1 holds tau_j and row j tau_{j+1}: element j's ends
+                    for shift in (1, 0):
+                        j = np.arange(max(c0, r.start + shift), min(c1, r.stop + shift))
+                        arg[j - c0, :, j - shift - r.start] = 0.0
+                    np.log1p(arg, out=arg)
+                    terms = np.einsum("emr,esm->esr", arg, near_hats[e])
+                    w[r, e] += terms[:, 0].T
+                    w[r, c0 + 1:c1 + 1] += terms[:, 1].T
         return w
 
     def _add_near_singular(self, w: np.ndarray) -> None:
@@ -236,7 +268,7 @@ class GradedCollocation:
 
     def jacobian_operator(self, phi_interior: np.ndarray, nu: float):
         """Matrix-free Jacobian of F(Phi) = Phi - operator(Phi, nu) as a
-        scipy LinearOperator; each matvec is one O(N^2) weight product."""
+        JacobianOperator; each matvec is one O(N^2) weight product."""
         n = self.n
         _, s, denom = self._rho(phi_interior, nu)
         tau_in = self.tau[1:n]
@@ -251,7 +283,7 @@ class GradedCollocation:
             inner = self.cumulative_trapezoid(cos_phi * v)
             return v - w_in @ (a * v - b * inner)
 
-        return _sparse_linalg.LinearOperator((n - 1, n - 1), matvec=matvec, dtype=float)
+        return JacobianOperator((n - 1, n - 1), matvec)
 
     def solve(self, nu: float, phi0: np.ndarray | None = None,
               tol: float = 1e-11, max_iter: int = 60) -> GradedSolution:

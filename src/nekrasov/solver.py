@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.sparse import linalg as _sparse_linalg
 
 from .grid import AngleField, SineGrid, get_grid
 from .kernel import DEEP, KernelSpec, characteristic_values, linearized_factors
@@ -38,6 +39,16 @@ class DivergenceError(RuntimeError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+class JacobianOperator(NamedTuple):
+    """A matrix-free square Jacobian: the shape, dtype and matvec of a
+    scipy LinearOperator, which scipy.sparse.linalg.aslinearoperator
+    accepts, without importing scipy.sparse."""
+
+    shape: tuple[int, int]
+    matvec: Callable[[np.ndarray], np.ndarray]
+    dtype: np.dtype = np.dtype(float)
 
 
 @dataclass
@@ -154,21 +165,21 @@ class NekrasovOperator:
         return self._w_dense
 
     def _density_derivative_parts(self, values: np.ndarray, nu: float):
-        """cos Phi/(nu + I) and sin Phi/(nu + I)^2.  Newton linearises at the
-        iterate whose residual apply has just evaluated, so the denominator
-        of that very array (not a copy) is reused; the solver never
-        modifies an iterate in place."""
+        """cos Phi, cos Phi/(nu + I) and sin Phi/(nu + I)^2.  Newton
+        linearises at the iterate whose residual apply has just evaluated,
+        so the denominator of that very array (not a copy) is reused; the
+        solver never modifies an iterate in place."""
         last = self._last_denominator
         if last is not None and last[0] is values and last[1] == nu:
             sin_phi, denom = last[2], last[3]
         else:
             sin_phi, denom = self._denominator(values, nu)
-        return np.cos(values) / denom, sin_phi / denom**2
+        cos_phi = np.cos(values)
+        return cos_phi, cos_phi / denom, sin_phi / denom**2
 
     def jacobian_dense(self, values: np.ndarray, mu: float) -> np.ndarray:
         """Dense Jacobian of F(Phi) = Phi - A_mu Phi at the given state."""
-        c1, c2 = self._density_derivative_parts(values, _mu_to_nu(mu))
-        cos_phi = np.cos(values)
+        cos_phi, c1, c2 = self._density_derivative_parts(values, _mu_to_nu(mu))
         dg = -(c2[:, None] * self.w_dense * cos_phi[None, :])
         dg[np.diag_indices_from(dg)] += c1
         jac = -self.b_dense @ dg
@@ -176,9 +187,8 @@ class NekrasovOperator:
         return jac
 
     def jacobian_operator(self, values: np.ndarray, mu: float):
-        """Matrix-free Jacobian of F as a scipy LinearOperator."""
-        c1, c2 = self._density_derivative_parts(values, _mu_to_nu(mu))
-        cos_phi = np.cos(values)
+        """Matrix-free Jacobian of F as a JacobianOperator."""
+        cos_phi, c1, c2 = self._density_derivative_parts(values, _mu_to_nu(mu))
         grid = self.grid
 
         def matvec(v):
@@ -186,7 +196,7 @@ class NekrasovOperator:
             return v - self.apply_linear(c1 * v - c2 * inner)
 
         m = grid.n - 1
-        return _sparse_linalg.LinearOperator((m, m), matvec=matvec, dtype=float)
+        return JacobianOperator((m, m), matvec)
 
 
 @functools.lru_cache(maxsize=25)
@@ -475,7 +485,7 @@ def solve_system(mu: float, initial: SystemState | None = None,
                 v[m:] + mu * op.grid.antiderivative_closed(
                     psi_in * (2.0 * dpsi_sin + dphi_part))))
 
-        return _sparse_linalg.LinearOperator((2 * m + 2,) * 2, matvec=matvec, dtype=float)
+        return JacobianOperator((2 * m + 2,) * 2, matvec)
 
     x = np.concatenate((initial.phi.values, initial.psi))
     x, _, _ = _newton(residual, lambda x, f: _krylov_step(jacobian(x), f), x, tol,

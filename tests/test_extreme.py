@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
-from nekrasov.extreme import crest_jump, extreme_record_from_field
+from nekrasov import _graded
 from nekrasov._graded import _DYADIC_LEVELS, GradedCollocation, kernel_q
+from nekrasov.extreme import crest_jump, extreme_record_from_field
 
 
 class TestGrantNumber:
@@ -87,12 +88,34 @@ class TestGradedCollocation:
                           for a, b in zip(breaks[:-1], breaks[1:]))
                 assert got[idx] == pytest.approx(val, abs=2e-9), (grading, idx)
 
-    @pytest.mark.parametrize("grading", [0.5, 1.0, 3.0, 4.5])
-    @pytest.mark.parametrize("n_nodes", [2, 3, 8, 120, 600])
+    @pytest.mark.parametrize("n_nodes, grading", [
+        *((n, q) for n in (2, 3, 8, 120, 600) for q in (0.5, 1.0, 3.0, 4.5)),
+        (1200, 3.0)])
     def test_weights_match_element_loop(self, n_nodes, grading):
-        # n_nodes = 2 has one row, which carries both near-singular pairs
+        # n_nodes = 2 has one row, which carries both near-singular pairs;
+        # at N = 1200 and grading 3, 86% of the (row, element) pairs are far
         eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
         assert np.abs(eng.weights - _reference_weights(eng)).max() <= 1e-15
+
+    @pytest.mark.parametrize("n_nodes, grading, stride", [
+        (600, 0.5, 1), (600, 3.0, 1), (600, 4.5, 1), (2400, 3.0, 8)])
+    def test_far_weights_match_exact_integrals(self, n_nodes, grading, stride):
+        eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
+        assert _far_field_error(eng, stride) <= 1e-15
+
+    @pytest.mark.parametrize("constant, value", [("_CHEB_NODES", 12), ("_FAR_DISTANCE", 1.0)])
+    def test_far_field_check_rejects_coarser_settings(self, monkeypatch, constant, value):
+        # degree 12, or far rows one cluster length away, miss 1e-15
+        monkeypatch.setattr(_graded, constant, value)
+        eng = GradedCollocation(n_nodes=600, grading=3.0)
+        assert _far_field_error(eng, 1) > 1e-15
+
+    def test_solve_matches_reference_weights(self):
+        eng, ref = GradedCollocation(n_nodes=600), GradedCollocation(n_nodes=600)
+        ref._weights = _reference_weights(ref)
+        sol, ref_sol = eng.solve_extreme(), ref.solve_extreme()
+        assert sol.iterations == ref_sol.iterations
+        assert np.abs(sol.phi - ref_sol.phi).max() <= 1e-14
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 300), st.floats(0.5, 4.5))
@@ -233,6 +256,48 @@ def _reference_weights(eng):
         w[:, j] += left
         w[:, j + 1] += right
     return w
+
+
+def _far_field_error(eng, stride):
+    """Largest |W[i, j] - exact| / max|W[i]| over far entries of W, against
+    30-digit mpmath integrals of Q times the hat functions.  At every
+    stride-th cluster the nearest far row on each side is sampled, at three
+    columns whose elements both lie in the cluster."""
+    import mpmath
+    n, tau = eng.n, eng.tau
+    rows = tau[1:n]
+    worst = 0.0
+    with mpmath.workdps(30):
+        for c0 in range(0, n, stride * _graded._CLUSTER):
+            c1 = min(c0 + _graded._CLUSTER, n)
+            reach = _graded._FAR_DISTANCE * (tau[c1] - tau[c0])
+            far = ((np.abs(rows - np.clip(rows, tau[c0], tau[c1])) >= reach)
+                   & (rows + tau[c0] >= reach))
+            below = np.flatnonzero(far & (rows < tau[c0]))
+            above = np.flatnonzero(far & (rows > tau[c1]))
+            for i in (*below[-1:], *above[:1]):
+                for j in (c0 + 1, (c0 + c1) // 2, c1 - 1):
+                    err = abs(eng.weights[i, j] - _exact_weight(tau, tau[i + 1], j))
+                    worst = max(worst, err / np.abs(eng.weights[i]).max())
+    return worst
+
+
+def _exact_weight(tau, theta, j):
+    """Int Q(theta, x) hat_j(x) dx over the two elements at node j, by
+    mpmath at the working precision."""
+    import mpmath
+    theta = mpmath.mpf(theta)
+
+    def q(x):
+        return (mpmath.log(mpmath.sin((theta + x) / 2) / abs(mpmath.sin((theta - x) / 2)))
+                / (3 * mpmath.pi * x))
+
+    left, peak, right = (mpmath.mpf(t) for t in tau[j - 1:j + 2])
+    rising = mpmath.quad(lambda x: q(x) * (x - left) / (peak - left), [left, peak],
+                         method="gauss-legendre")
+    falling = mpmath.quad(lambda x: q(x) * (right - x) / (right - peak), [peak, right],
+                          method="gauss-legendre")
+    return float(rising + falling)
 
 
 @pytest.mark.parametrize("kwargs", [

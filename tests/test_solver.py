@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 import nekrasov as nk
 from nekrasov import solver as _solver
+from nekrasov._graded import GradedCollocation
 from nekrasov.solver import NekrasovOperator, _krylov_step, _newton
 from conftest import solved_field
 from oracles import apply_operator_quadrature, inner_integral_quadrature
@@ -368,6 +374,33 @@ class TestKrylovStep:
         result = nk.solve_seeded(3.5)
         assert result.iterations == 3
         assert calls and not any((v == 0.0).all() for v in calls)
+
+
+class TestJacobianOperator:
+    def test_import_leaves_scipy_sparse_out(self):
+        """The Jacobian builders return a JacobianOperator, so `import
+        nekrasov` imports no scipy.sparse."""
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ("import sys, nekrasov\n"
+                "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    def test_builders_are_accepted_as_linear_operators(self, wave_35):
+        values = wave_35.field.resample(64).values
+        eng = GradedCollocation(n_nodes=16)
+        phi = np.linspace(0.5, 0.1, eng.n - 1)
+        for jac in (_solver.get_operator(64, nk.KernelSpec(n_modes=32)).jacobian_operator(
+                        values, 3.5),
+                    eng.jacobian_operator(phi, 0.0)):
+            wrapped = aslinearoperator(jac)
+            v = np.linspace(-1.0, 1.0, jac.shape[1])
+            assert wrapped.shape == jac.shape and wrapped.dtype == np.float64
+            assert np.array_equal(wrapped.matvec(v), jac.matvec(v))
 
 
 class TestSolveSystem:
