@@ -1,8 +1,9 @@
 """Tracing the global wave branch and its cone diagnostics.
 
 From the bifurcation point mu = 3 the branch of deep-water waves is
-followed in mu with a secant predictor and Newton corrector; the grid
-refines itself as the crest sharpens.  Along the way every solution is
+followed in mu with a Newton corrector, each guess extrapolated in
+log mu through the last four points; the grid refines itself as the crest
+sharpens.  Along the way every solution is
 checked against the cone conditions (nonnegativity, ratio monotonicity,
 tail ordering) and the classical amplitude bound is tabulated; the
 sup-norm creeps toward the extreme-wave range between pi/6 and 0.5434.

@@ -39,7 +39,7 @@ from .solver import BreakdownError, JacobianOperator, _krylov_step, _newton
 # Gauss-Legendre points per panel and dyadic refinement levels toward a
 # collocation node on the two elements that carry its log singularity
 _GAUSS_ORDER = 10
-_DYADIC_LEVELS = 42
+_DYADIC_LEVELS = 50
 # The node-by-node parts of the weight assembly work on blocks of at most
 # _BLOCK_ENTRIES float64 values (512 KB, so a block stays in cache)
 _BLOCK_ENTRIES = 1 << 16
@@ -60,17 +60,6 @@ def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
 def _gauss_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def _dyadic_levels(widths: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Dyadic refinement levels of the elements [right - widths, right].
-
-    Refinement stops once a panel would be unresolvable in float64 next to
-    the singular endpoint; the dropped sliver contributes O(w log w) and is
-    far below the quadrature tolerance.
-    """
-    min_width = 100.0 * np.finfo(float).eps * right
-    return np.minimum(_DYADIC_LEVELS, np.maximum(4, np.log2(widths / min_width).astype(int)))
 
 
 def _cluster_moments(x: np.ndarray, y: np.ndarray, bary: np.ndarray,
@@ -199,32 +188,44 @@ class GradedCollocation:
 
     def _add_near_singular(self, w: np.ndarray) -> None:
         """Add the dyadically refined rule for the row at each endpoint of
-        each element, in blocks of (element, row) pairs of one panel count."""
+        each element, in blocks of (element, row) pairs.
+
+        The rule has _DYADIC_LEVELS panels, halving toward the singular end
+        theta, and places each node x = theta +- d by the exact fraction d/h
+        of the element width h; the hats are d/h and 1 - d/h.  In the log1p
+        form of _regular_weights, m is sin(theta/2) cos(x/2) for x > theta
+        and cos(theta/2) sin(x/2) for x < theta, so
+
+            3 pi x Q = log1p(2m / sin(d/2))
+                     = log1p(sin(theta) / tan(d/2) - 2 sin^2(theta/2))  (x > theta)
+                     = log1p(sin(theta) / tan(d/2) - 2 cos^2(theta/2))  (x < theta),
+
+        and the singular factor keeps its relative precision at every level.
+        """
         n, tau, h = self.n, self.tau, self.widths
         g, gw = self.gauss
+        frac = np.concatenate(([0.0], 2.0 ** np.arange(1 - _DYADIC_LEVELS, 1)))
+        lam = (frac[:-1, None] + np.diff(frac)[:, None] * g).ravel()  # d / h
+        mass = (np.diff(frac)[:, None] * gw).ravel()  # Gauss weights / h
+        hats = np.stack((1.0 - lam, lam), axis=1)  # at theta, at the other end
         # row k holds tau_{k+1}: the right end of element k, the left of k + 1
         row = np.tile(np.arange(n - 1), 2)
         elem = row + np.repeat([0, 1], n - 1)
         toward_b = elem == row
-        levels = _dyadic_levels(h, tau[1:])[elem]
-        for count in np.unique(levels):
-            pairs = np.flatnonzero(levels == count)
-            frac = np.concatenate(([0.0], 2.0 ** np.arange(1 - count, 1)))
-            per_block = max(1, _BLOCK_ENTRIES // (count * g.size))
-            for start in range(0, pairs.size, per_block):
-                p = pairs[start:start + per_block]
-                j, width = elem[p], h[elem[p]]
-                offsets = width[:, None] * frac
-                flip = toward_b[p]
-                offsets[flip] = width[flip, None] - offsets[flip, ::-1]
-                panels = tau[j, None] + offsets
-                sizes = np.diff(panels, axis=1)
-                nodes = (panels[:, :-1, None] + sizes[..., None] * g).reshape(p.size, -1)
-                wts = (sizes[..., None] * gw).reshape(p.size, -1)
-                q = kernel_q(tau[row[p] + 1, None], nodes)
-                lam = (nodes - tau[j, None]) / width[:, None]
-                w[row[p], j] += np.einsum("pk,pk->p", q, wts * (1.0 - lam))
-                w[row[p], j + 1] += np.einsum("pk,pk->p", q, wts * lam)
+        per_block = max(1, _BLOCK_ENTRIES // lam.size)
+        for start in range(0, row.size, per_block):
+            p = slice(start, start + per_block)
+            theta, width, flip = tau[row[p] + 1, None], h[elem[p], None], toward_b[p]
+            sin_t, cos_t = np.sin(0.5 * theta), np.cos(0.5 * theta)
+            d = width * lam
+            q = np.tan(0.5 * d)
+            np.divide(2.0 * sin_t * cos_t, q, out=q)
+            q -= np.where(flip[:, None], 2.0 * cos_t**2, 2.0 * sin_t**2)
+            np.log1p(q, out=q)
+            q *= width * mass / (3.0 * np.pi * np.where(flip[:, None], theta - d, theta + d))
+            at_theta, other = (q @ hats).T
+            w[row[p], elem[p]] += np.where(flip, other, at_theta)
+            w[row[p], elem[p] + 1] += np.where(flip, at_theta, other)
 
     @property
     def weights(self) -> np.ndarray:
@@ -298,7 +299,7 @@ class GradedCollocation:
             phi = phi0.copy()
         phi, res, iterations = _newton(
             lambda phi: phi - self.operator(phi, nu),
-            lambda phi, f: _krylov_step(self.jacobian_operator(phi, nu), f),
+            lambda phi, f, target: _krylov_step(self.jacobian_operator(phi, nu), f, target),
             phi, tol, max_iter)
         return self._finish(phi, nu, res, iterations)
 

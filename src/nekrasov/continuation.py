@@ -1,10 +1,12 @@
 """Global branch tracing, cone diagnostics, and scaled continua.
 
 The nontrivial solution branch bifurcates from the first characteristic
-value (mu = 3 on deep water) and is followed in mu by a secant predictor
-with a Newton corrector.  The grid is refined automatically whenever the
-sine spectrum of a converged point stops decaying, which happens as the
-crest boundary layer sharpens for large mu.
+value (mu = 3 on deep water) and is followed in mu by a predictor that
+extrapolates the sine coefficients of the last PREDICTOR_POINTS accepted
+points in log mu (Lagrange, cubic once four points exist), with a Newton
+corrector.  The grid is refined automatically whenever the sine spectrum of
+a converged point stops decaying, which happens as the crest boundary layer
+sharpens for large mu.
 """
 
 from __future__ import annotations
@@ -42,6 +44,10 @@ class ConeReport:
 
 @dataclass
 class BranchPoint:
+    """A converged point; trace_branch also records the Newton iterations of
+    the solve on its final grid and its spectral tail in the retained band
+    (in memory only: the branch writers leave both out)."""
+
     mu: float
     field: AngleField
     sup_norm: float
@@ -49,6 +55,8 @@ class BranchPoint:
     residual: float
     n: int
     cone: ConeReport | None = None
+    iterations: int | None = None
+    tail: float | None = None
 
 
 @dataclass
@@ -91,6 +99,8 @@ TAIL_THRESHOLD = 1e-9
 N_MAX = 1 << 17
 MAX_POINTS = 2000
 CONE_EPS = 1e-9
+# accepted points through which the next guess is extrapolated in log mu
+PREDICTOR_POINTS = 4
 
 
 @dataclass
@@ -102,7 +112,10 @@ class StepPolicy:
     and grow by GROWTH per accepted point up to MAX_STEP; from there on it
     is multiplied by `ratio` (the extreme limit is approached
     logarithmically).  A failed corrector halves the step (takes the square
-    root of the ratio) until it falls below MIN_STEP.  The grid starts at
+    root of the ratio) until it falls below MIN_STEP.  Each corrector starts
+    from the log-mu extrapolation through the last PREDICTOR_POINTS accepted
+    points (see _predict), on the finest grid among them, so a grid
+    doubling carries over to every later guess.  The grid starts at
     `n_start` and doubles, up to `n_max`, while the spectral tail of a
     converged point exceeds TAIL_THRESHOLD.  A point still unresolved at
     n_max is not accepted: the branch ends before it and comes back
@@ -159,11 +172,13 @@ def _tail_violation(v: np.ndarray) -> float:
     return max(0.0, float((right - window_min).max()))
 
 
-def _branch_point(mu: float, field: AngleField, residual: float) -> BranchPoint:
+def _branch_point(mu: float, field: AngleField, residual: float,
+                  iterations: int | None = None, tail: float | None = None) -> BranchPoint:
     height = _profile.reconstruct_profile(field, mu).height
     return BranchPoint(mu=mu, field=field, sup_norm=field.sup_norm(),
                        wave_height=height / (2.0 * np.pi), residual=residual,
-                       n=field.n, cone=cone_membership(field))
+                       n=field.n, cone=cone_membership(field),
+                       iterations=iterations, tail=tail)
 
 
 def _corrector(mu, guess, spec, tol) -> SolveResult:
@@ -183,6 +198,22 @@ def _converge_resolved(mu, guess, spec, tol, policy):
     while _tail(result.field) > TAIL_THRESHOLD and result.field.n < policy.n_max:
         result = _corrector(mu, result.field.resample(result.field.n * 2), spec, tol)
     return result
+
+
+def _predict(points: list[BranchPoint], mu: float) -> AngleField:
+    """Lagrange extrapolation in log mu through the given points to mu,
+    coefficient by coefficient on the finest grid among them; a single
+    point is its own prediction."""
+    if len(points) == 1:
+        return points[0].field
+    n = max(p.n for p in points)
+    logs = [math.log(p.mu) for p in points]
+    t = math.log(mu)
+    coeffs = np.zeros(n - 1)
+    for i, p in enumerate(points):
+        weight = math.prod((t - x) / (logs[i] - x) for j, x in enumerate(logs) if j != i)
+        coeffs += weight * p.field.resample(n).coefficients
+    return AngleField.from_coefficients(coeffs, n)
 
 
 def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
@@ -211,7 +242,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                               "n_start": policy.n_start})
     candidate = _converge_resolved(mu_start, _seed_field(mu_start, spec, policy.n_start),
                                    spec, tol, policy)
-    result = prev_result = None
+    result = None
     step = INITIAL_STEP
     ratio = policy.ratio
     while candidate is not None:
@@ -223,8 +254,9 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
         if result is not None:
             step = min(step * GROWTH, MAX_STEP)
             ratio = min(ratio * np.sqrt(GROWTH), policy.ratio)
-        prev_result, result = result, candidate
-        branch.points.append(_branch_point(result.mu, result.field, result.residual))
+        result = candidate
+        branch.points.append(_branch_point(result.mu, result.field, result.residual,
+                                           result.iterations, tail))
         if progress:
             progress(branch.points[-1])
         if result.mu >= mu_end:
@@ -238,14 +270,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
         while candidate is None:
             geometric = result.mu >= GEOMETRIC_START
             mu_next = min(result.mu * ratio if geometric else result.mu + step, mu_end)
-            guess = result.field
-            if prev_result is not None:
-                n_common = max(result.field.n, prev_result.field.n)
-                b_now = result.field.resample(n_common).coefficients
-                b_prev = prev_result.field.resample(n_common).coefficients
-                slope = (b_now - b_prev) / (result.mu - prev_result.mu)
-                guess = AngleField.from_coefficients(
-                    b_now + slope * (mu_next - result.mu), n_common)
+            guess = _predict(branch.points[-PREDICTOR_POINTS:], mu_next)
             try:
                 candidate = _converge_resolved(mu_next, guess, spec, tol, policy)
             except (DivergenceError, BreakdownError) as exc:

@@ -77,6 +77,10 @@ class SineGrid:
         self.modes = np.arange(1, self.n)
         # closed grid includes the endpoints theta = 0 and theta = pi
         self.theta_closed = np.arange(0, self.n + 1) * (np.pi / self.n)
+        # antiderivative_closed's factors 1/(2nk) and its closed-grid input,
+        # whose two end values stay zero
+        self._half_inv_nk = 0.5 / (self.n * self.modes)
+        self._closed = np.zeros(self.n + 1)
 
     def __repr__(self) -> str:
         return f"SineGrid(n={self.n})"
@@ -109,9 +113,14 @@ class SineGrid:
 
         For an odd integrand the result is even;  it is returned on the
         closed grid so that the exact values at 0 and pi are available.
+        With the half coefficients u_k = b_k / (2k) = DST-I(values)_k / (2nk)
+        it is 2 sum u_k - DCT-I(0, u, 0): one scaling pass, written into a
+        reused closed-grid array.
         """
-        s = self.to_coefficients(values) / self.modes
-        out = s.sum() - self.cosine_values_closed(s)
+        u = self._closed[1:-1]
+        np.multiply(_dst1(values), self._half_inv_nk, out=u)
+        out = _dct1(self._closed)
+        np.subtract(2.0 * u.sum(), out, out=out)
         out[0] = 0.0  # identically zero; avoid summation-order round-off
         return out
 

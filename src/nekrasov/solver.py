@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .grid import AngleField, SineGrid, get_grid
+from .grid import AngleField, SineGrid, _dst1, get_grid
 from .kernel import DEEP, KernelSpec, characteristic_values, linearized_factors
 from .series import eval_series, expand_solution
 
@@ -106,6 +106,8 @@ class NekrasovOperator:
         self.weights = np.zeros(n - 1)
         keep = min(spec.n_modes, n - 1)
         self.weights[:keep] = linearized_factors(spec, keep)
+        # B's factors with the 1/n and 1/2 of its two transforms folded in
+        self._half_weights = self.weights / (2.0 * n)
         self._b_dense = None
         self._w_dense = None
         # (values, nu, sin Phi, nu + I) of the last _denominator call
@@ -117,7 +119,8 @@ class NekrasovOperator:
         """sin Phi and nu + I on the interior grid, I = Int_0^theta sin Phi;
         raises BreakdownError unless the denominator is positive."""
         sin_phi = np.sin(values)
-        denom = nu + self.grid.antiderivative_closed(sin_phi)[1:-1]
+        denom = self.grid.antiderivative_closed(sin_phi)[1:-1]
+        denom += nu
         lowest = denom.min(initial=np.inf)
         if lowest <= 0.0:
             raise BreakdownError(
@@ -133,7 +136,7 @@ class NekrasovOperator:
 
     def apply_linear(self, values: np.ndarray) -> np.ndarray:
         """B applied to interior grid values (diagonal in the sine basis)."""
-        return self.grid.to_values(self.weights * self.grid.to_coefficients(values))
+        return _dst1(self._half_weights * _dst1(values))
 
     def apply(self, values: np.ndarray, mu: float) -> np.ndarray:
         """A_mu Phi on the interior grid."""
@@ -187,15 +190,18 @@ class NekrasovOperator:
         return jac
 
     def jacobian_operator(self, values: np.ndarray, mu: float):
-        """Matrix-free Jacobian of F as a JacobianOperator."""
+        """Matrix-free Jacobian of F as a JacobianOperator; a matvec is four
+        transforms and about ten passes over the grid."""
         cos_phi, c1, c2 = self._density_derivative_parts(values, _mu_to_nu(mu))
-        grid = self.grid
 
         def matvec(v):
-            inner = grid.antiderivative_closed(cos_phi * v)[1:-1]
-            return v - self.apply_linear(c1 * v - c2 * inner)
+            dg = self.grid.antiderivative_closed(cos_phi * v)[1:-1]
+            dg *= c2
+            np.subtract(c1 * v, dg, out=dg)
+            out = self.apply_linear(dg)
+            return np.subtract(v, out, out=out)
 
-        m = grid.n - 1
+        m = self.grid.n - 1
         return JacobianOperator((m, m), matvec)
 
 
@@ -236,11 +242,16 @@ NEWTON_MAX_ITER = 100
 
 
 def _newton(residual, newton_step, x, tol, max_iter):
-    """Damped Newton iteration shared by the spectral and graded solvers.
+    """Damped inexact Newton iteration shared by the spectral and graded
+    solvers.
 
     residual(x) returns the vector F(x) and may raise BreakdownError;
-    newton_step(x, f) returns dx with J(x) dx = f, or raises
-    DivergenceError, which leaves with the current iteration.  Each step tries
+    newton_step(x, f, target) returns dx with |f - J(x) dx|_2 <= target, or
+    raises DivergenceError, which leaves with the current iteration.  The
+    target is eta |F|_2 with the forcing term eta = min(KRYLOV_RTOL,
+    |F|_inf) (Dembo, Eisenstat & Steihaug 1982), so the linear solve
+    tightens as F falls and the outer convergence stays quadratic; it is
+    floored at 0.1 tol, below which no step is needed.  Each step tries
     x - scale*dx, halving scale while the trial breaks down or its residual
     rises.  The accepted trial's F is the next iterate's, so no iterate is
     evaluated twice.  Returns (x, max|F(x)|, iterations).
@@ -250,8 +261,9 @@ def _newton(residual, newton_step, x, tol, max_iter):
     for it in range(1, max_iter + 1):
         if res <= tol:
             return x, res, it - 1
+        target = max(min(KRYLOV_RTOL, res) * float(np.linalg.norm(f)), 0.1 * tol)
         try:
-            dx = newton_step(x, f)
+            dx = newton_step(x, f, target)
         except DivergenceError as exc:
             exc.iterations = it
             raise
@@ -275,27 +287,27 @@ def _newton(residual, newton_step, x, tol, max_iter):
     raise DivergenceError(f"Newton did not reach tol={tol:g}", res, max_iter)
 
 
-# restarted GMRES of the Newton step: stop at KRYLOV_RTOL |f|_2, restart
-# every KRYLOV_RESTART Arnoldi steps, give up after KRYLOV_CYCLES cycles
+# restarted GMRES of the Newton step: _newton asks for at most KRYLOV_RTOL
+# |f|_2 (less once |f|_inf < KRYLOV_RTOL), restart every KRYLOV_RESTART
+# Arnoldi steps, give up after KRYLOV_CYCLES cycles
 KRYLOV_RTOL = 1e-4
 KRYLOV_RESTART = 50
 KRYLOV_CYCLES = 60
 
 
-def _krylov_step(jacobian, f):
-    """Newton step dx with J dx = f by restarted GMRES on a matrix-free
-    Jacobian (any object with .matvec).
+def _krylov_step(jacobian, f, target):
+    """Newton step dx with |f - J dx|_2 <= target by restarted GMRES on a
+    matrix-free Jacobian (any object with .matvec).
 
     Each cycle starts from the residual r (r = f at dx = 0, so no matvec)
     and runs Arnoldi with classical Gram-Schmidt and one
     reorthogonalisation; Givens rotations on Python scalars carry the
-    residual norm, and the cycle stops once it is at most KRYLOV_RTOL |f|_2.
+    residual norm, and the cycle stops once it is at most target.
     A zero subdiagonal (an invariant subspace) makes that estimate zero, so
     the exact solution is returned.  f - J dx is recomputed only before a
     restart.  Raises DivergenceError at the first non-finite Arnoldi value
     and after KRYLOV_CYCLES unconverged cycles.
     """
-    target = KRYLOV_RTOL * float(np.linalg.norm(f))
     dx = np.zeros_like(f)
     # rows are written as the Arnoldi steps reach them, so unused ones stay
     # untouched memory
@@ -397,9 +409,10 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     op = get_operator(initial.n, _default_spec(initial, spec))
     x = initial.values.copy()
     if method in ("newton", "newton_krylov"):
-        x, res, its = _newton(lambda x: x - op.apply(x, mu),
-                              lambda x, f: _krylov_step(op.jacobian_operator(x, mu), f),
-                              x, tol, max_iter or NEWTON_MAX_ITER)
+        x, res, its = _newton(
+            lambda x: x - op.apply(x, mu),
+            lambda x, f, target: _krylov_step(op.jacobian_operator(x, mu), f, target),
+            x, tol, max_iter or NEWTON_MAX_ITER)
     elif method == "fixed_point":
         x, res, its = _solve_fixed_point(op, x, mu, tol, max_iter or 5000)
     else:
@@ -488,8 +501,8 @@ def solve_system(mu: float, initial: SystemState | None = None,
         return JacobianOperator((2 * m + 2,) * 2, matvec)
 
     x = np.concatenate((initial.phi.values, initial.psi))
-    x, _, _ = _newton(residual, lambda x, f: _krylov_step(jacobian(x), f), x, tol,
-                      NEWTON_MAX_ITER)
+    x, _, _ = _newton(residual, lambda x, f, target: _krylov_step(jacobian(x), f, target),
+                      x, tol, NEWTON_MAX_ITER)
     x[m] = 1.0
     return SystemState(phi=AngleField(op.grid, values=x[:m]), psi=x[m:])
 

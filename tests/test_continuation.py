@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
-from nekrasov import continuation, extreme
+from nekrasov import continuation, extreme, io
 from nekrasov.continuation import _tail_violation
 from nekrasov.solver import get_operator
 
@@ -146,6 +146,57 @@ class TestTraceBranch:
         policy = nk.StepPolicy(ratio=1.6)
         branch = nk.trace_branch(3.05, 6000.0, policy=policy)
         assert branch.sup_norms.max() > np.pi / 6.0
+
+
+class TestPredictor:
+    @staticmethod
+    def _point(mu, n, table):
+        """A point whose first table.shape[1] sine coefficients are the
+        polynomials in log mu with the coefficients in table's columns."""
+        coeffs = np.polynomial.polynomial.polyval(math.log(mu), table)
+        field = nk.AngleField.from_coefficients(coeffs, n)
+        return nk.BranchPoint(mu=mu, field=field, sup_norm=0.0, wave_height=0.0,
+                              residual=0.0, n=n)
+
+    @pytest.mark.parametrize("mus", [(3.01, 3.02, 3.035, 3.0575), (10.0, 12.5, 15.625, 19.53125)],
+                             ids=["additive", "geometric"])
+    @pytest.mark.parametrize("count", [2, 3, 4])
+    def test_exact_for_polynomials_in_log_mu(self, mus, count):
+        # degree count - 1 in log mu on mixed grids: the guess lands on the
+        # finest grid and matches the family at the next mu
+        rng = np.random.default_rng(count)
+        table = rng.standard_normal((count, 31)) / np.arange(1, 32)
+        ns = (64, 256, 64, 128)[:count]
+        points = [self._point(mu, n, table) for mu, n in zip(mus[:count], ns)]
+        mu_next = 2.0 * mus[count - 1] - mus[count - 2]
+        guess = continuation._predict(points, mu_next)
+        assert guess.n == max(ns)
+        expected = np.polynomial.polynomial.polyval(math.log(mu_next), table)
+        assert np.abs(guess.coefficients[:31] - expected).max() <= 1e-13
+        assert not guess.coefficients[31:].any()
+
+    def test_single_point_is_its_own_prediction(self):
+        point = self._point(3.01, 64, np.ones((1, 5)))
+        assert continuation._predict([point], 3.02) is point.field
+
+    def test_corrector_iterations(self):
+        # from the third point on each guess is within reach of two Newton
+        # iterations, and a refinement re-solve (the final solve of a point
+        # on a doubled grid) takes one
+        branch = nk.trace_branch(3.01, 300.0)
+        assert len(branch) == 33 and not branch.truncated
+        refined = [q for p, q in zip(branch.points, branch.points[1:]) if q.n > p.n]
+        assert len(refined) == 3
+        assert all(q.iterations == 1 for q in refined)
+        assert all(p.iterations <= 2 for p in branch.points[2:])
+
+    def test_points_record_iterations_and_tail_in_memory_only(self, small_branch):
+        for p in small_branch:
+            assert p.iterations >= 0
+            assert p.tail == p.field.spectral_tail(band=p.n // 2) <= continuation.TAIL_THRESHOLD
+        payload = io.branch_payload(small_branch, "test")
+        assert not {"iterations", "tail"} & set(payload["points"][0])
+        assert not {"iterations", "tail"} & set(io.branch_columns(small_branch))
 
 
 class TestConeMembership:

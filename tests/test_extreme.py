@@ -103,6 +103,20 @@ class TestGradedCollocation:
         eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
         assert _far_field_error(eng, stride) <= 1e-15
 
+    @pytest.mark.parametrize("n_nodes, rows", [(600, (0, 1, 10, 300, 519, 598)),
+                                               (2400, (100, 1200, 2076, 2398))])
+    def test_near_singular_weights_match_exact_integrals(self, n_nodes, rows):
+        # W[i, i + 1] comes from the dyadic pass alone: its hat peaks at the
+        # row's own node tau_{i+1}, where Q is singular.  A rule on rounded
+        # nodes with 35-42 levels is off by up to 4.3e-13 of the row maximum
+        eng = GradedCollocation(n_nodes=n_nodes, grading=3.0)
+        import mpmath
+        with mpmath.workdps(30):
+            for i in rows:
+                exact = _exact_weight(eng.tau, eng.tau[i + 1], i + 1, method="tanh-sinh")
+                row_max = np.abs(eng.weights[i]).max()
+                assert abs(eng.weights[i, i + 1] - exact) <= 1e-15 * row_max, i
+
     @pytest.mark.parametrize("constant, value", [("_CHEB_NODES", 12), ("_FAR_DISTANCE", 1.0)])
     def test_far_field_check_rejects_coarser_settings(self, monkeypatch, constant, value):
         # degree 12, or far rows one cluster length away, miss 1e-15
@@ -282,9 +296,9 @@ def _far_field_error(eng, stride):
     return worst
 
 
-def _exact_weight(tau, theta, j):
+def _exact_weight(tau, theta, j, method="gauss-legendre"):
     """Int Q(theta, x) hat_j(x) dx over the two elements at node j, by
-    mpmath at the working precision."""
+    mpmath at the working precision (tanh-sinh when theta is an endpoint)."""
     import mpmath
     theta = mpmath.mpf(theta)
 
@@ -294,9 +308,9 @@ def _exact_weight(tau, theta, j):
 
     left, peak, right = (mpmath.mpf(t) for t in tau[j - 1:j + 2])
     rising = mpmath.quad(lambda x: q(x) * (x - left) / (peak - left), [left, peak],
-                         method="gauss-legendre")
+                         method=method)
     falling = mpmath.quad(lambda x: q(x) * (right - x) / (right - peak), [peak, right],
-                          method="gauss-legendre")
+                          method=method)
     return float(rising + falling)
 
 

@@ -280,7 +280,7 @@ class TestEvaluationCounts:
     def test_newton_applies_once_per_iterate(self, monkeypatch):
         calls = count_applies(monkeypatch)
         result = nk.solve_seeded(3.5)
-        assert len(calls) == result.iterations + 1 == 4
+        assert len(calls) == result.iterations + 1 == 3
 
     def test_fixed_point_applies_once_per_iterate(self, monkeypatch):
         grid = nk.get_grid(256)
@@ -300,13 +300,13 @@ class TestNewtonDriver:
             return x
 
         with pytest.raises(nk.DivergenceError) as info:
-            _newton(residual, lambda x, f: f, x0, 1e-12, 10)
+            _newton(residual, lambda x, f, target: f, x0, 1e-12, 10)
         assert info.value.iterations == 1
         assert info.value.residual == 2.0
 
     def test_converges_on_linear_problem(self):
         target = np.array([0.5, -1.5, 2.0])
-        x, res, iterations = _newton(lambda x: x - target, lambda x, f: f,
+        x, res, iterations = _newton(lambda x: x - target, lambda x, f, step_target: f,
                                      np.zeros(3), 1e-12, 5)
         assert np.array_equal(x, target)
         assert res == 0.0
@@ -335,7 +335,7 @@ class TestKrylovStep:
         diagonal = np.repeat([1.0, 2.0, 3.0, 4.0, 5.0], 4)
         f = np.linspace(1.0, 2.0, diagonal.size)
         calls = []
-        dx = _krylov_step(recording_diagonal(diagonal, calls), f)
+        dx = _krylov_step(recording_diagonal(diagonal, calls), f, 1e-4 * np.linalg.norm(f))
         assert len(calls) == 5
         assert not any((v == 0.0).all() for v in calls)
         assert np.abs(diagonal * dx - f).max() < 1e-12
@@ -343,7 +343,7 @@ class TestKrylovStep:
     def test_invariant_subspace_returns_the_exact_solution(self):
         diagonal = np.array([2.0, 3.0, 5.0])
         calls = []
-        dx = _krylov_step(recording_diagonal(diagonal, calls), np.array([1.0, 0.0, 0.0]))
+        dx = _krylov_step(recording_diagonal(diagonal, calls), np.array([1.0, 0.0, 0.0]), 1e-4)
         assert len(calls) == 1
         assert np.array_equal(dx, [0.5, 0.0, 0.0])
 
@@ -353,7 +353,7 @@ class TestKrylovStep:
         f = np.linspace(1.0, 2.0, diagonal.size)
         assert len(np.unique(diagonal)) == 6  # six Arnoldi steps without restarts
         calls = []
-        dx = _krylov_step(recording_diagonal(diagonal, calls), f)
+        dx = _krylov_step(recording_diagonal(diagonal, calls), f, 1e-4 * np.linalg.norm(f))
         assert len(calls) > 6
         assert np.linalg.norm(f - diagonal * dx) <= 1e-4 * np.linalg.norm(f)
 
@@ -362,7 +362,7 @@ class TestKrylovStep:
         nan_jacobian = LinearOperator((8, 8), matvec=lambda v: np.full_like(v, np.nan),
                                       dtype=float)
         with pytest.raises(nk.DivergenceError, match="stagnated"):
-            _krylov_step(recording(nan_jacobian, calls), np.ones(8))
+            _krylov_step(recording(nan_jacobian, calls), np.ones(8), 1e-4)
         assert len(calls) == 1
 
     def test_newton_never_multiplies_a_zero_vector(self, monkeypatch):
@@ -372,8 +372,55 @@ class TestKrylovStep:
                             lambda self, values, mu: recording(
                                 jacobian_operator(self, values, mu), calls))
         result = nk.solve_seeded(3.5)
-        assert result.iterations == 3
+        assert result.iterations == 2
         assert calls and not any((v == 0.0).all() for v in calls)
+
+
+class TestForcing:
+    """_newton asks _krylov_step for max(min(KRYLOV_RTOL, |F|_inf) |F|_2,
+    0.1 tol): loose while F is large, proportional to |F| near the root."""
+
+    def test_krylov_step_meets_an_explicit_target(self):
+        rng = np.random.default_rng(3)
+        m = 80
+        matrix = np.eye(m) + 0.3 * rng.standard_normal((m, m)) / np.sqrt(m)
+        jacobian = LinearOperator((m, m), matvec=lambda v: matrix @ v, dtype=float)
+        f = rng.standard_normal(m)
+        counts = []
+        for rtol in (1e-2, 1e-6, 1e-10):
+            calls = []
+            target = rtol * np.linalg.norm(f)
+            dx = _krylov_step(recording(jacobian, calls), f, target)
+            assert np.linalg.norm(f - matrix @ dx) <= target
+            counts.append(len(calls))
+        assert counts[0] < counts[1] < counts[2]
+
+    def test_newton_passes_the_forcing_target(self):
+        c, tol = np.array([0.5, -1.5, 2.0]), 1e-12
+        seen = []
+
+        def step(x, f, target):
+            seen.append((target, np.abs(f).max(), np.linalg.norm(f)))
+            return (1.0 - 1e-3) * f  # leaves 1e-3 of F: linear convergence
+
+        _newton(lambda x: x - c, step, np.zeros(3), tol, 10)
+        assert len(seen) == 5  # |F|_inf from 2 down by 1e3 each step to 2e-12
+        for target, f_inf, f_2 in seen:
+            assert target == max(min(_solver.KRYLOV_RTOL, f_inf) * f_2, 0.1 * tol)
+        assert seen[0][0] == _solver.KRYLOV_RTOL * seen[0][2]
+        assert seen[-1][0] == 0.1 * tol
+
+    def test_refined_field_reconverges_in_one_iteration(self):
+        # at mu = 70 the n = 512 solution is under-resolved (spectral tail
+        # ~1e-6), and resampled to n = 1024 its residual is ~2e-7: a Krylov
+        # step solved to |F| |F|_2 reaches tol in one Newton iteration
+        branch = nk.trace_branch(3.01, 40.0, policy=nk.StepPolicy(n_max=512))
+        field = branch.points[-1].field
+        for mu in (56.0, 70.0):
+            field = nk.solve(mu, field, spec=nk.KernelSpec(n_modes=256)).field
+        result = nk.solve(70.0, field.resample(1024), spec=nk.KernelSpec(n_modes=512))
+        assert result.iterations == 1
+        assert result.residual <= 1e-12
 
 
 class TestJacobianOperator:
