@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import kernel_deep_closed
 from .solver import BreakdownError, JacobianOperator, _krylov_step, _newton
 
 # Gauss-Legendre points per panel and dyadic refinement levels toward a
@@ -49,12 +48,6 @@ _BLOCK_ENTRIES = 1 << 16
 _CLUSTER = 32
 _CHEB_NODES = 16
 _FAR_DISTANCE = 2.0
-
-
-def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Q(theta, tau) = 2 K(theta, tau) / tau for the deep-water kernel K;
-    tau must avoid 0, and theta = +-tau raises SingularEvaluationError."""
-    return 2.0 * kernel_deep_closed(theta, tau) / tau
 
 
 def _gauss_rule(order: int):

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io as _io
-from .continuation import N_MAX, StepPolicy, trace_branch
+from .continuation import N_MAX, TAIL_THRESHOLD, StepPolicy, _tail, trace_branch
 from .extreme import convexity_check, crest_jump, solve_extreme, solve_sequence
 from .grid import AngleField, get_grid
 from .kernel import KernelSpec, characteristic_values
@@ -168,6 +168,17 @@ def cmd_eigs(args) -> int:
     return EXIT_OK
 
 
+def _solve_seeded(args, spec, method="newton"):
+    """solve_seeded at the requested mu, n and tol; warns on stderr when
+    the spectral tail shows that n does not resolve the solution."""
+    result = solve_seeded(args.mu, spec, args.n, args.tol, method)
+    tail = _tail(result.field)
+    if tail > TAIL_THRESHOLD:
+        print(f"warning: unresolved on n={args.n}: spectral tail {tail:.3e} "
+              f"above {TAIL_THRESHOLD:g}; raise --n", file=sys.stderr)
+    return result
+
+
 def cmd_solve(args) -> int:
     if args.mu <= 0:
         raise ValidationError(f"mu must be positive, got {args.mu}")
@@ -181,7 +192,7 @@ def cmd_solve(args) -> int:
         coeffs = np.zeros(args.n - 1)
         residual, iterations, method = 0.0, 0, args.method
     else:
-        result = solve_seeded(args.mu, spec, args.n, args.tol, args.method)
+        result = _solve_seeded(args, spec, args.method)
         values = result.field.values
         coeffs = result.field.coefficients
         residual, iterations, method = result.residual, result.iterations, result.method
@@ -250,7 +261,7 @@ def cmd_profile(args) -> int:
               file=sys.stderr)
         field = AngleField.zero(args.n)
     else:
-        field = solve_seeded(args.mu, spec, args.n, args.tol).field
+        field = _solve_seeded(args, spec).field
     profile = reconstruct_profile(field, args.mu, args.wavelength, args.g)
     meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol,
                              mu=args.mu, height=profile.height,

@@ -20,7 +20,7 @@ from .continuation import N_MAX, TAIL_THRESHOLD, StepPolicy, _converge_resolved,
 from .grid import AngleField, get_grid
 from .kernel import DEEP, KernelSpec, characteristic_values
 from .profile import WaveProfile
-from .solver import SolveResult, _seed_field
+from .solver import SolveResult, _seed_field, _warm_start_ladder
 
 
 @dataclass
@@ -183,7 +183,7 @@ DEFAULT_MU_SEQUENCE = (30.0, 300.0, 3000.0, 30000.0)
 
 def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
                    n_max: int) -> tuple[SolveResult, list[dict]]:
-    """Solve up a warm-start ladder to max(mu_sequence), each grid refined
+    """Solve up _warm_start_ladder to max(mu_sequence), each grid refined
     (up to n_max) until resolved; returns the last result and per-mu records,
     whose "resolved" says whether the tail is within TAIL_THRESHOLD (a grid
     capped at n_max may leave it above).
@@ -194,23 +194,14 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
     mu_targets = sorted(float(m) for m in mu_sequence)
     if not all(math.isfinite(m) for m in mu_targets):
         raise ValueError(f"mu targets must be finite, got {tuple(mu_sequence)}")
-    # warm-start ladder, geometric in mu - mu1 with ratio 1.6: jumping
-    # straight to a large mu from the local seed lands in the basin of the
-    # trivial solution
-    mu1 = float(characteristic_values(spec, 1)[0])
-    mu0 = mu1 + 0.3
-    s_max = mu_targets[-1] - mu1
-    s = mu0 - mu1
-    ladder: list[float] = []
-    while s * 1.6 < s_max:
-        s *= 1.6
-        ladder.append(mu1 + s)
-    ladder = sorted(set(ladder + mu_targets))
+    mu0, *rungs = _warm_start_ladder(float(characteristic_values(spec, 1)[0]),
+                                    mu_targets[-1])
+    ladder = sorted(set(rungs + mu_targets))
     per_mu = []
-    result = _converge_resolved(mu0, _seed_field(mu0, spec, n_start),
-                                spec, tol, policy)
+    result, _ = _converge_resolved(mu0, _seed_field(mu0, spec, n_start),
+                                   spec, tol, policy)
     for mu in ladder:
-        result = _converge_resolved(mu, result.field, spec, tol, policy)
+        result, _ = _converge_resolved(mu, result.field, spec, tol, policy)
         if mu in mu_targets:
             tail = _tail(result.field)
             per_mu.append({

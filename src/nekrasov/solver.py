@@ -58,6 +58,8 @@ class SolveResult:
     residual: float
     iterations: int
     method: str
+    # max|F| of the initial field, the first evaluation of the solve
+    initial_residual: float
 
 
 @dataclass
@@ -241,7 +243,7 @@ def apply_nekrasov(field: AngleField, mu: float, spec: KernelSpec | None = None)
 NEWTON_MAX_ITER = 100
 
 
-def _newton(residual, newton_step, x, tol, max_iter):
+def _newton(residual, newton_step, x, tol, max_iter, f=None):
     """Damped inexact Newton iteration shared by the spectral and graded
     solvers.
 
@@ -254,9 +256,11 @@ def _newton(residual, newton_step, x, tol, max_iter):
     floored at 0.1 tol, below which no step is needed.  Each step tries
     x - scale*dx, halving scale while the trial breaks down or its residual
     rises.  The accepted trial's F is the next iterate's, so no iterate is
-    evaluated twice.  Returns (x, max|F(x)|, iterations).
+    evaluated twice; a caller that has evaluated F(x) already passes it as
+    f.  Returns (x, max|F(x)|, iterations).
     """
-    f = residual(x)
+    if f is None:
+        f = residual(x)
     res = float(np.abs(f).max())
     for it in range(1, max_iter + 1):
         if res <= tol:
@@ -355,13 +359,14 @@ def _krylov_step(jacobian, f, target):
 
 def _solve_fixed_point(op, x, mu, tol, max_iter):
     """Picard iteration x <- A x, damped by halving omega while the
-    residual rises; A of the accepted iterate is kept for the next step."""
+    residual rises; A of the accepted iterate is kept for the next step.
+    Returns (x, max|F(x)|, iterations, max|F| of the initial x)."""
     omega = 1.0
     ax = op.apply(x, mu)
-    res = float(np.abs(x - ax).max())
+    res = initial = float(np.abs(x - ax).max())
     for it in range(1, max_iter + 1):
         if res <= tol:
-            return x, res, it - 1
+            return x, res, it - 1, initial
         trial = (1.0 - omega) * x + omega * ax
         trial_ax = op.apply(trial, mu)
         trial_res = float(np.abs(trial - trial_ax).max())
@@ -370,7 +375,7 @@ def _solve_fixed_point(op, x, mu, tol, max_iter):
             continue
         x, ax, res = trial, trial_ax, trial_res
     if res <= tol:
-        return x, res, max_iter
+        return x, res, max_iter, initial
     raise DivergenceError(f"fixed point did not reach tol={tol:g}", res, max_iter)
 
 
@@ -409,16 +414,22 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     op = get_operator(initial.n, _default_spec(initial, spec))
     x = initial.values.copy()
     if method in ("newton", "newton_krylov"):
+        def residual(x):
+            return x - op.apply(x, mu)
+
+        f = residual(x)
+        first = float(np.abs(f).max())
         x, res, its = _newton(
-            lambda x: x - op.apply(x, mu),
+            residual,
             lambda x, f, target: _krylov_step(op.jacobian_operator(x, mu), f, target),
-            x, tol, max_iter or NEWTON_MAX_ITER)
+            x, tol, max_iter or NEWTON_MAX_ITER, f)
     elif method == "fixed_point":
-        x, res, its = _solve_fixed_point(op, x, mu, tol, max_iter or 5000)
+        x, res, its, first = _solve_fixed_point(op, x, mu, tol, max_iter or 5000)
     else:
         raise ValueError(f"unknown method {method!r}")
     return SolveResult(field=AngleField(initial.grid, values=x), mu=mu,
-                       residual=res, iterations=its, method=method)
+                       residual=res, iterations=its, method=method,
+                       initial_residual=first)
 
 
 def _seed_field(mu: float, spec: KernelSpec, n: int) -> AngleField:
@@ -435,12 +446,57 @@ def _seed_field(mu: float, spec: KernelSpec, n: int) -> AngleField:
     return AngleField(grid, values=values)
 
 
+# how far past mu1 (in mu - mu1) Newton converges from _seed_field, measured
+# at n = 512: the deep-water series at 5.5 but not at 5.75, the
+# finite-depth sine at 35 but not at 40 (h/lambda from 0.05 to 2)
+SERIES_SEED_REACH = 5.5
+SINE_SEED_REACH = 35.0
+# the warm-start ladder: mu1 + LADDER_START, then geometric in mu - mu1
+LADDER_START = 0.3
+LADDER_RATIO = 1.6
+
+
+def _warm_start_ladder(mu1: float, mu: float) -> list[float]:
+    """Rungs toward mu from the bifurcation point mu1: mu1 + s for
+    s = LADDER_START, then s times LADDER_RATIO for as long as that stays
+    below mu - mu1.  Jumping straight to a large mu from the local seed
+    lands in the basin of the trivial solution or breaks down, while each
+    rung's solution is a good guess for the next."""
+    start = mu1 + LADDER_START
+    rungs = [start]
+    s, s_max = start - mu1, mu - mu1
+    while s * LADDER_RATIO < s_max:
+        s *= LADDER_RATIO
+        rungs.append(mu1 + s)
+    return rungs
+
+
+def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float,
+                  method: str = "newton") -> AngleField:
+    """The field a seeded solve at mu starts from, on n points: the seed at
+    mu within its reach (SERIES_SEED_REACH on deep water, SINE_SEED_REACH
+    at finite depth, in mu - mu1); past it, the solution at the top rung of
+    _warm_start_ladder, climbed from the seed at its foot with n/2 kernel
+    modes.  Raises ValueError unless mu exceeds the bifurcation point."""
+    mu1 = float(characteristic_values(spec, 1)[0])
+    reach = SERIES_SEED_REACH if spec.is_infinite else SINE_SEED_REACH
+    if not mu - mu1 > reach:
+        return _seed_field(mu, spec, n)
+    rungs = _warm_start_ladder(mu1, mu)
+    field = _seed_field(rungs[0], spec, n)
+    for rung in rungs:
+        field = solve(rung, field, method=method, tol=tol, spec=spec.with_modes(n // 2)).field
+    return field
+
+
 def solve_seeded(mu: float, spec: KernelSpec = DEEP, n: int = 512,
                  tol: float = 1e-12, method: str = "newton") -> SolveResult:
     """Seed at mu from the small-amplitude expansion and solve on n points
-    with n/2 kernel modes.  Raises ValueError unless mu exceeds the
-    bifurcation point of the kernel."""
-    return solve(mu, _seed_field(mu, spec, n), method=method, tol=tol,
+    with n/2 kernel modes; past the seed's reach the guess comes from the
+    warm-start ladder instead (_seeded_guess).  Raises ValueError unless mu
+    is finite and exceeds the bifurcation point of the kernel."""
+    _check_mu_tol(mu, tol)
+    return solve(mu, _seeded_guess(mu, spec, n, tol, method), method=method, tol=tol,
                  spec=spec.with_modes(n // 2))
 
 
@@ -470,12 +526,12 @@ def solve_system(mu: float, initial: SystemState | None = None,
     NEWTON_MAX_ITER iterations; a trial with Psi <= 0 on (0, pi] breaks down.
     Psi is advanced through its own Volterra equation, not through the
     closed form 1/(1 + mu*I), which only seeds it and is a cross-check
-    identity.  Without initial, Phi is seeded by _seed_field as in
+    identity.  Without initial, Phi starts from _seeded_guess as in
     solve_seeded, so mu must exceed the bifurcation point.
     """
     _check_mu_tol(mu, tol)
     if initial is None:
-        phi0 = _seed_field(mu, DEEP if spec is None else spec, n)
+        phi0 = _seeded_guess(mu, DEEP if spec is None else spec, n, tol)
         initial = SystemState(phi0, 1.0 / (1.0 + mu * inner_accumulate(phi0)))
     elif not (np.isfinite(initial.phi.values).all() and np.isfinite(initial.psi).all()):
         raise ValueError("the initial state has non-finite values")

@@ -82,6 +82,20 @@ class TestSolveAndProfile:
         assert run(tmp_path, "profile", "--mu", "2.5", "--n", "128") == 0
         assert "subcritical" in capsys.readouterr().err
 
+    def test_solve_past_the_seed_reach(self, tmp_path, capsys):
+        # the series seed alone breaks down at mu = 10; the warm-start
+        # ladder reaches it, and n = 512 resolves it
+        assert run(tmp_path, "solve", "--mu", "10", "--format", "json") == 0
+        data = json.loads((tmp_path / "solution.json").read_text())
+        assert data["metadata"]["residual"] <= 1e-12
+        assert "unresolved" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "profile"])
+    def test_unresolved_solution_warns(self, tmp_path, capsys, command):
+        # the crest layer at mu = 100 needs n = 2048
+        assert run(tmp_path, command, "--mu", "100") == 0
+        assert "warning: unresolved on n=512" in capsys.readouterr().err
+
     def test_negative_mu_is_validation_error(self, tmp_path):
         assert run(tmp_path, "solve", "--mu", "-3.0") == 2
 

@@ -194,9 +194,69 @@ class TestPredictor:
         for p in small_branch:
             assert p.iterations >= 0
             assert p.tail == p.field.spectral_tail(band=p.n // 2) <= continuation.TAIL_THRESHOLD
+            assert p.guess_residual > p.residual
+        in_memory = {"iterations", "tail", "guess_residual"}
         payload = io.branch_payload(small_branch, "test")
-        assert not {"iterations", "tail"} & set(payload["points"][0])
-        assert not {"iterations", "tail"} & set(io.branch_columns(small_branch))
+        assert not in_memory & set(payload["points"][0])
+        assert not in_memory & set(io.branch_columns(small_branch))
+
+
+@pytest.fixture(scope="module")
+def branch_1e3():
+    return nk.trace_branch(3.01, 1e3)
+
+
+class TestSelfSimilarPredictor:
+    """From SELF_SIMILAR_START on, a geometric step's guess adds the last
+    geometric step's predictor miss, stretched to the new crest scale."""
+
+    @staticmethod
+    def _wave(theta):
+        return np.sin(3.0 * theta) + 0.2 * np.sin(7.0 * theta)
+
+    def test_stretch_is_the_identity_at_ratio_one(self):
+        values = np.random.default_rng(5).standard_normal(1023)
+        out = continuation._stretch(values, 1.0, 1024)
+        assert out.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("ratio", [1.25, 1.17])
+    def test_stretch_across_grids_and_past_pi(self, ratio):
+        # from grid 1024 to grid 2048; ratio * theta passes pi, where the
+        # stencil reads the odd extension
+        values = self._wave(nk.get_grid(1024).theta)
+        theta = nk.get_grid(2048).theta
+        assert (ratio * theta).max() > np.pi
+        out = continuation._stretch(values, ratio, 2048)
+        assert np.abs(out - self._wave(ratio * theta)).max() <= 2e-9
+
+    def test_corrected_guesses_beat_the_plain_ones(self, branch_1e3):
+        points = branch_1e3.points
+        gains = []
+        for i, p in enumerate(points):
+            if p.mu >= continuation.SELF_SIMILAR_START:
+                plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu)
+                op = get_operator(plain.n, nk.DEEP.with_modes(plain.n // 2))
+                gains.append(op.residual(plain.values, p.mu) / p.guess_residual)
+        # every full step gains at least 20x; the last step, clipped at
+        # mu_end, has other node ratios than the step it corrects from
+        *full, clipped = gains
+        assert len(full) >= 10 and min(full) >= 20.0
+        assert points[-1].mu == 1e3 < 1.25 * points[-2].mu and clipped > 1.0
+
+    def test_points_below_the_gate_are_the_plain_predictors(self, branch_1e3, monkeypatch):
+        gate = continuation.SELF_SIMILAR_START
+        monkeypatch.setattr(continuation, "SELF_SIMILAR_START", math.inf)
+        plain = nk.trace_branch(3.01, 1e3)
+        assert plain.mus.tolist() == branch_1e3.mus.tolist()
+        for p, q in zip(plain, branch_1e3):
+            assert p.n == q.n
+            if q.mu < gate:
+                assert p.field.values.tobytes() == q.field.values.tobytes()
+                assert (p.residual, p.sup_norm, p.iterations) == \
+                    (q.residual, q.sup_norm, q.iterations)
+            else:
+                assert q.sup_norm == pytest.approx(p.sup_norm, rel=1e-12)
+                assert q.residual <= branch_1e3.tol
 
 
 class TestConeMembership:

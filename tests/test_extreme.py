@@ -10,8 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
 from nekrasov import _graded
-from nekrasov._graded import _DYADIC_LEVELS, GradedCollocation, kernel_q
+from nekrasov._graded import _DYADIC_LEVELS, GradedCollocation
 from nekrasov.extreme import crest_jump, extreme_record_from_field
+
+
+def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Q(theta, tau) = 2 K(theta, tau) / tau for the deep-water kernel K, the
+    reference for the graded weights; tau must avoid 0, and theta = +-tau
+    raises SingularEvaluationError."""
+    return 2.0 * nk.kernel_deep_closed(theta, tau) / tau
 
 
 class TestGrantNumber:

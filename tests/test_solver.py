@@ -252,6 +252,44 @@ class TestSolveSeeded:
         assert result.residual == reference.residual
         assert result.iterations == reference.iterations
 
+    @pytest.mark.parametrize("mu", [8.75, 10.0])
+    def test_climbs_the_ladder_past_the_seed_reach(self, mu):
+        # straight from the series seed, Newton diverges at 8.75 and the
+        # seed breaks down at 10
+        result = nk.solve_seeded(mu)
+        point = nk.trace_branch(3.01, mu).points[-1]
+        assert (point.mu, point.n) == (mu, 512)
+        assert result.residual <= 1e-12
+        assert np.abs(result.field.values - point.field.values).max() <= 1e-10
+
+    @pytest.mark.parametrize("depth", [np.inf, 0.5])
+    def test_seed_reach_keeps_the_direct_path(self, depth):
+        spec = nk.KernelSpec(depth_ratio=depth)
+        mu1 = float(nk.characteristic_values(spec, 1)[0])
+        reach = _solver.SERIES_SEED_REACH if spec.is_infinite else _solver.SINE_SEED_REACH
+        mu = mu1 + reach
+        reference = nk.solve(mu, _solver._seed_field(mu, spec, 512), spec=spec.with_modes(256))
+        result = nk.solve_seeded(mu, spec)
+        assert result.field.values.tobytes() == reference.field.values.tobytes()
+        assert result.iterations == reference.iterations
+
+    @pytest.mark.parametrize("mu", [np.inf, np.nan])
+    def test_non_finite_mu_is_rejected_before_any_work(self, mu, monkeypatch):
+        # mu = inf would otherwise climb a ladder without end
+        monkeypatch.setattr(_solver, "_seed_field", None)
+        with pytest.raises(ValueError, match="finite"):
+            nk.solve_seeded(mu)
+
+    def test_ladder_is_the_sequence_ladder(self):
+        # the reference loop that fixes solve_sequence's rungs and outputs
+        mu1, s = 3.0, 0.3
+        expected = [mu1 + s]
+        s = expected[0] - mu1
+        while s * 1.6 < 30000.0 - mu1:
+            s *= 1.6
+            expected.append(mu1 + s)
+        assert _solver._warm_start_ladder(mu1, 30000.0) == expected
+
     @pytest.mark.parametrize("depth", [np.inf, 0.5])
     def test_rejects_bifurcation_point(self, depth):
         spec = nk.KernelSpec(depth_ratio=depth)
@@ -288,6 +326,15 @@ class TestEvaluationCounts:
         calls = count_applies(monkeypatch)
         result = nk.solve(3.3, init, method="fixed_point", tol=1e-11)
         assert len(calls) == result.iterations + 1 == 181
+
+    @pytest.mark.parametrize("method", ["newton", "fixed_point"])
+    def test_initial_residual_is_the_first_evaluation(self, method):
+        grid = nk.get_grid(256)
+        init = nk.AngleField(grid, values=0.3 / 9.0 * np.sin(grid.theta))
+        op = _solver.get_operator(256, nk.KernelSpec(n_modes=128))
+        expected = op.residual(init.values, 3.3)
+        result = nk.solve(3.3, init, method=method, tol=1e-11)
+        assert result.initial_residual == expected > result.residual
 
 
 class TestNewtonDriver:
@@ -460,7 +507,7 @@ class TestSolveSystem:
         state = nk.solve_system(3.2, tol=1e-11, n=256)
         assert state.psi[0] == 1.0
 
-    @pytest.mark.parametrize("mu", [3.05, 3.2, 4.0, 5.0])
+    @pytest.mark.parametrize("mu", [3.05, 3.2, 4.0, 5.0, 10.0])
     def test_equivalence_with_single_equation(self, mu):
         state = nk.solve_system(mu, tol=1e-12, n=512)
         single = solved_field(mu, n=512)
