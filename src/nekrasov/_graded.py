@@ -23,8 +23,19 @@ Chebyshev nodes per cluster: N^2/2 log1p in all and one small matrix product
 per cluster, against 10 N^2 log1p for the Gauss rule at every pair.  The
 near field, a share of the (row, element) pairs that shrinks like 1/N (28%
 at N = 600, 7% at N = 2400 for grading 3), takes the 10-point Gauss rule
-node by node, and the 2(N-1) near-singular (element, endpoint row) pairs
-take one batched, dyadically refined pass.
+node by node.  Two kinds of pair take one batched, dyadically refined pass
+instead: an element and the row at either of its ends, where Q has its log
+singularity, and an element that is steep next to a row's node, wider than
+_STEEP times its gap to it, where the plain Gauss rule would be off by up
+to 2.6e-8 of the row maximum (N = 120, grading 4.5).  The pass splits -log s
+off the singular pairs' innermost panel and integrates it by a product rule
+(_log_weights), so it uses 40 nodes for most singular pairs and at most 100
+at grading 4.5, 150 per row in all; plain dyadic panels down to rounding
+would need 500 per singular pair.
+
+Cold-process medians of 7 on a 2-vCPU Xeon (numpy 2.4.6, one BLAS thread),
+at N = 600 / 1200 / 2400 and grading 3: the refined pass takes 3.9 / 7.3 /
+11.8 ms, and the rest of the assembly 24 / 46 / 114 ms.
 """
 
 from __future__ import annotations
@@ -35,10 +46,11 @@ import numpy as np
 
 from .solver import BreakdownError, JacobianOperator, _krylov_step, _newton
 
-# Gauss-Legendre points per panel and dyadic refinement levels toward a
-# collocation node on the two elements that carry its log singularity
+# Gauss-Legendre points per panel
 _GAUSS_ORDER = 10
-_DYADIC_LEVELS = 50
+# A (row, element) pair whose element is wider than _STEEP times its distance
+# to the row's node takes dyadic panels toward that node
+_STEEP = 0.8
 # The node-by-node parts of the weight assembly work on blocks of at most
 # _BLOCK_ENTRIES float64 values (512 KB, so a block stays in cache)
 _BLOCK_ENTRIES = 1 << 16
@@ -53,6 +65,29 @@ _FAR_DISTANCE = 2.0
 def _gauss_rule(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w
+
+
+def _log_weights(g: np.ndarray, gw: np.ndarray) -> np.ndarray:
+    """Weights w_k at the Gauss nodes g_k on [0, 1] with sum_k w_k p(g_k) =
+    Int_0^1 -log(s) p(s) ds for every polynomial p of degree below g.size.
+
+    In the shifted Legendre basis P_j(2s - 1), p has the coefficients
+    c_j = (2j + 1) sum_k gw_k P_j(2 g_k - 1) p(g_k), since the Gauss rule is
+    exact for the products, and the log moments are mu_0 = 1 and
+    mu_j = (-1)^j / (j (j + 1)), so w_k = gw_k sum_j (2j + 1) mu_j P_j(2 g_k - 1).
+    """
+    j = np.arange(1, g.size)
+    moments = np.concatenate(([1.0], (-1.0) ** j / (j * (j + 1.0))))
+    basis = np.polynomial.legendre.legvander(2.0 * g - 1.0, g.size - 1)
+    return gw * (basis @ ((2 * np.arange(g.size) + 1) * moments))
+
+
+def _dyadic_rule(g: np.ndarray, gw: np.ndarray, levels: int):
+    """Nodes and weights on [0, 1] of the Gauss rule on each of the panels
+    [0, 2^-levels], [2^-levels, 2^(1 - levels)], ..., [1/2, 1]."""
+    ends = np.concatenate(([0.0], 2.0 ** np.arange(-levels, 1)))
+    width = np.diff(ends)
+    return (ends[:-1, None] + width[:, None] * g).ravel(), (width[:, None] * gw).ravel()
 
 
 def _cluster_moments(x: np.ndarray, y: np.ndarray, bary: np.ndarray,
@@ -96,10 +131,40 @@ class GradedCollocation:
 
     # -- quadrature weights -------------------------------------------------------
 
-    def _regular_weights(self) -> np.ndarray:
+    def _refined_pairs(self) -> list:
+        """The (row, element) pairs of the refined pass, as a list of
+        (side, rows, elements, gaps): side is +1 for elements right of the
+        row's node and -1 for those left of it, and gap is the distance from
+        the node to the element's near end.
+
+        The first entry on each side holds the element that ends at the node
+        (gap 0, the log singularity).  The further entries, one per offset,
+        hold the steep pairs, whose element is wider than _STEEP times its
+        gap.  The search stops at the first offset with no steep pair; on the
+        power mesh, gradings 0.1 to 8, that leaves none out.
+        """
+        n, tau, h = self.n, self.tau, self.widths
+        node = np.arange(1, n)  # row r holds tau_{r+1}
+        pairs = []
+        for side in (1, -1):
+            offset = 0
+            while True:
+                elem = node + offset if side > 0 else node - 1 - offset
+                row = np.flatnonzero((elem >= 0) & (elem < n))
+                elem = elem[row]
+                gap = side * (tau[elem + (side < 0)] - tau[row + 1])
+                if offset:
+                    steep = h[elem] > _STEEP * gap
+                    if not steep.any():
+                        break
+                    row, elem, gap = row[steep], elem[steep], gap[steep]
+                pairs.append((side, row, elem, gap))
+                offset += 1
+        return pairs
+
+    def _regular_weights(self, pairs: list) -> np.ndarray:
         """W from the 10-point Gauss rule on every element, interpolated in
-        the far field, with zeros for the two rows at the element's
-        endpoints.
+        the far field, with zeros for the refined pairs.
 
         For theta = tau_i and a point x,
 
@@ -115,18 +180,25 @@ class GradedCollocation:
         rho^-16 ~ 1e-16 of Q), and the far rows of the cluster take
 
             W[rows, cluster columns] += F @ M,
-            F[r, k] = Q(theta_r, y_k),
+            F[r, k] = Q(theta_r, y_k) = log1p(2 min(a, b) / |a - b|) / (3 pi y_k),
             M[k, j] = Gauss rule of l_k times hat j over the cluster,
 
-        with l_k the Lagrange basis at the y_k.  The far rows are at most two
-        runs, below and above the cluster.  The near rows, within a few
-        cluster lengths, take the Gauss rule node by node, with theta - x
-        split as (theta - tau_j) - h_j g so that it keeps its relative
-        precision next to the element, in blocks of at most _BLOCK_ENTRIES
-        values.
+        with l_k the Lagrange basis at the y_k, a = 2 sin(theta/2) cos(y/2)
+        and b = 2 cos(theta/2) sin(y/2): 2m = min(a, b) and a - b =
+        2 sin((theta - y)/2), so F takes no sine of its own.  The far rows lie
+        at least 2L from y, so the subtraction loses at most about a digit.
+        They are at most two runs, below and above the cluster.  The near
+        rows, within a few cluster lengths, take the Gauss rule node by node,
+        with theta - x split as (theta - tau_j) - h_j g so that it keeps its
+        relative precision next to the element, in blocks of at most
+        _BLOCK_ENTRIES values.
         """
         n, tau, h = self.n, self.tau, self.widths
         g, gw = self.gauss
+        refined_row = np.concatenate([row for _, row, _, _ in pairs])
+        refined_elem = np.concatenate([elem for _, _, elem, _ in pairs])
+        order = np.argsort(refined_elem, kind="stable")
+        refined_row, refined_elem = refined_row[order], refined_elem[order]
         rows = tau[1:n]
         sin_row, cos_row = 2.0 * np.sin(0.5 * rows), 2.0 * np.cos(0.5 * rows)
         x = tau[:-1, None] + h[:, None] * g  # (element, node)
@@ -155,12 +227,19 @@ class GradedCollocation:
                 moments = _cluster_moments(x[e], y, bary, hats[e])
                 sin_y, cos_y = np.sin(0.5 * y), np.cos(0.5 * y)
                 for r in (slice(lo, mid), slice(hi, n - 1)):
-                    f = np.minimum(sin_row[r, None] * cos_y, cos_row[r, None] * sin_y)
-                    f /= np.abs(np.sin(0.5 * (rows[r, None] - y)))
+                    a = sin_row[r, None] * cos_y
+                    b = cos_row[r, None] * sin_y
+                    f = np.minimum(a, b)
+                    a -= b
+                    np.abs(a, out=a)
+                    f /= a
+                    f += f
                     np.log1p(f, out=f)
                     f /= 3.0 * np.pi * y
                     w[r, c0:c1 + 1] += f @ moments
             step = max(1, _BLOCK_ENTRIES // ((c1 - c0) * g.size))
+            s0, s1 = np.searchsorted(refined_elem, (c0, c1))
+            skip_row, skip_elem = refined_row[s0:s1], refined_elem[s0:s1] - c0
             for r0, r1 in ((0, lo), (mid, hi)):
                 for start in range(r0, r1, step):
                     r = slice(start, min(start + step, r1))
@@ -169,66 +248,101 @@ class GradedCollocation:
                     arg = np.minimum(sin_row[r] * cos_x[e, :, None],
                                      cos_row[r] * sin_x[e, :, None])
                     arg /= np.abs(sin_a * cos_b[e, :, None] - cos_a * sin_b[e, :, None])
-                    # row j - 1 holds tau_j and row j tau_{j+1}: element j's ends
-                    for shift in (1, 0):
-                        j = np.arange(max(c0, r.start + shift), min(c1, r.stop + shift))
-                        arg[j - c0, :, j - shift - r.start] = 0.0
+                    hit = (skip_row >= r.start) & (skip_row < r.stop)
+                    arg[skip_elem[hit], :, skip_row[hit] - r.start] = 0.0
                     np.log1p(arg, out=arg)
                     terms = np.einsum("emr,esm->esr", arg, near_hats[e])
                     w[r, e] += terms[:, 0].T
                     w[r, c0 + 1:c1 + 1] += terms[:, 1].T
         return w
 
-    def _add_near_singular(self, w: np.ndarray) -> None:
-        """Add the dyadically refined rule for the row at each endpoint of
-        each element, in blocks of (element, row) pairs.
+    def _add_near_singular(self, w: np.ndarray, pairs: list) -> None:
+        """Add the dyadically refined rule for the refined pairs, in blocks
+        of pairs that share a side and a number of levels L.
 
-        The rule has _DYADIC_LEVELS panels, halving toward the singular end
-        theta, and places each node x = theta +- d by the exact fraction d/h
-        of the element width h; the hats are d/h and 1 - d/h.  In the log1p
-        form of _regular_weights, m is sin(theta/2) cos(x/2) for x > theta
-        and cos(theta/2) sin(x/2) for x < theta, so
+        The panels halve toward the element's near end, down to an innermost
+        panel [0, delta] with delta = 2^-L h, and each node x lies at the
+        exact fraction lam of the element width h from that end, at distance
+        D = gap + lam h from theta.  In the log1p form of _regular_weights,
+        3 pi x Q = log1p(2m / sin(D/2)) with
 
-            3 pi x Q = log1p(2m / sin(d/2))
-                     = log1p(sin(theta) / tan(d/2) - 2 sin^2(theta/2))  (x > theta)
-                     = log1p(sin(theta) / tan(d/2) - 2 cos^2(theta/2))  (x < theta),
+            2m / sin(D/2) = sin(theta) / tan(D/2) - 2 sin^2(theta/2)     (x > theta),
+                          = 2 cos(theta/2) sin(x/2) / sin(D/2)           (x < theta),
 
-        and the singular factor keeps its relative precision at every level.
+        the first from cos(x/2) = cos((theta + D)/2), which the rounded x
+        would lose next to pi, and the second with x measured from the
+        element's left end, which keeps it relative to x on element 0.
+
+        A steep pair takes L = ceil(log2(2 h / gap)) + 1, so every panel is
+        at least its own width from theta, and the plain Gauss rule on each:
+        30 or 40 nodes.  A pair whose element ends at theta (gap 0) takes
+        L = max(3, ceil(log2(16 h / theta))), so delta <= theta/16 and
+        delta <= h/8.  With d = delta s on the innermost panel,
+
+            3 pi x Q = -log d + log sin(theta +- d/2) - log(sin(d/2) / d)
+                     = -log s + log(s (1 + 2m / sin(d/2))),
+
+        whose second part is smooth on the panel: its singular points, and
+        the pole of 1/x, lie at least 15 delta beyond it.  It takes the Gauss
+        rule, and -log s times the smooth rest the product rule _log_weights
+        at the same nodes, exact for -log s times a polynomial of degree 9.
+        L = 3, or 40 nodes, serves all but the first few rows; the steepest
+        pair, row 0 with the element right of it, takes 80 nodes at grading
+        3 and 100 at grading 4.5.
         """
-        n, tau, h = self.n, self.tau, self.widths
+        tau, h = self.tau, self.widths
         g, gw = self.gauss
-        frac = np.concatenate(([0.0], 2.0 ** np.arange(1 - _DYADIC_LEVELS, 1)))
-        lam = (frac[:-1, None] + np.diff(frac)[:, None] * g).ravel()  # d / h
-        mass = (np.diff(frac)[:, None] * gw).ravel()  # Gauss weights / h
-        hats = np.stack((1.0 - lam, lam), axis=1)  # at theta, at the other end
-        # row k holds tau_{k+1}: the right end of element k, the left of k + 1
-        row = np.tile(np.arange(n - 1), 2)
-        elem = row + np.repeat([0, 1], n - 1)
-        toward_b = elem == row
-        per_block = max(1, _BLOCK_ENTRIES // lam.size)
-        for start in range(0, row.size, per_block):
-            p = slice(start, start + per_block)
-            theta, width, flip = tau[row[p] + 1, None], h[elem[p], None], toward_b[p]
-            sin_t, cos_t = np.sin(0.5 * theta), np.cos(0.5 * theta)
-            d = width * lam
-            q = np.tan(0.5 * d)
-            np.divide(2.0 * sin_t * cos_t, q, out=q)
-            q -= np.where(flip[:, None], 2.0 * cos_t**2, 2.0 * sin_t**2)
-            np.log1p(q, out=q)
-            q *= width * mass / (3.0 * np.pi * np.where(flip[:, None], theta - d, theta + d))
-            at_theta, other = (q @ hats).T
-            w[row[p], elem[p]] += np.where(flip, other, at_theta)
-            w[row[p], elem[p] + 1] += np.where(flip, at_theta, other)
+        log_w = _log_weights(g, gw)
+        for side, row, elem, gap in pairs:
+            theta, width = tau[row + 1], h[elem]
+            singular = not gap.any()
+            if singular:
+                levels = np.maximum(3, np.ceil(np.log2(16.0 * width / theta)))
+            else:
+                levels = np.ceil(np.log2(2.0 * width / gap)) + 1
+            for level in np.unique(levels).astype(int):
+                group = np.flatnonzero(levels == level)
+                lam, mass = _dyadic_rule(g, gw, level)
+                frac = lam if side > 0 else 1.0 - lam  # from the element's left end
+                hats = np.stack((1.0 - frac, frac), axis=1)
+                log_mass = np.zeros(lam.size)
+                if singular:
+                    log_mass[:g.size] = 2.0 ** -level * log_w
+                per_block = max(1, _BLOCK_ENTRIES // lam.size)
+                for start in range(0, group.size, per_block):
+                    p = group[start:start + per_block]
+                    t, b = theta[p, None], width[p, None]
+                    x = tau[elem[p], None] + b * frac
+                    half_d = 0.5 * (gap[p, None] + b * lam)
+                    if side > 0:
+                        q = np.sin(t) / np.tan(half_d) - 2.0 * np.sin(0.5 * t) ** 2
+                    else:
+                        q = np.cos(0.5 * t) * np.sin(0.5 * x) / (0.5 * np.sin(half_d))
+                    if singular:
+                        inner = q[:, :g.size]
+                        inner += 1.0
+                        inner *= g
+                        np.log(inner, out=inner)
+                        np.log1p(q[:, g.size:], out=q[:, g.size:])
+                    else:
+                        np.log1p(q, out=q)
+                    q *= mass
+                    q += log_mass
+                    q *= b / (3.0 * np.pi * x)
+                    left, right = (q @ hats).T
+                    w[row[p], elem[p]] += left
+                    w[row[p], elem[p] + 1] += right
 
     @property
     def weights(self) -> np.ndarray:
         """W[i, j] with Phi(theta_i) = sum_j W[i, j] rho(tau_j), built once
-        and read-only; the rows at an element's endpoints, where the log
-        singularity sits, take a dyadically refined rule there instead of
-        the plain Gauss rule."""
+        and read-only; the pairs of a row and an element that ends at the
+        row's node, or that is steep next to it, take a dyadically refined
+        rule instead of the plain Gauss rule."""
         if self._weights is None:
-            w = self._regular_weights()
-            self._add_near_singular(w)
+            pairs = self._refined_pairs()
+            w = self._regular_weights(pairs)
+            self._add_near_singular(w, pairs)
             w.setflags(write=False)
             self._weights = w
         return self._weights

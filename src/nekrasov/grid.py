@@ -26,6 +26,10 @@ input), DST-I took 0.20 / 0.65 / 1.66 / 4.1-5.1 ms at n = 16384 / 32768 /
 65536 / 131072 as one call, and 0.18 / 0.32 / 0.72 / 1.54 ms split;
 DCT-I is within a few percent of DST-I.  At n = 8192 the split gains
 nothing.
+
+get_grid hands every caller the same SineGrid for a given n, and
+antiderivative_closed writes through that grid's one closed-grid scratch
+array, so a grid is safe for one thread at a time.
 """
 
 from __future__ import annotations
@@ -115,7 +119,8 @@ class SineGrid:
         closed grid so that the exact values at 0 and pi are available.
         With the half coefficients u_k = b_k / (2k) = DST-I(values)_k / (2nk)
         it is 2 sum u_k - DCT-I(0, u, 0): one scaling pass, written into a
-        reused closed-grid array.
+        reused closed-grid array.  That scratch array belongs to the grid, so
+        the grid is safe for one thread at a time.
         """
         u = self._closed[1:-1]
         np.multiply(_dst1(values), self._half_inv_nk, out=u)

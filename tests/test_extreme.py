@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
 from nekrasov import _graded
-from nekrasov._graded import _DYADIC_LEVELS, GradedCollocation
+from nekrasov._graded import GradedCollocation
 from nekrasov.extreme import crest_jump, extreme_record_from_field
 
 
@@ -110,19 +110,48 @@ class TestGradedCollocation:
         eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
         assert _far_field_error(eng, stride) <= 1e-15
 
-    @pytest.mark.parametrize("n_nodes, rows", [(600, (0, 1, 10, 300, 519, 598)),
-                                               (2400, (100, 1200, 2076, 2398))])
-    def test_near_singular_weights_match_exact_integrals(self, n_nodes, rows):
-        # W[i, i + 1] comes from the dyadic pass alone: its hat peaks at the
-        # row's own node tau_{i+1}, where Q is singular.  A rule on rounded
-        # nodes with 35-42 levels is off by up to 4.3e-13 of the row maximum
-        eng = GradedCollocation(n_nodes=n_nodes, grading=3.0)
+    def test_far_weights_near_pi_match_exact_integrals(self):
+        # each of the last 8 clusters at N = 2400: their far rows have the
+        # largest theta / |theta - y| (about 12), where a - b in the far
+        # kernel loses the most
+        eng = GradedCollocation(n_nodes=2400, grading=3.0)
+        assert _far_field_error(eng, 1, first_cluster=eng.n // _graded._CLUSTER - 8) <= 1e-15
+
+    @pytest.mark.parametrize("n_nodes, rows, grading", [
+        (600, (0, 1, 10, 300, 519, 598), 3.0), (2400, (100, 1200, 2076, 2398), 3.0),
+        (120, (0, 1, 118), 4.5)])
+    def test_near_singular_weights_match_exact_integrals(self, n_nodes, rows, grading):
+        # W[i, i + 1] comes from the refined pass alone: its hat peaks at the
+        # row's own node tau_{i+1}, where Q is singular.  Row 0 at grading 4.5
+        # takes the most dyadic levels
+        eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
         import mpmath
         with mpmath.workdps(30):
             for i in rows:
                 exact = _exact_weight(eng.tau, eng.tau[i + 1], i + 1, method="tanh-sinh")
                 row_max = np.abs(eng.weights[i]).max()
                 assert abs(eng.weights[i, i + 1] - exact) <= 1e-15 * row_max, i
+
+    @pytest.mark.parametrize("n_nodes, grading", [(120, 4.0), (120, 4.5), (600, 3.0)])
+    def test_steep_neighbour_weights_match_exact_integrals(self, n_nodes, grading):
+        # next to the crest an element can be several times wider than its
+        # distance to the row's node; the plain Gauss rule there is off by
+        # up to 2.6e-8 of the row maximum
+        eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
+        import mpmath
+        with mpmath.workdps(30):
+            for i in (0, 1, 2, 5):
+                row_max = np.abs(eng.weights[i]).max()
+                for j in range(i + 1, i + 8):
+                    exact = _exact_weight(eng.tau, eng.tau[i + 1], j, method="tanh-sinh")
+                    assert abs(eng.weights[i, j] - exact) <= 1e-15 * row_max, (i, j)
+
+    def test_log_weights_integrate_log_moments(self):
+        # Int_0^1 -log(s) s^j ds = 1 / (j + 1)^2
+        g, gw = _graded._gauss_rule(_graded._GAUSS_ORDER)
+        w = _graded._log_weights(g, gw)
+        for j in range(g.size):
+            assert abs(w @ g**j - 1.0 / (j + 1) ** 2) <= 1e-15, j
 
     @pytest.mark.parametrize("constant, value", [("_CHEB_NODES", 12), ("_FAR_DISTANCE", 1.0)])
     def test_far_field_check_rejects_coarser_settings(self, monkeypatch, constant, value):
@@ -242,8 +271,10 @@ def _trapz_matrix(tau):
 
 def _reference_weights(eng):
     """Reference: the per-element loop that assembled the weights before
-    they were blocked, with the plain Gauss rule on each element for all
-    rows and the dyadically refined rule assigned at its two endpoint rows."""
+    they were blocked, with the plain Gauss rule on each element for the
+    rows away from it, a dyadically refined rule at its two endpoint rows,
+    and dyadic panels toward its near end for the rows it is steep to: the
+    element is wider than _STEEP times its gap to the row's node."""
     n, tau = eng.n, eng.tau
     rows = tau[1:n]
     g, gw = eng.gauss
@@ -253,10 +284,9 @@ def _reference_weights(eng):
         lam_right = (nodes - a) / (b - a)
         return q @ (wts * (1.0 - lam_right)), q @ (wts * lam_right)
 
-    def refined_rule(a, b, toward_b):
+    def refined_rule(a, b, toward_b, levels):
+        # levels panels, halving toward a (or b)
         t = b - a
-        levels = min(_DYADIC_LEVELS,
-                     max(4, int(np.log2(t / (100.0 * np.finfo(float).eps * b)))))
         pts = np.array([0.0] + [t * 2.0 ** (k - levels) for k in range(1, levels + 1)])
         if toward_b:
             pts = t - pts[::-1]
@@ -272,24 +302,33 @@ def _reference_weights(eng):
         # row k holds theta_{k+1}: theta_j = a is row j - 1, theta_{j+1} = b row j
         for k, toward_b in ((j - 1, False), (j, True)):
             if 0 <= k < n - 1:
-                new_l, new_r = contribution(rows[k:k + 1], a, b, *refined_rule(a, b, toward_b))
+                levels = min(50, max(4, int(np.log2((b - a) / (100.0 * np.finfo(float).eps * b)))))
+                new_l, new_r = contribution(rows[k:k + 1], a, b,
+                                            *refined_rule(a, b, toward_b, levels))
                 left[k], right[k] = new_l[0], new_r[0]
+        gap = np.maximum(a - rows, rows - b)
+        for k in np.flatnonzero((gap > 0) & (b - a > _graded._STEEP * gap)):
+            # L = ceil(log2(2 h / gap)) + 1 dyadic levels are L + 1 panels
+            levels = int(np.ceil(np.log2(2.0 * (b - a) / gap[k]))) + 2
+            new_l, new_r = contribution(rows[k:k + 1], a, b,
+                                        *refined_rule(a, b, rows[k] > b, levels))
+            left[k], right[k] = new_l[0], new_r[0]
         w[:, j] += left
         w[:, j + 1] += right
     return w
 
 
-def _far_field_error(eng, stride):
+def _far_field_error(eng, stride, first_cluster=0):
     """Largest |W[i, j] - exact| / max|W[i]| over far entries of W, against
     30-digit mpmath integrals of Q times the hat functions.  At every
-    stride-th cluster the nearest far row on each side is sampled, at three
-    columns whose elements both lie in the cluster."""
+    stride-th cluster from first_cluster on, the nearest far row on each side
+    is sampled, at three columns whose elements both lie in the cluster."""
     import mpmath
     n, tau = eng.n, eng.tau
     rows = tau[1:n]
     worst = 0.0
     with mpmath.workdps(30):
-        for c0 in range(0, n, stride * _graded._CLUSTER):
+        for c0 in range(first_cluster * _graded._CLUSTER, n, stride * _graded._CLUSTER):
             c1 = min(c0 + _graded._CLUSTER, n)
             reach = _graded._FAR_DISTANCE * (tau[c1] - tau[c0])
             far = ((np.abs(rows - np.clip(rows, tau[c0], tau[c1])) >= reach)
