@@ -27,7 +27,7 @@ from .profile import (GeometryWarning, ReconstructionError, WaveProfile,
                       profile_from_map_coefficients, reconstruct_R,
                       reconstruct_profile, surface_speed_ratio, wave_height)
 from .extreme import (ConvexityReport, ExtremeSolution, GrantFit,
-                      convexity_check, crest_jump, extreme_record_from_field,
+                      convexity_check, crest_jump, extreme_profile,
                       fit_asymptotics, grant_number, solve_extreme,
                       solve_sequence, stokes_limit, verify_constant_solution)
 
@@ -53,7 +53,7 @@ __all__ = [
     "profile_from_map_coefficients", "reconstruct_R", "reconstruct_profile",
     "surface_speed_ratio", "wave_height",
     "ConvexityReport", "ExtremeSolution", "GrantFit", "convexity_check",
-    "crest_jump", "extreme_record_from_field", "fit_asymptotics",
+    "crest_jump", "extreme_profile", "fit_asymptotics",
     "grant_number", "solve_extreme", "solve_sequence", "stokes_limit",
     "verify_constant_solution",
     "__version__",

@@ -105,6 +105,21 @@ def _cluster_moments(x: np.ndarray, y: np.ndarray, bary: np.ndarray,
     return moments
 
 
+def cumulative_trapezoid(widths: np.ndarray, s: np.ndarray,
+                         first_cell: float = 1.0) -> np.ndarray:
+    """Int_0^tau s at nodes 1..m from s at nodes 1..m, on cells of the given
+    widths (widths[0] = tau_1, m <= widths.size).
+
+    The first cell is first_cell * tau_1 * s(tau_1): 1 treats s as constant
+    there (the crest limit is extrapolated from the first node), 1.5 is
+    exact for s ~ tau^(-1/3).
+    """
+    cells = np.empty(s.size)
+    cells[0] = first_cell * widths[0] * s[0]
+    cells[1:] = 0.5 * widths[1:s.size] * (s[:-1] + s[1:])
+    return np.cumsum(cells)
+
+
 @dataclass
 class GradedSolution:
     theta: np.ndarray      # nodes, including 0 and pi
@@ -347,22 +362,13 @@ class GradedCollocation:
             self._weights = w
         return self._weights
 
-    def cumulative_trapezoid(self, s: np.ndarray) -> np.ndarray:
-        """Int_0^tau s at nodes 1..m from s at nodes 1..m, m <= n.
-
-        The first cell treats s as constant at its tau_1 value, i.e. the
-        crest limit is extrapolated from the first node.
-        """
-        s_prev = np.concatenate((s[:1], s[:-1]))
-        return np.cumsum(0.5 * self.widths[:s.size] * (s_prev + s))
-
     # -- nonlinear solve ----------------------------------------------------------
 
     def _rho(self, phi_interior: np.ndarray, nu: float):
         """rho at all nodes and the pieces needed for the Jacobian."""
         n = self.n
         s = np.sin(np.concatenate((phi_interior, [0.0])))  # nodes 1..n
-        denom = nu + self.cumulative_trapezoid(s)
+        denom = nu + cumulative_trapezoid(self.widths, s)
         if denom.min() <= 0.0:
             raise BreakdownError("denominator lost positivity on the graded mesh")
         rho = np.empty(n + 1)
@@ -388,7 +394,7 @@ class GradedCollocation:
         w_in = self.weights[:, 1:n]
 
         def matvec(v):
-            inner = self.cumulative_trapezoid(cos_phi * v)
+            inner = cumulative_trapezoid(self.widths, cos_phi * v)
             return v - w_in @ (a * v - b * inner)
 
         return JacobianOperator((n - 1, n - 1), matvec)

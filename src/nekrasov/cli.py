@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io as _io
-from .continuation import N_MAX, TAIL_THRESHOLD, StepPolicy, _tail, trace_branch
-from .extreme import convexity_check, crest_jump, solve_extreme, solve_sequence
+from .continuation import TAIL_THRESHOLD, StepPolicy, _tail, trace_branch
+from .extreme import convexity_check, crest_jump, extreme_profile, solve_extreme
 from .grid import AngleField, get_grid
 from .kernel import KernelSpec, characteristic_values
 from .profile import reconstruct_profile
@@ -132,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("extreme", help="extreme-wave limit and crest diagnostics")
-    p.add_argument("--strategy", choices=("sequence", "direct"), default="sequence")
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the invariant suite")
@@ -279,18 +278,9 @@ def cmd_extreme(args) -> int:
     spec = _spec_from(args)
     if not spec.is_infinite:
         raise ValidationError("the extreme limit is computed on deep water")
-    sol = solve_extreme(strategy=args.strategy, n_start=args.n)
-    # convexity is judged on a near-extreme finite-mu representative: the
-    # sequence's own final field, or a mu = 3000 solve for the direct route
-    if sol.strategy == "sequence":
-        convex_mu = max(sol.mu_sequence)
-        convex_field = sol.field
-    else:
-        result, _ = solve_sequence(spec, (3000.0,), args.tol, args.n, N_MAX)
-        convex_mu = 3000.0
-        convex_field = result.field
-    convexity = convexity_check(reconstruct_profile(convex_field, convex_mu))
-    meta = _io.base_metadata(__version__, spec, n=args.n, strategy=sol.strategy)
+    sol = solve_extreme()
+    convexity = convexity_check(extreme_profile(sol))
+    meta = _io.base_metadata(__version__, spec, strategy="direct")
     report = {
         "metadata": meta,
         "crest_angle_estimate": sol.crest_angle_estimate,
@@ -299,7 +289,7 @@ def cmd_extreme(args) -> int:
         "C1": sol.grant_fit.c1,
         "C2": sol.grant_fit.c2,
         "beta1": sol.grant_fit.beta1,
-        "convexity": {"convex": convexity.convex, "mu": convex_mu,
+        "convexity": {"convex": convexity.convex,
                       "max_violation": convexity.max_violation},
         "per_mu": sol.per_mu,
     }

@@ -1,23 +1,24 @@
-"""Extreme-wave limit: crest angle, Grant asymptotics, and convexity.
+"""Extreme-wave limit: crest angle, Grant asymptotics, profile and convexity.
 
 At the extreme wave the crest becomes a stagnation point and the tangent
 angle has a one-sided limit of pi/6 there (interior crest angle 2 pi/3).
 Approaching the crest, Phi* = pi/6 + C1 s^b1 + C2 s^(2 b1) + ... with the
-Grant exponent b1 ~ 0.802679, C1 < 0 and C2 > 0.  Two solution strategies
-are provided: a sequence of finite-mu spectral solves pushed to large mu,
-and direct collocation of the limiting equation on a crest-graded mesh.
+Grant exponent b1 ~ 0.802679, C1 < 0 and C2 > 0.  solve_extreme collocates
+the limiting equation (1/mu = 0) on a crest-graded mesh; extreme_profile
+integrates the free surface from that solution, on which convexity_check
+judges convexity between crests (Plotnikov & Toland, 2004).  solve_sequence
+climbs the finite-mu equation up a ladder of mu on refined uniform grids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from ._graded import GradedCollocation
-from .continuation import N_MAX, TAIL_THRESHOLD, StepPolicy, _converge_resolved, _tail
-from .grid import AngleField, get_grid
+from ._graded import GradedCollocation, cumulative_trapezoid
+from .continuation import TAIL_THRESHOLD, StepPolicy, _converge_resolved, _tail
 from .kernel import DEEP, KernelSpec, characteristic_values
 from .profile import WaveProfile
 from .solver import SolveResult, _seed_field, _warm_start_ladder
@@ -34,16 +35,12 @@ class GrantFit:
 
 @dataclass
 class ExtremeSolution:
-    """Extreme or near-extreme angle field with crest diagnostics.
+    """Extreme-wave angle field with crest diagnostics.
 
-    theta_samples/phi_samples carry the raw solution samples (graded nodes
-    for the direct strategy, dense evaluations for the mu-sequence); the
-    crest fits use these rather than the uniform-grid field.
+    theta_samples/phi_samples are the interior graded nodes and the angle
+    there, on which the crest fits and extreme_profile work.
     """
 
-    field: AngleField
-    strategy: str
-    mu_sequence: tuple[float, ...]
     theta_samples: np.ndarray
     phi_samples: np.ndarray
     crest_angle_estimate: float
@@ -101,23 +98,14 @@ def grant_number(tol: float = 1e-12) -> float:
 GRANT_BETA1 = grant_number(1e-14)
 
 
-def _default_window(sol: ExtremeSolution) -> tuple[float, float]:
-    if sol.strategy == "direct":
-        return (1e-5, 0.2)
-    # uniform grid: drop the 4 nodes nearest the crest and keep the lower
-    # edge above the finite-mu crest layer (width ~ 1/mu); the floor is the
-    # 4-point exclusion of the reference grid n = 512
-    spacing = 2.0 * np.pi / sol.field.n
-    return (max(4.0 * spacing, 4.0 * 2.0 * np.pi / 512), 0.3)
-
-
 def _grant_lstsq(sol: ExtremeSolution, window: tuple[float, float] | None,
                  intercept: bool):
     """Least squares of the crest samples in the window on the Grant basis
     s^b1, s^(2 b1): with an intercept, of Phi on (1, s^b1, s^(2 b1));
     without one, of Phi - pi/6.  Returns the window, design matrix,
-    right-hand side and coefficients."""
-    window = window or _default_window(sol)
+    right-hand side and coefficients.  The default window is theta in
+    [1e-5, 0.2]."""
+    window = window or (1e-5, 0.2)
     lo, hi = window
     mask = (sol.theta_samples >= lo) & (sol.theta_samples <= hi)
     if mask.sum() < 4:
@@ -152,7 +140,7 @@ def stokes_limit(sol: ExtremeSolution,
 
     Fits Phi ~ A + C1 s^b1 + C2 s^(2 b1) on the window and returns A.
     For the extreme wave A ~ pi/6 (the odd extension jumps by pi/3 across
-    the crest); smooth finite-mu solutions extrapolate to approximately 0.
+    the crest).
     """
     *_, coef = _grant_lstsq(sol, window, intercept=True)
     return float(coef[0])
@@ -161,24 +149,6 @@ def stokes_limit(sol: ExtremeSolution,
 def crest_jump(sol: ExtremeSolution) -> float:
     """Jump of the odd extension across theta = 0 (twice the crest limit)."""
     return 2.0 * stokes_limit(sol)
-
-
-def _crest_samples(field: AngleField) -> np.ndarray:
-    """Crest-fit sample points, geometric from the grid spacing (>= 1e-6) to 3."""
-    return np.geomspace(max(2.0 * np.pi / field.n, 1e-6), 3.0, 400)
-
-
-def extreme_record_from_field(field: AngleField, mu: float) -> ExtremeSolution:
-    """Wrap a finite-mu solution in an ExtremeSolution record so the crest
-    diagnostics (stokes_limit, fit_asymptotics) can be applied to it."""
-    theta = _crest_samples(field)
-    return ExtremeSolution(field=field, strategy="sequence",
-                           mu_sequence=(float(mu),), theta_samples=theta,
-                           phi_samples=field(theta),
-                           crest_angle_estimate=np.nan, grant_fit=None)
-
-
-DEFAULT_MU_SEQUENCE = (30.0, 300.0, 3000.0, 30000.0)
 
 
 def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
@@ -215,42 +185,64 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
     return result, per_mu
 
 
-def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "sequence",
-                  tol: float = 1e-11, n_start: int = 512,
-                  n_nodes: int = 600, grading: float = 3.0) -> ExtremeSolution:
-    """Compute the extreme-wave angle field.
+def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "direct",
+                  tol: float = 1e-11, n_nodes: int = 600,
+                  grading: float = 3.0) -> ExtremeSolution:
+    """Compute the extreme-wave angle field by collocating the limiting
+    equation (1/mu = 0) on a crest-graded mesh, where the quadrature in the
+    bounded density tau sin Phi / I sidesteps the loss of compactness at
+    the crest.
 
-    strategy "sequence": solve the finite-mu equation along
-    DEFAULT_MU_SEQUENCE, each grid refined (up to N_MAX) until the crest
-    layer is resolved, and take the last field as the near-extreme
-    representative.  strategy "direct": collocate the limiting equation
-    (1/mu = 0) on a crest-graded mesh, where the quadrature in the bounded
-    density tau sin Phi / I sidesteps the loss of compactness at the crest.
+    strategy accepts only "direct" (any other value raises ValueError); it
+    remains for the benchmark workload that passes it and goes with the
+    next change to the benchmark.
     """
     if not spec.is_infinite:
         raise ValueError("the extreme limit is computed on deep water")
-    if strategy == "sequence":
-        result, per_mu = solve_sequence(spec, DEFAULT_MU_SEQUENCE, tol, n_start, N_MAX)
-        sol = replace(extreme_record_from_field(result.field, result.mu),
-                      mu_sequence=DEFAULT_MU_SEQUENCE, per_mu=per_mu,
-                      residual=result.residual)
-    elif strategy == "direct":
-        engine = GradedCollocation(n_nodes=n_nodes, grading=grading)
-        graded = engine.solve_extreme(tol=tol)
-        phi = graded.phi[1:-1]
-        grid = get_grid(2048)
-        sol = ExtremeSolution(
-            field=AngleField(grid, values=np.interp(grid.theta, graded.theta, graded.phi)),
-            strategy="direct", mu_sequence=(math.inf,), theta_samples=graded.theta[1:-1],
-            phi_samples=phi, crest_angle_estimate=np.nan, grant_fit=None,
-            per_mu=[{"nu": graded.nu, "n_nodes": n_nodes, "residual": graded.residual,
-                     "sup_norm": float(np.abs(phi).max())}],
-            residual=graded.residual)
-    else:
+    if strategy != "direct":
         raise ValueError(f"unknown strategy {strategy!r}")
+    graded = GradedCollocation(n_nodes=n_nodes, grading=grading).solve_extreme(tol=tol)
+    phi = graded.phi[1:-1]
+    sol = ExtremeSolution(
+        theta_samples=graded.theta[1:-1], phi_samples=phi,
+        crest_angle_estimate=np.nan, grant_fit=None,
+        per_mu=[{"nu": graded.nu, "n_nodes": n_nodes, "residual": graded.residual,
+                 "sup_norm": float(np.abs(phi).max())}],
+        residual=graded.residual)
     sol.crest_angle_estimate = stokes_limit(sol)
     sol.grant_fit = fit_asymptotics(sol)
     return sol
+
+
+def extreme_profile(sol: ExtremeSolution) -> WaveProfile:
+    """The extreme wave's free surface on the graded nodes, for wavelength
+    2 pi and g = 1 (mu = inf).
+
+    R = I^(-1/3), with I = Int_0^tau sin Phi by the collocation's own
+    trapezoid rule; x = -Int R cos Phi and eta = -Int R sin Phi take the
+    same rule with the first cell 1.5 tau_1 f(tau_1), since R ~ tau^(-1/3).
+    Scaling by the x-extent D makes the half-wave span x in [-pi, 0], and
+    c = sqrt(3)/(D/pi)^(3/2) is the mu -> inf limit of physical_params.
+    The crest is a stagnation point: q0 = 0, R is infinite there and q/q0
+    elsewhere.  a_k is empty, and eta has zero mean over one period.
+    """
+    theta = np.concatenate(([0.0], sol.theta_samples, [np.pi]))
+    widths = np.diff(theta)
+    phi = np.concatenate((sol.phi_samples, [0.0]))  # nodes 1..n
+    r = cumulative_trapezoid(widths, np.sin(phi)) ** (-1.0 / 3.0)
+    x_int = cumulative_trapezoid(widths, r * np.cos(phi), first_cell=1.5)
+    eta_int = cumulative_trapezoid(widths, r * np.sin(phi), first_cell=1.5)
+    d = x_int[-1]
+    x = -(np.pi / d) * np.concatenate(([0.0], x_int))
+    eta = -(np.pi / d) * np.concatenate(([0.0], eta_int))
+    offset = float(np.trapezoid(eta, x) / (x[-1] - x[0]))
+    return WaveProfile(
+        theta=theta, x=x, eta=eta - offset,
+        R=np.concatenate(([np.inf], (np.pi / d) * r)),
+        q_over_q0=np.concatenate(([1.0], np.full(r.size, np.inf))),
+        wavelength=2.0 * np.pi, c=float(np.sqrt(3.0) / (d / np.pi) ** 1.5),
+        q0=0.0, g=1.0, mu=np.inf, a_k=np.empty(0),
+        metadata={"eta_offset_mean_zero": offset})
 
 
 def verify_constant_solution(theta_samples=(0.3, 1.0, 3.0),

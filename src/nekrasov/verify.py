@@ -122,7 +122,7 @@ def _check_constant_solution():
 
 
 def _check_extreme():
-    sol = solve_extreme(strategy="direct")
+    sol = solve_extreme()
     err = abs(sol.crest_angle_estimate - math.pi / 6)
     signs = sol.grant_fit.c1 < 0 < sol.grant_fit.c2
     return err < 0.01 and signs, f"crest angle err {err:.2e}, C1<0<C2: {signs}"

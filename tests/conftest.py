@@ -33,4 +33,4 @@ def small_branch() -> nk.Branch:
 
 @pytest.fixture(scope="session")
 def extreme_direct() -> nk.ExtremeSolution:
-    return nk.solve_extreme(strategy="direct")
+    return nk.solve_extreme()

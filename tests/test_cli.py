@@ -166,7 +166,7 @@ def test_json_layout_is_stdlib_indent(tmp_path, argv, name):
 
 class TestExtreme:
     def test_direct_report(self, tmp_path, capsys):
-        assert run(tmp_path, "extreme", "--strategy", "direct") == 0
+        assert run(tmp_path, "extreme") == 0
         text = (tmp_path / "extreme.json").read_text(encoding="utf-8")
         assert _is_stdlib_indent(text)
         data = json.loads(text)
@@ -176,7 +176,15 @@ class TestExtreme:
         assert data["beta1"] == pytest.approx(0.802679, abs=1e-6)
         assert data["beta1"] == nekrasov.extreme.GRANT_BETA1
         assert data["convexity"]["convex"] is True
+        # the extreme profile is judged itself: no grid size, no proxy mu
+        assert "n" not in data["metadata"]
+        assert "mu" not in data["convexity"]
         assert "crest angle estimate" in capsys.readouterr().out
+
+    def test_strategy_option_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run(tmp_path, "extreme", "--strategy", "sequence")
+        assert info.value.code == 2
 
 
 class TestConfigFile:

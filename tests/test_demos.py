@@ -1,8 +1,7 @@
 """Smoke test: the demos run to completion.
 
-Each demo runs as a subprocess in a scratch directory (demo 04 may write
-a figure there) and must exit 0.  Demo 05 is left out: it takes about
-9 s and repeats the direct extreme-wave solve that test_extreme covers.
+Each demo runs as a subprocess in a scratch directory (demos 04 and 05
+may write a figure there) and must exit 0.
 """
 
 import os
@@ -14,7 +13,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ["01_kernels_and_eigenstructure", "02_small_amplitude_expansion",
-         "03_branch_continuation", "04_wave_profiles"]
+         "03_branch_continuation", "04_wave_profiles", "05_extreme_wave"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 import nekrasov as nk
 from nekrasov import _graded
 from nekrasov._graded import GradedCollocation
-from nekrasov.extreme import crest_jump, extreme_record_from_field
+from nekrasov.extreme import crest_jump
 
 
 def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -210,7 +211,16 @@ class TestGradedCollocation:
         trapz = _trapz_matrix(eng.tau)
         # the summation scale; it is max|I| for a nonnegative s
         scale = (trapz @ np.abs(s)).max()
-        assert np.abs(eng.cumulative_trapezoid(s) - trapz @ s).max() <= 1e-13 * scale
+        assert np.abs(_graded.cumulative_trapezoid(eng.widths, s) - trapz @ s).max() <= 1e-13 * scale
+
+    @pytest.mark.parametrize("n_nodes", [2, 120, 600])
+    def test_cumulative_trapezoid_first_cell(self, n_nodes):
+        # first_cell = 1.5 integrates tau^(-1/3) over [0, tau_1] exactly
+        eng = GradedCollocation(n_nodes=n_nodes)
+        tau1 = eng.tau[1]
+        got = _graded.cumulative_trapezoid(eng.widths, eng.tau[1:] ** (-1.0 / 3.0),
+                                           first_cell=1.5)
+        assert got[0] == pytest.approx(1.5 * tau1 ** (2.0 / 3.0), rel=1e-15)
 
     def test_iteration_cap_raises_with_iterations(self):
         eng = GradedCollocation(n_nodes=120)
@@ -243,13 +253,8 @@ class TestGradedCollocation:
         # successive crest-limit estimates settle as the mesh refines
         estimates = []
         for n_nodes in (150, 300, 600):
-            eng = GradedCollocation(n_nodes=n_nodes, grading=3.0)
-            sol = eng.solve_extreme(tol=1e-10)
-            rec = extreme_record_from_field(nk.AngleField.zero(64), np.inf)
-            rec.theta_samples = sol.theta[1:-1]
-            rec.phi_samples = sol.phi[1:-1]
-            rec.strategy = "direct"
-            estimates.append(nk.stokes_limit(rec, window=(1e-4, 0.2)))
+            sol = nk.solve_extreme(n_nodes=n_nodes, tol=1e-10)
+            estimates.append(nk.stokes_limit(sol, window=(1e-4, 0.2)))
         d1 = abs(estimates[1] - estimates[0])
         d2 = abs(estimates[2] - estimates[1])
         assert d2 < d1
@@ -366,7 +371,7 @@ def _exact_weight(tau, theta, j, method="gauss-legendre"):
     {"tol": 0.0}])
 def test_direct_rejects_ill_posed_input(kwargs):
     with pytest.raises(ValueError, match="n_nodes|grading|tol"):
-        nk.solve_extreme(strategy="direct", **kwargs)
+        nk.solve_extreme(**kwargs)
 
 
 def test_direct_extreme_independent_of_blas_threads():
@@ -374,7 +379,7 @@ def test_direct_extreme_independent_of_blas_threads():
     two OpenBLAS threads (only these two counts are checked)."""
     src = Path(__file__).resolve().parent.parent / "src"
     code = ("import nekrasov as nk\n"
-            "s = nk.solve_extreme(strategy='direct')\n"
+            "s = nk.solve_extreme()\n"
             "print(repr((s.crest_angle_estimate, s.grant_fit.c1, s.grant_fit.c2,"
             " s.residual)))\n")
     outputs = []
@@ -391,12 +396,11 @@ def test_direct_extreme_independent_of_blas_threads():
 
 
 class TestFits:
-    def test_synthetic_model_recovery(self):
+    def test_synthetic_model_recovery(self, extreme_direct):
         beta = nk.grant_number(1e-12)
         theta = np.geomspace(1e-5, 0.3, 300)
         phi = np.pi / 6 - theta**beta + theta**(2 * beta)
-        rec = extreme_record_from_field(nk.AngleField.zero(64), np.inf)
-        rec.theta_samples, rec.phi_samples, rec.strategy = theta, phi, "direct"
+        rec = dataclasses.replace(extreme_direct, theta_samples=theta, phi_samples=phi)
         fit = nk.fit_asymptotics(rec)
         assert fit.c1 == pytest.approx(-1.0, abs=1e-6)
         assert fit.c2 == pytest.approx(1.0, abs=1e-6)
@@ -408,58 +412,31 @@ class TestFits:
         assert fit.c2 > 0
         assert fit.beta1 == pytest.approx(0.802679, abs=1e-6)
 
-    def test_smooth_field_extrapolates_to_zero(self, wave_35):
-        rec = extreme_record_from_field(wave_35.field, 3.5)
-        assert abs(nk.stokes_limit(rec)) < 0.02
-        assert abs(crest_jump(rec)) < 0.04
-
     def test_window_validation(self, extreme_direct):
         with pytest.raises(ValueError):
             nk.fit_asymptotics(extreme_direct, window=(0.29, 0.3))
 
 
-@pytest.fixture(scope="module")
-def seq():
-    return nk.solve_extreme(strategy="sequence")
+def test_unknown_strategy():
+    with pytest.raises(ValueError):
+        nk.solve_extreme(strategy="levitation")
 
 
-class TestSequenceStrategy:
-    def test_sup_norm_exceeds_pi_six(self, seq):
-        assert seq.field.sup_norm() > np.pi / 6
+def test_requires_deep_water():
+    with pytest.raises(ValueError):
+        nk.solve_extreme(spec=nk.KernelSpec(depth_ratio=0.5))
 
-    def test_sup_norms_increase_and_stay_bounded(self, seq):
-        sups = [r["sup_norm"] for r in seq.per_mu]
-        assert all(a < b for a, b in zip(sups, sups[1:]))
-        assert sups[-1] < 0.5434
 
-    def test_residuals(self, seq):
-        assert all(r["residual"] < 1e-10 for r in seq.per_mu)
-
-    def test_unresolved_record_is_flagged(self, seq):
-        # the mu = 30000 field hits N_MAX with its tail still above
-        # TAIL_THRESHOLD; its record must say so
-        assert [r["resolved"] for r in seq.per_mu] == [r["tail"] <= 1e-9 for r in seq.per_mu]
-        assert seq.per_mu[-1]["mu"] == 30000.0
-        assert seq.per_mu[-1]["resolved"] is False
-
-    def test_crest_angle(self, seq):
-        assert seq.crest_angle_estimate == pytest.approx(np.pi / 6, abs=0.01)
-        assert seq.grant_fit.c1 < 0
-        assert seq.grant_fit.c2 > 0
-
-    def test_strategies_agree_away_from_crest(self, seq, extreme_direct):
-        theta = np.geomspace(0.05, 3.0, 300)
-        direct_vals = np.interp(theta, extreme_direct.theta_samples,
-                                extreme_direct.phi_samples)
-        assert np.abs(seq.field(theta) - direct_vals).max() < 1e-3
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            nk.solve_extreme(strategy="levitation")
-
-    def test_requires_deep_water(self):
-        with pytest.raises(ValueError):
-            nk.solve_extreme(spec=nk.KernelSpec(depth_ratio=0.5))
+def test_unresolved_record_is_flagged():
+    # capped at n_max = 1024, the mu = 1000 field converges with its tail
+    # still above TAIL_THRESHOLD; its record must say so
+    _, per_mu = nk.solve_sequence(nk.DEEP, (1000.0,), 1e-12, 512, 1024)
+    record, = per_mu
+    assert record["mu"] == 1000.0
+    assert record["n"] == 1024
+    assert record["residual"] < 1e-10
+    assert record["tail"] > 1e-9
+    assert record["resolved"] is False
 
 
 @pytest.mark.parametrize("depth", [0.1, 0.5])
@@ -504,6 +481,19 @@ class TestConvexity:
         profile = nk.reconstruct_profile(point.field, point.mu)
         report = nk.convexity_check(profile)
         assert report.convex, f"violation {report.max_violation} at {report.worst_x}"
+
+    def test_extreme_profile(self, extreme_direct):
+        # N = 600; published H/lambda = 0.141063 and c = 1.092285 (Williams
+        # 1981), convex between crests (Plotnikov & Toland 2004)
+        profile = nk.extreme_profile(extreme_direct)
+        assert profile.x[0] == 0.0
+        assert abs(profile.x[-1] + np.pi) <= 1e-15
+        assert np.all(np.diff(profile.x) < 0.0)
+        assert abs(profile.height / profile.wavelength - 0.141063) < 3e-6
+        assert abs(profile.c - 1.092285) < 2.5e-5
+        report = nk.convexity_check(profile)
+        assert report.convex
+        assert report.max_violation == 0.0
 
     def test_cosine_profile_localizes_violations(self):
         # eta = cos(x) on the inter-crest interval: concave near the maxima,
