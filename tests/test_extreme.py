@@ -417,26 +417,37 @@ class TestFits:
             nk.fit_asymptotics(extreme_direct, window=(0.29, 0.3))
 
 
-def test_unknown_strategy():
-    with pytest.raises(ValueError):
-        nk.solve_extreme(strategy="levitation")
+@pytest.fixture(scope="module")
+def capped_seq():
+    # capped at n_max = 1024, mu = 30 resolves and mu = 1000 converges with
+    # its tail still above TAIL_THRESHOLD
+    _, per_mu = nk.solve_sequence(nk.DEEP, (30.0, 1000.0), 1e-12, 512, 1024)
+    return per_mu
 
 
-def test_requires_deep_water():
-    with pytest.raises(ValueError):
-        nk.solve_extreme(spec=nk.KernelSpec(depth_ratio=0.5))
+class TestSequenceStrategy:
+    def test_residuals(self, capped_seq):
+        assert [r["mu"] for r in capped_seq] == [30.0, 1000.0]
+        assert all(r["residual"] < 1e-10 for r in capped_seq)
 
+    def test_unresolved_record_is_flagged(self, capped_seq):
+        # each record's flag follows its tail; the capped mu = 1000 field
+        # must say it is unresolved
+        assert [r["resolved"] for r in capped_seq] == [r["tail"] <= 1e-9 for r in capped_seq]
+        assert capped_seq[0]["resolved"] is True
+        last = capped_seq[-1]
+        assert last["mu"] == 1000.0
+        assert last["n"] == 1024
+        assert last["tail"] > 1e-9
+        assert last["resolved"] is False
 
-def test_unresolved_record_is_flagged():
-    # capped at n_max = 1024, the mu = 1000 field converges with its tail
-    # still above TAIL_THRESHOLD; its record must say so
-    _, per_mu = nk.solve_sequence(nk.DEEP, (1000.0,), 1e-12, 512, 1024)
-    record, = per_mu
-    assert record["mu"] == 1000.0
-    assert record["n"] == 1024
-    assert record["residual"] < 1e-10
-    assert record["tail"] > 1e-9
-    assert record["resolved"] is False
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError):
+            nk.solve_extreme(strategy="levitation")
+
+    def test_requires_deep_water(self):
+        with pytest.raises(ValueError):
+            nk.solve_extreme(spec=nk.KernelSpec(depth_ratio=0.5))
 
 
 @pytest.mark.parametrize("depth", [0.1, 0.5])
