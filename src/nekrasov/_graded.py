@@ -16,26 +16,44 @@ GMRES on a matrix-free Jacobian, whose matvec costs one O(N^2) product with
 the weight matrix.
 
 The weight matrix is assembled once per mesh in O(N^2) time, with scratch
-of O(N) values per cluster besides W.  The elements are taken in clusters of
-_CLUSTER.  The far field, rows at least _FAR_DISTANCE cluster lengths from
-the kernel's singular points, interpolates the kernel at _CHEB_NODES
-Chebyshev nodes per cluster: N^2/2 log1p in all and one small matrix product
-per cluster, against 10 N^2 log1p for the Gauss rule at every pair.  The
-near field, a share of the (row, element) pairs that shrinks like 1/N (28%
-at N = 600, 7% at N = 2400 for grading 3), takes the 10-point Gauss rule
-node by node.  Two kinds of pair take one batched, dyadically refined pass
-instead: an element and the row at either of its ends, where Q has its log
-singularity, and an element that is steep next to a row's node, wider than
-_STEEP times its gap to it, where the plain Gauss rule would be off by up
-to 2.6e-8 of the row maximum (N = 120, grading 4.5).  The pass splits -log s
-off the singular pairs' innermost panel and integrates it by a product rule
-(_log_weights), so it uses 40 nodes for most singular pairs and at most 100
-at grading 4.5, 150 per row in all; plain dyadic panels down to rounding
-would need 500 per singular pair.
+of about _BLOCK_ENTRIES values per batch besides W.  The elements form a
+binary cluster tree, in the sense of the H-matrix partition (Hackbusch,
+Computing 62, 1999): leaves of _CLUSTER elements, and clusters twice as
+long on each level up.  A row at least _FAR_DISTANCE cluster lengths from
+the kernel's singular points is far from the cluster and from every
+cluster below it.  So each row meets each element once, in the highest
+cluster far from the row, where it takes the kernel interpolated at the
+cluster's _CHEB_NODES Chebyshev nodes.  Such a row lies within a few
+lengths of the cluster's parent, so every level takes about 5 rows per
+element, or 80 N kernel values: 1.1M in all at N = 2400 (grading 3),
+against 2.7M for one level of 32-element clusters.  The leaves'
+interpolation moments come from the Gauss rule, and every other cluster's
+from its children's, exactly, a whole level at once.  Only
+the rows within two leaf lengths of a leaf, 1.7% of the (row, element)
+pairs at N = 2400 (6.8% at N = 600), take the 10-point Gauss rule: 0.96M
+log1p at N = 2400 against 3.9M with the 32-element clusters.
 
-Cold-process medians of 7 on a 2-vCPU Xeon (numpy 2.4.6, one BLAS thread),
-at N = 600 / 1200 / 2400 and grading 3: the refined pass takes 3.9 / 7.3 /
-11.8 ms, and the rest of the assembly 24 / 46 / 114 ms.
+W stays dense: a solve takes about 18 products with it, Newton's residuals
+and Jacobian matvecs, each one BLAS call (2.0 ms at N = 2400).  So the tree
+serves the assembly only, and the fill of W keeps its 16 multiply-adds per
+far entry.
+
+Two kinds of pair take one batched, dyadically refined pass instead of the
+Gauss rule: an element and the row at either of its ends, where Q has its
+log singularity, and an element that is steep next to a row's node, wider
+than _STEEP times its gap to it, where the plain Gauss rule would be off by
+up to 2.6e-8 of the row maximum (N = 120, grading 4.5).  The pass splits
+-log s off the singular pairs' innermost panel and integrates it by a
+product rule (_log_weights), so it uses 40 nodes for most singular pairs and
+at most 100 at grading 4.5, 150 per row in all; plain dyadic panels down to
+rounding would need 500 per singular pair.
+
+Best of 15 on a shared 2-vCPU Xeon (numpy 2.4.6, one BLAS thread), at
+N = 600 / 1200 / 2400 and grading 3: the near field takes 5.0 / 6.3 / 18.9
+ms (with the first touch of W's pages), the far field 6.1 / 12.6 / 36.0 ms
+and the refined pass 2.9 / 4.9 / 9.1 ms.  The whole assembly, best of 21
+runs interleaved with one level of 32-element clusters, takes 12.1 / 25.5 /
+63.6 ms against 19.0 / 40.0 / 105.8 ms.
 """
 
 from __future__ import annotations
@@ -51,13 +69,14 @@ _GAUSS_ORDER = 10
 # A (row, element) pair whose element is wider than _STEEP times its distance
 # to the row's node takes dyadic panels toward that node
 _STEEP = 0.8
-# The node-by-node parts of the weight assembly work on blocks of at most
+# The batched parts of the weight assembly work on blocks of at most
 # _BLOCK_ENTRIES float64 values (512 KB, so a block stays in cache)
 _BLOCK_ENTRIES = 1 << 16
-# The far field takes the elements in clusters of _CLUSTER and interpolates
-# the kernel at _CHEB_NODES Chebyshev nodes per cluster, for the rows at
-# least _FAR_DISTANCE cluster lengths from the kernel's singular points
-_CLUSTER = 32
+# The far field takes a binary cluster tree over the elements, with leaves of
+# at most _CLUSTER elements, and interpolates the kernel at _CHEB_NODES
+# Chebyshev nodes per cluster, for the rows at least _FAR_DISTANCE cluster
+# lengths from the kernel's singular points
+_CLUSTER = 8
 _CHEB_NODES = 16
 _FAR_DISTANCE = 2.0
 
@@ -90,19 +109,30 @@ def _dyadic_rule(g: np.ndarray, gw: np.ndarray, levels: int):
     return (ends[:-1, None] + width[:, None] * g).ravel(), (width[:, None] * gw).ravel()
 
 
-def _cluster_moments(x: np.ndarray, y: np.ndarray, bary: np.ndarray,
-                     hats: np.ndarray) -> np.ndarray:
-    """M[k, j] = sum over a cluster's elements and Gauss nodes of
-    l_k(x) hat_j(x) times the Gauss weight, for the Lagrange basis l_k at
-    the nodes y with barycentric weights bary; x is (element, node) and hats
-    (element, hat, node) carries the weighted hat values."""
-    basis = bary / (x[..., None] - y)  # (element, node, k)
-    basis /= basis.sum(axis=-1, keepdims=True)
-    terms = np.einsum("emk,esm->kes", basis, hats)
-    moments = np.zeros((y.size, x.shape[0] + 1))
-    moments[:, :-1] += terms[..., 0]
-    moments[:, 1:] += terms[..., 1]
-    return moments
+def _expand_runs(starts: np.ndarray, stops: np.ndarray):
+    """The integers of the runs [starts[i], stops[i]), run after run, and
+    the index i of the run each one comes from."""
+    counts = np.maximum(stops - starts, 0)
+    run = np.repeat(np.arange(counts.size), counts)
+    return np.arange(run.size) + (starts - np.cumsum(counts) + counts)[run], run
+
+
+def _add_cluster_blocks(w: np.ndarray, row: np.ndarray, cluster: np.ndarray,
+                        blocks: np.ndarray, size: int) -> None:
+    """w[row, cluster size + j] += blocks[..., j] for j = 0, ..., size, for
+    clusters of size elements; row and cluster broadcast against
+    blocks[..., 0].
+
+    Columns strictly inside a cluster take contributions from its elements
+    alone, so a (row, cluster) pair sets them rather than adding, which
+    halves the memory traffic.  The pairs must be distinct, except in the
+    spare last row of w, which the caller discards.
+    """
+    full = (w.shape[1] - 1) // size
+    inside = w[:, 1:full * size + 1].reshape(w.shape[0], full, size)[..., :-1]
+    inside[row, cluster] = blocks[..., 1:-1]
+    w[row, cluster * size] += blocks[..., 0]
+    w[row, (cluster + 1) * size] += blocks[..., -1]
 
 
 def cumulative_trapezoid(widths: np.ndarray, s: np.ndarray,
@@ -179,7 +209,7 @@ class GradedCollocation:
 
     def _regular_weights(self, pairs: list) -> np.ndarray:
         """W from the 10-point Gauss rule on every element, interpolated in
-        the far field, with zeros for the refined pairs.
+        the far field of a cluster tree, with zeros for the refined pairs.
 
         For theta = tau_i and a point x,
 
@@ -188,88 +218,242 @@ class GradedCollocation:
 
         since Q's numerator exceeds |sin((theta - x)/2)| by 2m.  Q(theta, .)
         is analytic except at x = theta and x = -theta (mod 2 pi), so the
-        elements are taken in clusters of _CLUSTER.  A row at least
-        _FAR_DISTANCE cluster lengths L from both points is far: there Q is
-        interpolated at _CHEB_NODES first-kind Chebyshev nodes y_k on the
-        cluster (its Bernstein ellipse has rho = 9.9, so the error is near
-        rho^-16 ~ 1e-16 of Q), and the far rows of the cluster take
-
-            W[rows, cluster columns] += F @ M,
-            F[r, k] = Q(theta_r, y_k) = log1p(2 min(a, b) / |a - b|) / (3 pi y_k),
-            M[k, j] = Gauss rule of l_k times hat j over the cluster,
-
-        with l_k the Lagrange basis at the y_k, a = 2 sin(theta/2) cos(y/2)
-        and b = 2 cos(theta/2) sin(y/2): 2m = min(a, b) and a - b =
-        2 sin((theta - y)/2), so F takes no sine of its own.  The far rows lie
-        at least 2L from y, so the subtraction loses at most about a digit.
-        They are at most two runs, below and above the cluster.  The near
-        rows, within a few cluster lengths, take the Gauss rule node by node,
-        with theta - x split as (theta - tau_j) - h_j g so that it keeps its
-        relative precision next to the element, in blocks of at most
-        _BLOCK_ENTRIES values.
+        elements are taken in a binary cluster tree: level l has clusters of
+        _CLUSTER 2^l consecutive elements (the last one shorter), and
+        cluster k has the parent k // 2 on level l + 1.  A row at least
+        _FAR_DISTANCE cluster lengths L from both points is far from the
+        cluster, and then from every cluster below it.  So each row meets
+        each element in the highest cluster that is far from the row
+        (_add_far_field), or in its leaf if none is (_add_near_field).
         """
         n, tau, h = self.n, self.tau, self.widths
         g, gw = self.gauss
-        refined_row = np.concatenate([row for _, row, _, _ in pairs])
-        refined_elem = np.concatenate([elem for _, _, elem, _ in pairs])
-        order = np.argsort(refined_elem, kind="stable")
-        refined_row, refined_elem = refined_row[order], refined_elem[order]
         rows = tau[1:n]
-        sin_row, cos_row = 2.0 * np.sin(0.5 * rows), 2.0 * np.cos(0.5 * rows)
         x = tau[:-1, None] + h[:, None] * g  # (element, node)
-        half_b = 0.5 * h[:, None] * g
-        sin_b, cos_b = np.sin(half_b), np.cos(half_b)
-        sin_x, cos_x = np.sin(0.5 * x), np.cos(0.5 * x)
         # the hats take the exact Gauss abscissae g: from the rounded x they
         # would be off by eps x / h, up to 1e-13 far from the crest
         mass = h[:, None] * gw
         hats = np.stack((mass * (1.0 - g), mass * g), axis=1)  # (element, hat, node)
-        near_hats = hats / (3.0 * np.pi * x[:, None, :])
-        k = np.arange(_CHEB_NODES)
-        cheb = np.cos((2 * k + 1) * np.pi / (2 * _CHEB_NODES))
-        bary = (-1.0) ** k * np.sin((2 * k + 1) * np.pi / (2 * _CHEB_NODES))
-        w = np.zeros((n - 1, n + 1))
-        for c0 in range(0, n, _CLUSTER):
-            c1 = min(c0 + _CLUSTER, n)
-            e = slice(c0, c1)
-            reach = _FAR_DISTANCE * (tau[c1] - tau[c0])
-            # far rows: [lo, mid) below the cluster and [hi, n - 1) above it
-            lo = np.searchsorted(rows, reach - tau[c0])
-            mid = max(lo, np.searchsorted(rows, tau[c0] - reach, side="right"))
-            hi = np.searchsorted(rows, tau[c1] + reach)
-            if lo < mid or hi < n - 1:
-                y = tau[c0] + 0.5 * (tau[c1] - tau[c0]) * (1.0 + cheb)
-                moments = _cluster_moments(x[e], y, bary, hats[e])
-                sin_y, cos_y = np.sin(0.5 * y), np.cos(0.5 * y)
-                for r in (slice(lo, mid), slice(hi, n - 1)):
-                    a = sin_row[r, None] * cos_y
-                    b = cos_row[r, None] * sin_y
-                    f = np.minimum(a, b)
-                    a -= b
-                    np.abs(a, out=a)
-                    f /= a
-                    f += f
-                    np.log1p(f, out=f)
-                    f /= 3.0 * np.pi * y
-                    w[r, c0:c1 + 1] += f @ moments
-            step = max(1, _BLOCK_ENTRIES // ((c1 - c0) * g.size))
-            s0, s1 = np.searchsorted(refined_elem, (c0, c1))
-            skip_row, skip_elem = refined_row[s0:s1], refined_elem[s0:s1] - c0
-            for r0, r1 in ((0, lo), (mid, hi)):
-                for start in range(r0, r1, step):
-                    r = slice(start, min(start + step, r1))
-                    half_a = 0.5 * (rows[r] - tau[e, None])  # (element, row)
-                    sin_a, cos_a = np.sin(half_a)[:, None], np.cos(half_a)[:, None]
-                    arg = np.minimum(sin_row[r] * cos_x[e, :, None],
-                                     cos_row[r] * sin_x[e, :, None])
-                    arg /= np.abs(sin_a * cos_b[e, :, None] - cos_a * sin_b[e, :, None])
-                    hit = (skip_row >= r.start) & (skip_row < r.stop)
-                    arg[skip_elem[hit], :, skip_row[hit] - r.start] = 0.0
-                    np.log1p(arg, out=arg)
-                    terms = np.einsum("emr,esm->esr", arg, near_hats[e])
-                    w[r, e] += terms[:, 0].T
-                    w[r, c0 + 1:c1 + 1] += terms[:, 1].T
-        return w
+        # per level: the cluster size, the clusters' elements [start, stop),
+        # and their far rows, [lo, mid) below and [hi, n - 1) above them
+        levels = []
+        size = _CLUSTER
+        while True:
+            start = np.arange(0, n, size)
+            stop = np.minimum(start + size, n)
+            reach = _FAR_DISTANCE * (tau[stop] - tau[start])
+            lo = np.searchsorted(rows, reach - tau[start])
+            mid = np.maximum(lo, np.searchsorted(rows, tau[start] - reach, side="right"))
+            hi = np.searchsorted(rows, tau[stop] + reach)
+            levels.append((size, start, stop, lo, mid, hi))
+            if start.size == 1:
+                break
+            size *= 2
+        # a spare last row, at theta = pi, takes the padding of the batches
+        w = np.zeros((n, n + 1))
+        self._add_near_field(w, pairs, levels[0], x, hats)
+        self._add_far_field(w, levels, x, hats)
+        return w[:-1]
+
+    def _add_near_field(self, w: np.ndarray, pairs: list, leaves: tuple,
+                        x: np.ndarray, hats: np.ndarray) -> None:
+        """Add the Gauss rule for the rows that are not far from their leaf,
+        except for the refined pairs.
+
+        A leaf's near rows form one run: where a row is near the leaf's
+        mirror image (theta + tau_start < 2L), the leaf starts below 2L, so
+        no row below it is far.  The leaves are taken in batches of at most
+        _BLOCK_ENTRIES Gauss node values, their runs padded to the longest
+        among them.  theta - x is split as (theta - tau_j) - h_j g, so that
+        it keeps its relative precision next to the element: with
+        a = (theta - tau_j)/2 and b = h_j g/2,
+
+            sin((theta - x)/2) = cos(a) cos(b) (tan(a) - tan(b)),
+
+        and the two cosines divide the row's and the Gauss node's factors
+        of 2m.
+        """
+        n, tau, h = self.n, self.tau, self.widths
+        g = self.gauss[0]
+        theta = tau[1:]
+        _, start, _, lo, mid, hi = leaves
+        first = np.where(lo > 0, 0, mid)
+        count = hi - first
+        leaf_count, pad = start.size, start.size * _CLUSTER - n
+
+        def per_leaf(a):
+            """a per element as (leaf, element, ...), the last leaf padded
+            with copies of the last element."""
+            a = np.concatenate((a, np.repeat(a[-1:], pad, axis=0)))
+            return a.reshape(leaf_count, _CLUSTER, *a.shape[1:])
+
+        half_b = 0.5 * h[:, None] * g
+        cos_b = np.cos(half_b)
+        tan_b = per_leaf(np.tan(half_b))
+        x_cos = per_leaf(np.cos(0.5 * x) / cos_b)
+        x_sin = per_leaf(np.sin(0.5 * x) / cos_b)
+        left_end = per_leaf(tau[:-1])
+        # the padding elements carry no mass
+        near_hats = per_leaf(hats / (3.0 * np.pi * x[:, None, :]))
+        near_hats.reshape(-1, *hats.shape[1:])[n:] = 0.0
+        row_sin, row_cos = 2.0 * np.sin(0.5 * theta), 2.0 * np.cos(0.5 * theta)
+        refined_row = np.concatenate([row for _, row, _, _ in pairs])
+        refined_elem = np.concatenate([elem for _, _, elem, _ in pairs])
+        order = np.argsort(refined_elem, kind="stable")
+        refined_row, refined_elem = refined_row[order], refined_elem[order]
+        full = n // _CLUSTER  # the leaves of _CLUSTER elements
+        step = max(1, _BLOCK_ENTRIES // (count.max() * _CLUSTER * g.size))
+        batches = [slice(k0, min(k0 + step, full)) for k0 in range(0, full, step)]
+        if full < leaf_count:
+            batches.append(slice(full, leaf_count))
+        for k in batches:
+            slot = np.arange(count[k].max())
+            r = np.where(slot < count[k, None], first[k, None] + slot, n - 1)  # (leaf, row)
+            # (leaf, element, row), then (leaf, element, Gauss node, row)
+            half_a = 0.5 * (theta[r][:, None, :] - left_end[k, :, None])
+            cos_a = np.cos(half_a)
+            arg = np.minimum((row_sin[r][:, None] / cos_a)[:, :, None] * x_cos[k, ..., None],
+                             (row_cos[r][:, None] / cos_a)[:, :, None] * x_sin[k, ..., None])
+            gap = np.tan(half_a)[:, :, None] - tan_b[k, ..., None]
+            np.abs(gap, out=gap)
+            arg /= gap
+            s0, s1 = np.searchsorted(refined_elem, (k.start * _CLUSTER, k.stop * _CLUSTER))
+            skip_leaf, skip_elem = np.divmod(refined_elem[s0:s1], _CLUSTER)
+            arg[skip_leaf - k.start, skip_elem, :, refined_row[s0:s1] - first[skip_leaf]] = 0.0
+            np.log1p(arg, out=arg)
+            terms = near_hats[k] @ arg  # (leaf, element, hat, row)
+            blocks = np.zeros((terms.shape[0], slot.size, _CLUSTER + 1))
+            blocks[..., :-1] = terms[:, :, 0].transpose(0, 2, 1)
+            blocks[..., 1:] += terms[:, :, 1].transpose(0, 2, 1)
+            if k.start < full:
+                leaf = np.arange(k.start, k.stop)[:, None]
+                _add_cluster_blocks(w, r, leaf, blocks, _CLUSTER)
+            else:
+                w[r[0], start[-1]:] += blocks[0, :, :n + 1 - start[-1]]
+
+    def _add_far_field(self, w: np.ndarray, levels: list, x: np.ndarray,
+                       hats: np.ndarray) -> None:
+        """Add the interpolated far field, level by level from the leaves.
+
+        A cluster's Chebyshev nodes y_k are _CHEB_NODES first-kind points on
+        its interval (its Bernstein ellipse has rho = 9.9 for the far rows,
+        so the error is near rho^-16 ~ 1e-16 of Q).  Each row that is far
+        from the cluster but not from its parent takes
+
+            W[row, cluster columns] += F @ M,
+            F[k] = 3 pi y_k Q(theta, y_k) = log1p(2 min(T, Y) / |T - Y|),
+            M[k, j] = Gauss rule of l_k / (3 pi y_k) times hat j over the cluster,
+
+        with l_k the Lagrange basis at the y_k, T = tan(theta/2) and
+        Y = tan(y/2): these are 2m and 2 sin((theta - y)/2) over
+        2 cos(theta/2) cos(y/2).  The far rows lie at least 2L from y, so
+        T - Y loses at most about a digit.  They are at most three runs per
+        cluster, since the parent's far rows below the cluster, and those
+        above it, are runs inside the cluster's.
+
+        The leaves' moments take the Gauss nodes, in batches of leaves of at
+        most _BLOCK_ENTRIES basis values.  A parent's are its children's,
+        mapped by the parent's l_k at the children's y, which is exact since
+        l_k has degree below _CHEB_NODES, for a whole level at once.  A
+        level's F @ M go in batches of clusters of at most _BLOCK_ENTRIES
+        entries of W, longest row list first, each padded to the longest
+        among them.  A cluster alone in its batch, as most are on the upper
+        levels, writes its product into W in place.
+        """
+        n, tau = self.n, self.tau
+        tan_row = np.tan(0.5 * tau[1:])
+        q = np.arange(_CHEB_NODES)
+        cheb = np.cos((2 * q + 1) * np.pi / (2 * _CHEB_NODES))
+        bary = (-1.0) ** q * np.sin((2 * q + 1) * np.pi / (2 * _CHEB_NODES))
+        for level, (size, start, stop, lo, mid, hi) in enumerate(levels):
+            y = tau[start, None] + 0.5 * (tau[stop] - tau[start])[:, None] * (1.0 + cheb)
+            if level == 0:
+                # per batch of leaves, bary_k / (x - y_k) as (leaf, k, Gauss
+                # node), and the hat values as (leaf, Gauss node, column)
+                # over the sum over k, so that the product normalises the
+                # basis; the last leaf is padded with elements of no mass
+                pad = start.size * _CLUSTER - n
+                x_leaf = np.concatenate((x, np.repeat(x[-1:], pad, axis=0)))
+                x_leaf = x_leaf.reshape(start.size, 1, -1)
+                hats_leaf = np.concatenate((hats, np.zeros((pad,) + hats.shape[1:])))
+                hats_leaf = hats_leaf.reshape(start.size, _CLUSTER, 2, -1).transpose(2, 1, 0, 3)
+                moments = np.empty((start.size, _CHEB_NODES, _CLUSTER + 1))
+                e = np.arange(_CLUSTER)
+                step = max(1, _BLOCK_ENTRIES // (_CHEB_NODES * x_leaf.shape[-1]))
+                for b in (slice(b0, b0 + step) for b0 in range(0, start.size, step)):
+                    basis = bary[:, None] / (x_leaf[b] - y[b, :, None])
+                    mass = np.zeros((basis.shape[0], _CLUSTER, x.shape[1], _CLUSTER + 1))
+                    mass[:, e, :, e] = hats_leaf[0, :, b]
+                    mass[:, e, :, e + 1] = hats_leaf[1, :, b]
+                    mass /= basis.sum(axis=1).reshape(*mass.shape[:3], 1)
+                    moments[b] = basis @ mass.reshape(basis.shape[0], -1, _CLUSTER + 1)
+            else:
+                half, twins = size // 2, moments.shape[0] // 2
+                parent = np.zeros((start.size, _CHEB_NODES, size + 1))
+                if moments.shape[0] % 2:  # a lone last child spans its parent
+                    parent[-1, :, :half + 1] = moments[-1]
+                # the parent's l_k at the children's nodes, as (parent, child, k, child k)
+                basis = bary / (child_y[:2 * twins].reshape(twins, 2, -1, 1) - y[:twins, None, None])
+                shift = (basis / basis.sum(axis=-1, keepdims=True)).swapaxes(-1, -2)
+                parent[:twins, :, :half + 1] = shift[:, 0] @ moments[0:2 * twins:2]
+                parent[:twins, :, half:] += shift[:, 1] @ moments[1:2 * twins:2]
+                moments = parent
+            child_y = y
+            # the rows far from each cluster but not from its parent: three
+            # runs per cluster, in cluster order
+            if level + 1 < len(levels):
+                parent = np.arange(start.size) // 2
+                lo_p, mid_p, hi_p = (a[parent] for a in levels[level + 1][3:])
+                empty = lo_p == mid_p
+                lo_p, mid_p = np.where(empty, mid, lo_p), np.where(empty, mid, mid_p)
+            else:
+                lo_p = mid_p = mid
+                hi_p = np.full_like(hi, n - 1)
+            run_start = np.stack((lo, mid_p, hi), axis=1)
+            run_stop = np.stack((lo_p, mid, hi_p), axis=1)
+            row, run = _expand_runs(run_start.ravel(), run_stop.ravel())
+            if not row.size:
+                continue
+            cluster = run // 3
+            counts = np.bincount(cluster, minlength=start.size)
+            first = np.cumsum(counts) - counts
+            full = n // size  # the clusters of size elements
+            order = np.flatnonzero(counts[:full])
+            order = order[np.argsort(-counts[order], kind="stable")]
+            batches = []
+            while order.size:
+                step = max(1, _BLOCK_ENTRIES // (counts[order[0]] * (size + 1)))
+                batches.append(order[:step])
+                order = order[step:]
+            if full < start.size and counts[-1]:
+                batches.append(np.array([start.size - 1]))
+            tan_y = np.tan(0.5 * y)
+            moments_q = moments / (3.0 * np.pi * y[..., None])
+            for k in batches:
+                slot = np.arange(counts[k[0]])
+                valid = slot < counts[k, None]
+                r = np.where(valid, row[np.where(valid, first[k, None] + slot, 0)], n - 1)
+                t = tan_row[r][:, None]
+                f = np.minimum(t, tan_y[k, :, None])  # (cluster, k, row)
+                t = t - tan_y[k, :, None]
+                np.abs(t, out=t)
+                f /= t
+                f += f
+                np.log1p(f, out=f)
+                f = f.swapaxes(-1, -2)
+                if k.size > 1:
+                    _add_cluster_blocks(w, r, k[:, None], f @ moments_q[k], size)
+                    continue
+                k = k[0]
+                c0, c1 = start[k], stop[k]
+                m = moments_q[k, :, :c1 - c0 + 1]
+                j = 0
+                for r0, r1 in zip(run_start[k], run_stop[k]):
+                    if r1 > r0:
+                        part = f[0, j:j + r1 - r0]
+                        np.matmul(part, m[:, 1:-1], out=w[r0:r1, c0 + 1:c1])
+                        w[r0:r1, [c0, c1]] += part @ m[:, [0, -1]]
+                        j += r1 - r0
 
     def _add_near_singular(self, w: np.ndarray, pairs: list) -> None:
         """Add the dyadically refined rule for the refined pairs, in blocks
@@ -403,7 +587,10 @@ class GradedCollocation:
               tol: float = 1e-11, max_iter: int = 60) -> GradedSolution:
         """Solution at fixed nu (nu = 0 is the extreme equation) by the
         damped Newton loop and the restarted-GMRES step the spectral solver
-        shares, on the matrix-free jacobian_operator."""
+        shares, on the matrix-free jacobian_operator.  nu = 1/mu must be
+        finite and nonnegative."""
+        if not (np.isfinite(nu) and nu >= 0.0):
+            raise ValueError(f"nu must be finite and nonnegative, got {nu}")
         if not tol > 0:
             raise ValueError(f"tol must be positive, got {tol}")
         if phi0 is None:

@@ -19,13 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io as _io
-from .continuation import TAIL_THRESHOLD, StepPolicy, _tail, trace_branch
+from .continuation import StepPolicy, trace_branch
 from .extreme import convexity_check, crest_jump, extreme_profile, solve_extreme
 from .grid import AngleField, get_grid
 from .kernel import KernelSpec, characteristic_values
 from .profile import reconstruct_profile
 from .series import WAVE_HEIGHT_COEFFICIENTS, UnsupportedOrderError, expand_solution
-from .solver import BreakdownError, DivergenceError, solve_seeded
+from .solver import TAIL_THRESHOLD, BreakdownError, DivergenceError, solve_seeded
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -171,9 +171,8 @@ def _solve_seeded(args, spec, method="newton"):
     """solve_seeded at the requested mu, n and tol; warns on stderr when
     the spectral tail shows that n does not resolve the solution."""
     result = solve_seeded(args.mu, spec, args.n, args.tol, method)
-    tail = _tail(result.field)
-    if tail > TAIL_THRESHOLD:
-        print(f"warning: unresolved on n={args.n}: spectral tail {tail:.3e} "
+    if not result.resolved:
+        print(f"warning: unresolved on n={args.n}: spectral tail {result.tail:.3e} "
               f"above {TAIL_THRESHOLD:g}; raise --n", file=sys.stderr)
     return result
 
@@ -281,6 +280,8 @@ def cmd_extreme(args) -> int:
     sol = solve_extreme()
     convexity = convexity_check(extreme_profile(sol))
     meta = _io.base_metadata(__version__, spec, strategy="direct")
+    # the graded mesh takes no spectral modes, so --n changes no result
+    del meta["kernel_spec"]["n_modes"]
     report = {
         "metadata": meta,
         "crest_angle_estimate": sol.crest_angle_estimate,

@@ -28,8 +28,8 @@ import numpy as np
 from . import profile as _profile
 from .grid import AngleField
 from .kernel import DEEP, KernelSpec
-from .solver import (BreakdownError, DivergenceError, SolveResult, _seed_field,
-                     get_operator, solve)
+from .solver import (TAIL_THRESHOLD, BreakdownError, DivergenceError, SolveResult,
+                     _seed_field, get_operator, solve)
 
 
 @dataclass
@@ -109,7 +109,6 @@ GEOMETRIC_START = 10.0
 # step's predictor miss, stretched to the new crest scale (see StepPolicy)
 SELF_SIMILAR_START = 100.0
 MIN_STEP = 1e-8
-TAIL_THRESHOLD = 1e-9
 N_MAX = 1 << 17
 MAX_POINTS = 2000
 CONE_EPS = 1e-9
@@ -207,18 +206,13 @@ def _corrector(mu, guess, spec, tol) -> SolveResult:
                  spec=spec.with_modes(guess.n // 2))
 
 
-def _tail(field: AngleField) -> float:
-    """Spectral tail within the retained band of the dealiased operator."""
-    return field.spectral_tail(band=field.n // 2)
-
-
 def _converge_resolved(mu, guess, spec, tol, policy):
     """Solve at mu, doubling the grid until the spectral tail decays or
     n reaches policy.n_max; the result may be unresolved at n_max.
     Returns the last grid's result and the max|F| of the guess."""
     result = _corrector(mu, guess, spec, tol)
     guess_residual = result.initial_residual
-    while _tail(result.field) > TAIL_THRESHOLD and result.field.n < policy.n_max:
+    while not result.resolved and result.field.n < policy.n_max:
         result = _corrector(mu, result.field.resample(result.field.n * 2), spec, tol)
     return result, guess_residual
 
@@ -301,7 +295,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     # on the accepted grid, its mu and its node polynomial
     miss = None
     while candidate is not None:
-        tail = _tail(candidate.field)
+        tail = candidate.tail
         if not tail <= TAIL_THRESHOLD:
             branch.failure = (f"unresolved at mu={candidate.mu:g}: spectral tail "
                               f"{tail:.3e} above {TAIL_THRESHOLD:g} at n={candidate.field.n}")

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from ._graded import GradedCollocation, cumulative_trapezoid
-from .continuation import TAIL_THRESHOLD, StepPolicy, _converge_resolved, _tail
+from .continuation import StepPolicy, _converge_resolved
 from .kernel import DEEP, KernelSpec, characteristic_values
 from .profile import WaveProfile
-from .solver import SolveResult, _seed_field, _warm_start_ladder
+from .solver import TAIL_THRESHOLD, SolveResult, _seed_field, _warm_start_ladder
 
 
 @dataclass
@@ -173,7 +173,7 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
     for mu in ladder:
         result, _ = _converge_resolved(mu, result.field, spec, tol, policy)
         if mu in mu_targets:
-            tail = _tail(result.field)
+            tail = result.tail
             per_mu.append({
                 "mu": mu,
                 "n": result.field.n,

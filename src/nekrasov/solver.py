@@ -51,6 +51,10 @@ class JacobianOperator(NamedTuple):
     dtype: np.dtype = np.dtype(float)
 
 
+# largest spectral tail (SolveResult.tail) of a resolved solution
+TAIL_THRESHOLD = 1e-9
+
+
 @dataclass
 class SolveResult:
     field: AngleField
@@ -60,6 +64,17 @@ class SolveResult:
     method: str
     # max|F| of the initial field, the first evaluation of the solve
     initial_residual: float
+
+    @property
+    def tail(self) -> float:
+        """The field's spectral tail within the retained band n // 2 of the
+        dealiased operator, computed on each access."""
+        return self.field.spectral_tail(band=self.field.n // 2)
+
+    @property
+    def resolved(self) -> bool:
+        """Whether n resolves the solution: tail <= TAIL_THRESHOLD."""
+        return self.tail <= TAIL_THRESHOLD
 
 
 @dataclass

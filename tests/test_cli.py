@@ -181,6 +181,14 @@ class TestExtreme:
         assert "mu" not in data["convexity"]
         assert "crest angle estimate" in capsys.readouterr().out
 
+    def test_report_independent_of_n(self, tmp_path):
+        # the graded mesh takes no spectral modes, so --n changes no byte
+        reports = []
+        for n in ("512", "1024"):
+            assert run(tmp_path / n, "extreme", "--n", n) == 0
+            reports.append((tmp_path / n / "extreme.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_strategy_option_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run(tmp_path, "extreme", "--strategy", "sequence")

@@ -101,7 +101,8 @@ class TestGradedCollocation:
         (1200, 3.0)])
     def test_weights_match_element_loop(self, n_nodes, grading):
         # n_nodes = 2 has one row, which carries both near-singular pairs;
-        # at N = 1200 and grading 3, 86% of the (row, element) pairs are far
+        # at N = 1200 and grading 3, 97% of the (row, element) pairs are far,
+        # on seven levels of the cluster tree
         eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
         assert np.abs(eng.weights - _reference_weights(eng)).max() <= 1e-15
 
@@ -112,11 +113,11 @@ class TestGradedCollocation:
         assert _far_field_error(eng, stride) <= 1e-15
 
     def test_far_weights_near_pi_match_exact_integrals(self):
-        # each of the last 8 clusters at N = 2400: their far rows have the
-        # largest theta / |theta - y| (about 12), where a - b in the far
+        # the last 8 nodes of each tree level at N = 2400: their far rows have
+        # the largest theta / |theta - y| (about 12), where a - b in the far
         # kernel loses the most
         eng = GradedCollocation(n_nodes=2400, grading=3.0)
-        assert _far_field_error(eng, 1, first_cluster=eng.n // _graded._CLUSTER - 8) <= 1e-15
+        assert _far_field_error(eng, 1, last=8) <= 1e-15
 
     @pytest.mark.parametrize("n_nodes, rows, grading", [
         (600, (0, 1, 10, 300, 519, 598), 3.0), (2400, (100, 1200, 2076, 2398), 3.0),
@@ -168,6 +169,16 @@ class TestGradedCollocation:
         assert sol.iterations == ref_sol.iterations
         assert np.abs(sol.phi - ref_sol.phi).max() <= 1e-14
 
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.integers(2, 300), st.floats(0.5, 4.5))
+    def test_weights_match_element_loop_at_any_size(self, n_nodes, grading):
+        # N off the multiples of the leaf size, trees of one cluster (N <= 8)
+        # and levels with no far rows.  The draws are fixed: W[0, 1] and
+        # W[1, 2] of steep meshes, from the refined pass, sit up to 8.9e-16
+        # from the reference's own dyadic rule
+        eng = GradedCollocation(n_nodes=n_nodes, grading=grading)
+        assert np.abs(eng.weights - _reference_weights(eng)).max() <= 1e-15
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 300), st.floats(0.5, 4.5))
     def test_weights_finite_and_positive(self, n_nodes, grading):
@@ -175,6 +186,13 @@ class TestGradedCollocation:
         w = GradedCollocation(n_nodes=n_nodes, grading=grading).weights
         assert np.isfinite(w).all()
         assert (w > 0).all()
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -1e-3])
+    def test_solve_rejects_bad_nu_before_assembly(self, nu):
+        eng = GradedCollocation(n_nodes=50)
+        with pytest.raises(ValueError, match="nu"):
+            eng.solve(nu)
+        assert eng._weights is None
 
     def test_weights_cache_is_read_only(self):
         eng = GradedCollocation(n_nodes=8)
@@ -323,28 +341,33 @@ def _reference_weights(eng):
     return w
 
 
-def _far_field_error(eng, stride, first_cluster=0):
+def _far_field_error(eng, stride, last=0):
     """Largest |W[i, j] - exact| / max|W[i]| over far entries of W, against
-    30-digit mpmath integrals of Q times the hat functions.  At every
-    stride-th cluster from first_cluster on, the nearest far row on each side
-    is sampled, at three columns whose elements both lie in the cluster."""
+    30-digit mpmath integrals of Q times the hat functions.  On every level
+    of the cluster tree, at every stride-th node (or at the last `last`
+    nodes), the nearest far row on each side is sampled, at three columns
+    whose elements both lie in the node."""
     import mpmath
     n, tau = eng.n, eng.tau
     rows = tau[1:n]
     worst = 0.0
+    size = _graded._CLUSTER
     with mpmath.workdps(30):
-        for c0 in range(first_cluster * _graded._CLUSTER, n, stride * _graded._CLUSTER):
-            c1 = min(c0 + _graded._CLUSTER, n)
-            reach = _graded._FAR_DISTANCE * (tau[c1] - tau[c0])
-            far = ((np.abs(rows - np.clip(rows, tau[c0], tau[c1])) >= reach)
-                   & (rows + tau[c0] >= reach))
-            below = np.flatnonzero(far & (rows < tau[c0]))
-            above = np.flatnonzero(far & (rows > tau[c1]))
-            for i in (*below[-1:], *above[:1]):
-                for j in (c0 + 1, (c0 + c1) // 2, c1 - 1):
-                    err = abs(eng.weights[i, j] - _exact_weight(tau, tau[i + 1], j))
-                    worst = max(worst, err / np.abs(eng.weights[i]).max())
-    return worst
+        while True:
+            nodes = [(c0, min(c0 + size, n)) for c0 in range(0, n, size)]
+            for c0, c1 in nodes[-last:] if last else nodes[::stride]:
+                reach = _graded._FAR_DISTANCE * (tau[c1] - tau[c0])
+                far = ((np.abs(rows - np.clip(rows, tau[c0], tau[c1])) >= reach)
+                       & (rows + tau[c0] >= reach))
+                below = np.flatnonzero(far & (rows < tau[c0]))
+                above = np.flatnonzero(far & (rows > tau[c1]))
+                for i in (*below[-1:], *above[:1]):
+                    for j in sorted({c0 + 1, (c0 + c1) // 2, c1 - 1} - {c0, c1}):
+                        err = abs(eng.weights[i, j] - _exact_weight(tau, tau[i + 1], j))
+                        worst = max(worst, err / np.abs(eng.weights[i]).max())
+            if size >= n:
+                return worst
+            size *= 2
 
 
 def _exact_weight(tau, theta, j, method="gauss-legendre"):

@@ -273,6 +273,13 @@ class TestSolveSeeded:
         assert result.field.values.tobytes() == reference.field.values.tobytes()
         assert result.iterations == reference.iterations
 
+    @pytest.mark.parametrize("mu, resolved", [(10.0, True), (100.0, False)])
+    def test_result_reports_resolution(self, mu, resolved):
+        # n = 512 resolves mu = 10 (tail 4.8e-17) but not mu = 100 (1.5e-5)
+        result = nk.solve_seeded(mu)
+        assert result.tail == result.field.spectral_tail(band=256)
+        assert result.resolved is resolved
+
     @pytest.mark.parametrize("mu", [np.inf, np.nan])
     def test_non_finite_mu_is_rejected_before_any_work(self, mu, monkeypatch):
         # mu = inf would otherwise climb a ladder without end
