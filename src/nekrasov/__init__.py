@@ -21,7 +21,7 @@ from .series import (MAX_ORDER, RationalSineSeries, UnsupportedOrderError,
 from .continuation import (Branch, BranchExtrema, BranchPoint, ConeReport,
                            ReconstructionOverflowError, StepPolicy,
                            branch_extrema, cone_membership, scale_branch_point,
-                           trace_branch)
+                           solve_sequence, trace_branch)
 from .profile import (GeometryWarning, ReconstructionError, WaveProfile,
                       fourier_map_coefficients, physical_params,
                       profile_from_map_coefficients, reconstruct_R,
@@ -29,7 +29,7 @@ from .profile import (GeometryWarning, ReconstructionError, WaveProfile,
 from .extreme import (ConvexityReport, ExtremeSolution, GrantFit,
                       convexity_check, crest_jump, extreme_profile,
                       fit_asymptotics, grant_number, solve_extreme,
-                      solve_sequence, stokes_limit, verify_constant_solution)
+                      stokes_limit, verify_constant_solution)
 
 __version__ = "0.1.0"
 
@@ -47,14 +47,14 @@ __all__ = [
     "series_coefficients", "wave_height_series",
     "Branch", "BranchExtrema", "BranchPoint", "ConeReport",
     "ReconstructionOverflowError", "StepPolicy", "branch_extrema",
-    "cone_membership", "scale_branch_point", "trace_branch",
+    "cone_membership", "scale_branch_point", "solve_sequence", "trace_branch",
     "GeometryWarning", "ReconstructionError", "WaveProfile",
     "fourier_map_coefficients", "physical_params",
     "profile_from_map_coefficients", "reconstruct_R", "reconstruct_profile",
     "surface_speed_ratio", "wave_height",
     "ConvexityReport", "ExtremeSolution", "GrantFit", "convexity_check",
     "crest_jump", "extreme_profile", "fit_asymptotics",
-    "grant_number", "solve_extreme", "solve_sequence", "stokes_limit",
+    "grant_number", "solve_extreme", "stokes_limit",
     "verify_constant_solution",
     "__version__",
 ]

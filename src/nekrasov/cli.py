@@ -21,11 +21,12 @@ import numpy as np
 from . import __version__, io as _io
 from .continuation import StepPolicy, trace_branch
 from .extreme import convexity_check, crest_jump, extreme_profile, solve_extreme
-from .grid import AngleField, get_grid
+from .grid import AngleField
 from .kernel import KernelSpec, characteristic_values
 from .profile import reconstruct_profile
 from .series import WAVE_HEIGHT_COEFFICIENTS, UnsupportedOrderError, expand_solution
-from .solver import TAIL_THRESHOLD, BreakdownError, DivergenceError, solve_seeded
+from .solver import (TAIL_THRESHOLD, BreakdownError, DivergenceError, SolveResult,
+                     solve_seeded)
 from . import verify as _verify
 
 EXIT_OK = 0
@@ -167,9 +168,19 @@ def cmd_eigs(args) -> int:
     return EXIT_OK
 
 
-def _solve_seeded(args, spec, method="newton"):
-    """solve_seeded at the requested mu, n and tol; warns on stderr when
-    the spectral tail shows that n does not resolve the solution."""
+def _solve_seeded(args, spec, method="newton") -> SolveResult:
+    """solve_seeded at the requested mu, n and tol.  At or below the
+    bifurcation point it warns on stderr and returns the trivial field
+    (residual 0, no iterations); it also warns when the spectral tail shows
+    that n does not resolve the solution."""
+    if args.mu <= 0:
+        raise ValidationError(f"mu must be positive, got {args.mu}")
+    mu1 = float(characteristic_values(spec, 1)[0])
+    if args.mu <= mu1:
+        print(f"warning: subcritical mu <= {mu1:g} (no nontrivial solution); "
+              "emitting the trivial solution", file=sys.stderr)
+        return SolveResult(field=AngleField.zero(args.n), mu=args.mu, residual=0.0,
+                           iterations=0, method=method, initial_residual=0.0)
     result = solve_seeded(args.mu, spec, args.n, args.tol, method)
     if not result.resolved:
         print(f"warning: unresolved on n={args.n}: spectral tail {result.tail:.3e} "
@@ -178,27 +189,15 @@ def _solve_seeded(args, spec, method="newton"):
 
 
 def cmd_solve(args) -> int:
-    if args.mu <= 0:
-        raise ValidationError(f"mu must be positive, got {args.mu}")
     spec = _spec_from(args)
-    meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol, mu=args.mu)
-    if args.mu <= float(characteristic_values(spec, 1)[0]):
-        print("warning: subcritical mu (no nontrivial solution); "
-              "emitting the trivial solution", file=sys.stderr)
-        grid = get_grid(args.n)
-        values = np.zeros(args.n - 1)
-        coeffs = np.zeros(args.n - 1)
-        residual, iterations, method = 0.0, 0, args.method
-    else:
-        result = _solve_seeded(args, spec, args.method)
-        values = result.field.values
-        coeffs = result.field.coefficients
-        residual, iterations, method = result.residual, result.iterations, result.method
-        grid = result.field.grid
-    meta.update({"residual": residual, "iterations": iterations, "method": method})
-    columns = {"theta": grid.theta, "phi": values}
-    payload = {"metadata": meta, "theta": grid.theta, "phi": values,
-               "coefficients": coeffs}
+    result = _solve_seeded(args, spec, args.method)
+    field = result.field
+    meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol, mu=args.mu,
+                             residual=result.residual, iterations=result.iterations,
+                             method=result.method)
+    columns = {"theta": field.grid.theta, "phi": field.values}
+    payload = {"metadata": meta, "theta": field.grid.theta, "phi": field.values,
+               "coefficients": field.coefficients}
     _emit(args, "solution", columns, meta, payload)
     return EXIT_OK
 
@@ -248,18 +247,10 @@ def cmd_series(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    if args.mu <= 0:
-        raise ValidationError(f"mu must be positive, got {args.mu}")
     if args.wavelength <= 0 or args.g <= 0:
         raise ValidationError("wavelength and g must be positive")
     spec = _spec_from(args)
-    mu1 = float(characteristic_values(spec, 1)[0])
-    if args.mu <= mu1:
-        print(f"warning: subcritical mu <= {mu1:g}; emitting the flat profile",
-              file=sys.stderr)
-        field = AngleField.zero(args.n)
-    else:
-        field = _solve_seeded(args, spec).field
+    field = _solve_seeded(args, spec).field
     profile = reconstruct_profile(field, args.mu, args.wavelength, args.g)
     meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol,
                              mu=args.mu, height=profile.height,

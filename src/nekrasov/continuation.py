@@ -1,4 +1,4 @@
-"""Global branch tracing, cone diagnostics, and scaled continua.
+"""Branch tracing, solves at a sequence of mu, cone diagnostics, scaled continua.
 
 The nontrivial solution branch bifurcates from the first characteristic
 value (mu = 3 on deep water) and is followed in mu by a predictor that
@@ -16,6 +16,9 @@ theta ~ 8.1/mu.  From SELF_SIMILAR_START on, each geometric guess
 therefore adds the previous geometric step's miss, stretched to the new
 crest scale (see StepPolicy); the miss falls to 1.6e-5 at mu = 123 and
 4.6e-7 at mu = 6840, and those points need one Newton iteration fewer.
+
+trace_branch (at mu_start) and solve_sequence (at each target) start from
+solver._seeded_guess, as solve_seeded does, and refine the grid from there.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ import numpy as np
 
 from . import profile as _profile
 from .grid import AngleField
-from .kernel import DEEP, KernelSpec
+from .kernel import DEEP, KernelSpec, characteristic_values
 from .solver import (TAIL_THRESHOLD, BreakdownError, DivergenceError, SolveResult,
-                     _seed_field, get_operator, solve)
+                     _seeded_guess, get_operator, solve)
 
 
 @dataclass
@@ -268,8 +271,9 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     """Trace the solution branch from mu_start to mu_end.
 
     mu_start must exceed the first characteristic value of the kernel and
-    both ends must be finite; every accepted point satisfies the residual
-    bound on its own grid and is spectrally resolved.  On corrector failure
+    both ends must be finite.  The first point starts from _seeded_guess on
+    policy.n_start points, as in solve_seeded; every accepted point
+    satisfies the residual bound on its own grid and is spectrally resolved.  On corrector failure
     the step is halved.  The branch is returned truncated, with a failure
     record, when the step underflows, when a point stays unresolved at
     policy.n_max (that point is left out), or when MAX_POINTS points are
@@ -287,7 +291,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                     metadata={"mu_start": mu_start, "mu_end": mu_end,
                               "n_start": policy.n_start})
     candidate, guess_residual = _converge_resolved(
-        mu_start, _seed_field(mu_start, spec, policy.n_start), spec, tol, policy)
+        mu_start, _seeded_guess(mu_start, spec, policy.n_start, tol), spec, tol, policy)
     result = None
     step = INITIAL_STEP
     ratio = policy.ratio
@@ -295,17 +299,17 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     # on the accepted grid, its mu and its node polynomial
     miss = None
     while candidate is not None:
-        tail = candidate.tail
-        if not tail <= TAIL_THRESHOLD:
+        if not candidate.resolved:
             branch.failure = (f"unresolved at mu={candidate.mu:g}: spectral tail "
-                              f"{tail:.3e} above {TAIL_THRESHOLD:g} at n={candidate.field.n}")
+                              f"{candidate.tail:.3e} above {TAIL_THRESHOLD:g} "
+                              f"at n={candidate.field.n}")
             break
         if result is not None:
             step = min(step * GROWTH, MAX_STEP)
             ratio = min(ratio * np.sqrt(GROWTH), policy.ratio)
         result = candidate
         branch.points.append(_branch_point(result.mu, result.field, result.residual,
-                                           result.iterations, tail, guess_residual))
+                                           result.iterations, result.tail, guess_residual))
         if progress:
             progress(branch.points[-1])
         if result.mu >= mu_end:
@@ -345,6 +349,34 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                             _node_polynomial(nodes, mu_next))
     branch.truncated = branch.failure is not None
     return branch
+
+
+def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
+                   n_max: int) -> tuple[SolveResult, list[dict]]:
+    """Solve at each distinct mu of mu_sequence, in increasing order, from
+    _seeded_guess on n_start points (as solve_seeded does), each grid
+    refined up to n_max until resolved.  Returns the last result and per-mu
+    records, whose "resolved" is the result's own (a grid capped at n_max
+    may leave it False).  Raises ValueError, before any solve, for a target
+    that is non-finite or at or below the kernel's bifurcation point, and
+    for n_start, n_max that StepPolicy.check rejects."""
+    policy = StepPolicy(n_start=n_start, n_max=n_max)
+    policy.check()
+    mu_targets = sorted({float(m) for m in mu_sequence})
+    if not all(math.isfinite(m) for m in mu_targets):
+        raise ValueError(f"mu targets must be finite, got {tuple(mu_sequence)}")
+    mu1 = float(characteristic_values(spec, 1)[0])
+    if not (mu_targets and mu_targets[0] > mu1):
+        raise ValueError(f"mu targets must exceed the bifurcation point {mu1:g}, "
+                         f"got {tuple(mu_sequence)}")
+    per_mu = []
+    for mu in mu_targets:
+        result, _ = _converge_resolved(mu, _seeded_guess(mu, spec, n_start, tol),
+                                       spec, tol, policy)
+        per_mu.append({"mu": mu, "n": result.field.n, "sup_norm": result.field.sup_norm(),
+                       "residual": result.residual, "tail": result.tail,
+                       "resolved": result.resolved})
+    return result, per_mu
 
 
 def _scaled_field(source: AngleField, n_fold: int) -> AngleField:

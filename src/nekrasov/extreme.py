@@ -6,8 +6,7 @@ Approaching the crest, Phi* = pi/6 + C1 s^b1 + C2 s^(2 b1) + ... with the
 Grant exponent b1 ~ 0.802679, C1 < 0 and C2 > 0.  solve_extreme collocates
 the limiting equation (1/mu = 0) on a crest-graded mesh; extreme_profile
 integrates the free surface from that solution, on which convexity_check
-judges convexity between crests (Plotnikov & Toland, 2004).  solve_sequence
-climbs the finite-mu equation up a ladder of mu on refined uniform grids.
+judges convexity between crests (Plotnikov & Toland, 2004).
 """
 
 from __future__ import annotations
@@ -18,10 +17,8 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from ._graded import GradedCollocation, cumulative_trapezoid
-from .continuation import StepPolicy, _converge_resolved
-from .kernel import DEEP, KernelSpec, characteristic_values
+from .kernel import DEEP, KernelSpec
 from .profile import WaveProfile
-from .solver import TAIL_THRESHOLD, SolveResult, _seed_field, _warm_start_ladder
 
 
 @dataclass
@@ -149,40 +146,6 @@ def stokes_limit(sol: ExtremeSolution,
 def crest_jump(sol: ExtremeSolution) -> float:
     """Jump of the odd extension across theta = 0 (twice the crest limit)."""
     return 2.0 * stokes_limit(sol)
-
-
-def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
-                   n_max: int) -> tuple[SolveResult, list[dict]]:
-    """Solve up _warm_start_ladder to max(mu_sequence), each grid refined
-    (up to n_max) until resolved; returns the last result and per-mu records,
-    whose "resolved" says whether the tail is within TAIL_THRESHOLD (a grid
-    capped at n_max may leave it above).
-    Raises ValueError for a non-finite target or n_start, n_max that
-    StepPolicy.check rejects."""
-    policy = StepPolicy(n_start=n_start, n_max=n_max)
-    policy.check()
-    mu_targets = sorted(float(m) for m in mu_sequence)
-    if not all(math.isfinite(m) for m in mu_targets):
-        raise ValueError(f"mu targets must be finite, got {tuple(mu_sequence)}")
-    mu0, *rungs = _warm_start_ladder(float(characteristic_values(spec, 1)[0]),
-                                    mu_targets[-1])
-    ladder = sorted(set(rungs + mu_targets))
-    per_mu = []
-    result, _ = _converge_resolved(mu0, _seed_field(mu0, spec, n_start),
-                                   spec, tol, policy)
-    for mu in ladder:
-        result, _ = _converge_resolved(mu, result.field, spec, tol, policy)
-        if mu in mu_targets:
-            tail = result.tail
-            per_mu.append({
-                "mu": mu,
-                "n": result.field.n,
-                "sup_norm": result.field.sup_norm(),
-                "residual": result.residual,
-                "tail": tail,
-                "resolved": tail <= TAIL_THRESHOLD,
-            })
-    return result, per_mu
 
 
 def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "direct",

@@ -183,7 +183,9 @@ class AngleField:
 
     @classmethod
     def zero(cls, n: int) -> "AngleField":
-        return cls(get_grid(n), values=np.zeros(n - 1))
+        field = cls(get_grid(n), values=np.zeros(n - 1))
+        field._coeffs = np.zeros(n - 1)  # +0.0: the transform of zeros gives -0.0
+        return field
 
     @property
     def n(self) -> int:

@@ -65,10 +65,10 @@ class SolveResult:
     # max|F| of the initial field, the first evaluation of the solve
     initial_residual: float
 
-    @property
+    @functools.cached_property
     def tail(self) -> float:
         """The field's spectral tail within the retained band n // 2 of the
-        dealiased operator, computed on each access."""
+        dealiased operator, computed on first access and kept."""
         return self.field.spectral_tail(band=self.field.n // 2)
 
     @property
@@ -492,7 +492,9 @@ def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float,
     mu within its reach (SERIES_SEED_REACH on deep water, SINE_SEED_REACH
     at finite depth, in mu - mu1); past it, the solution at the top rung of
     _warm_start_ladder, climbed from the seed at its foot with n/2 kernel
-    modes.  Raises ValueError unless mu exceeds the bifurcation point."""
+    modes.  The one place a solve is seeded: solve_seeded, solve_system,
+    trace_branch and solve_sequence all start here.  Raises ValueError
+    unless mu exceeds the bifurcation point."""
     mu1 = float(characteristic_values(spec, 1)[0])
     reach = SERIES_SEED_REACH if spec.is_infinite else SINE_SEED_REACH
     if not mu - mu1 > reach:

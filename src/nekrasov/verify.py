@@ -1,7 +1,8 @@
 """Invariant suite behind the `verify` subcommand.
 
 Each check prints one PASS/FAIL line; the suite returns False when any
-check fails.  These are fast sanity invariants, not the full acceptance
+check fails.  A check that solves also requires its SolveResult to be
+resolved.  These are fast sanity invariants, not the full acceptance
 battery in the test suite.
 """
 
@@ -64,7 +65,8 @@ def _check_local_bifurcation():
     res = solve_seeded(3.0 + mu_prime)
     b1 = res.field.coefficients[0]
     mismatch = abs(b1 - (mu_prime / 9 - 8 * mu_prime**2 / 243))
-    return mismatch < 5e-6, f"leading coefficient mismatch {mismatch:.2e}"
+    return (mismatch < 5e-6 and res.resolved,
+            f"leading coefficient mismatch {mismatch:.2e}, tail {res.tail:.1e}")
 
 
 def _check_system_equivalence():
@@ -73,7 +75,8 @@ def _check_system_equivalence():
     state = solve_system(mu, tol=1e-11)
     diff = np.abs(single.field.values - state.phi.values).max()
     cross = np.abs(state.psi * (1.0 + mu * inner_accumulate(state.phi)) - 1.0).max()
-    return diff < 1e-8 and cross < 1e-9, f"phi diff {diff:.1e}, psi identity {cross:.1e}"
+    return (diff < 1e-8 and cross < 1e-9 and single.resolved,
+            f"phi diff {diff:.1e}, psi identity {cross:.1e}, tail {single.tail:.1e}")
 
 
 def _check_mini_branch():
@@ -93,13 +96,14 @@ def _check_mini_branch():
 
 
 def _check_dispersion():
-    errs = []
+    errs, resolved = [], True
     for mu_prime in (0.01, 0.005):
         res = solve_seeded(3.0 + mu_prime)
         c, _ = physical_params(res.field, res.mu)
         errs.append(abs(c**2 - 1.0))
-    ok = errs[1] < 0.6 * errs[0] and errs[0] < 1e-3
-    return ok, f"c^2 errors {errs[0]:.2e} -> {errs[1]:.2e}"
+        resolved &= res.resolved
+    ok = errs[1] < 0.6 * errs[0] and errs[0] < 1e-3 and resolved
+    return ok, f"c^2 errors {errs[0]:.2e} -> {errs[1]:.2e}, resolved: {resolved}"
 
 
 def _check_cross_route():
@@ -107,7 +111,7 @@ def _check_cross_route():
     p1 = reconstruct_profile(res.field, 3.5)
     p2 = profile_from_map_coefficients(res.field, 3.5)
     diff = max(np.abs(p1.eta - p2.eta).max(), np.abs(p1.x - p2.x).max())
-    return diff < 1e-8, f"route difference {diff:.1e}"
+    return diff < 1e-8 and res.resolved, f"route difference {diff:.1e}, tail {res.tail:.1e}"
 
 
 def _check_grant():

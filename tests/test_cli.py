@@ -126,7 +126,14 @@ class TestBranch:
             raise AssertionError("a solve started before the input was checked")
 
         monkeypatch.setattr(nekrasov.continuation, "_converge_resolved", no_solve)
+        monkeypatch.setattr(nekrasov.continuation, "_seeded_guess", no_solve)
         assert run(tmp_path, "branch", "--mu-end", mu_end) == 2
+
+    def test_start_past_the_seed_reach(self, tmp_path, capsys):
+        # the series seed alone breaks down at mu = 10; the branch starts from
+        # the warm-start ladder, as solve does
+        assert run(tmp_path, "branch", "--mu-start", "10", "--mu-end", "12") == 0
+        assert "truncated" not in capsys.readouterr().err
 
     def test_json_payload(self, tmp_path):
         assert run(tmp_path, "branch", "--mu-end", "3.3", "--format", "json") == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
-from nekrasov import continuation, extreme, io
+from nekrasov import continuation, io
 from nekrasov.continuation import _tail_violation
 from nekrasov.solver import get_operator
 
@@ -50,7 +50,7 @@ class TestTraceBranch:
             "sequence-inf", "sequence-nan"])
     def test_non_finite_mu_fails_before_solving(self, monkeypatch, call):
         monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
-        monkeypatch.setattr(extreme, "_converge_resolved", _no_solve)
+        monkeypatch.setattr(continuation, "_seeded_guess", _no_solve)
         with pytest.raises(ValueError, match="finite"):
             call()
 
@@ -67,9 +67,29 @@ class TestTraceBranch:
             "n-max-below-n-start", "sequence-n-start-below-4", "sequence-n-max-below-n-start"])
     def test_bad_step_policy_fails_before_solving(self, monkeypatch, call, field):
         monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
-        monkeypatch.setattr(extreme, "_converge_resolved", _no_solve)
+        monkeypatch.setattr(continuation, "_seeded_guess", _no_solve)
         with pytest.raises(ValueError, match=f"StepPolicy.{field}"):
             call()
+
+    @pytest.mark.parametrize("targets", [(2.9, 30.0), (3.0,)], ids=["below-mu1", "at-mu1"])
+    def test_sequence_subcritical_target_fails_before_solving(self, monkeypatch, targets):
+        # no target at or below mu1 reaches a solve: a climb through 2.9
+        # collapses to the trivial field, which then reads resolved at mu = 30
+        monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
+        monkeypatch.setattr(continuation, "_seeded_guess", _no_solve)
+        with pytest.raises(ValueError, match="bifurcation point"):
+            nk.solve_sequence(nk.DEEP, targets, 1e-12, 256, 1 << 12)
+
+    @pytest.mark.parametrize("mu_start, mu_end, points", [(8.75, 10.75, 13), (10.0, 12.0, 2)])
+    def test_starts_past_the_seed_reach(self, mu_start, mu_end, points):
+        # straight from the series seed, Newton diverges at 8.75 and the seed
+        # breaks down at 10; the first point starts from solve_seeded's guess
+        branch = nk.trace_branch(mu_start, mu_end)
+        assert not branch.truncated, branch.failure
+        assert len(branch) == points and branch.mus[-1] == mu_end
+        first, seeded = branch.points[0], nk.solve_seeded(mu_start)
+        assert first.mu == mu_start and first.n == seeded.field.n
+        assert np.abs(first.field.values - seeded.field.values).max() <= 1e-10
 
     def test_default_step_rule(self):
         # additive steps from 0.01, growing by 1.5 up to 1; geometric with

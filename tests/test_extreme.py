@@ -157,10 +157,11 @@ class TestGradedCollocation:
 
     @pytest.mark.parametrize("constant, value", [("_CHEB_NODES", 12), ("_FAR_DISTANCE", 1.0)])
     def test_far_field_check_rejects_coarser_settings(self, monkeypatch, constant, value):
-        # degree 12, or far rows one cluster length away, miss 1e-15
+        # degree 12, or far rows one cluster length away, miss 1e-15; the
+        # scan stops at the first sampled entry that shows it
         monkeypatch.setattr(_graded, constant, value)
         eng = GradedCollocation(n_nodes=600, grading=3.0)
-        assert _far_field_error(eng, 1) > 1e-15
+        assert _far_field_error(eng, 1, stop_above=1e-15) > 1e-15
 
     def test_solve_matches_reference_weights(self):
         eng, ref = GradedCollocation(n_nodes=600), GradedCollocation(n_nodes=600)
@@ -341,12 +342,13 @@ def _reference_weights(eng):
     return w
 
 
-def _far_field_error(eng, stride, last=0):
+def _far_field_error(eng, stride, last=0, stop_above=None):
     """Largest |W[i, j] - exact| / max|W[i]| over far entries of W, against
     30-digit mpmath integrals of Q times the hat functions.  On every level
     of the cluster tree, at every stride-th node (or at the last `last`
     nodes), the nearest far row on each side is sampled, at three columns
-    whose elements both lie in the node."""
+    whose elements both lie in the node.  With `stop_above`, the first
+    sampled error above it is returned at once."""
     import mpmath
     n, tau = eng.n, eng.tau
     rows = tau[1:n]
@@ -365,6 +367,8 @@ def _far_field_error(eng, stride, last=0):
                     for j in sorted({c0 + 1, (c0 + c1) // 2, c1 - 1} - {c0, c1}):
                         err = abs(eng.weights[i, j] - _exact_weight(tau, tau[i + 1], j))
                         worst = max(worst, err / np.abs(eng.weights[i]).max())
+                        if stop_above is not None and worst > stop_above:
+                            return worst
             if size >= n:
                 return worst
             size *= 2
@@ -475,8 +479,8 @@ class TestSequenceStrategy:
 
 @pytest.mark.parametrize("depth", [0.1, 0.5])
 def test_sequence_at_finite_depth(depth):
-    # the warm-start ladder starts just above the kernel's own mu1
-    # (5.387 at h/lambda = 0.1), not above the deep-water value 3
+    # the seed expands about the kernel's own mu1 (5.387 at h/lambda = 0.1),
+    # not about the deep-water value 3
     spec = nk.KernelSpec(depth_ratio=depth)
     result, per_mu = nk.solve_sequence(spec, (30.0,), 1e-12, 256, 1 << 15)
     assert [r["mu"] for r in per_mu] == [30.0]

@@ -280,6 +280,19 @@ class TestSolveSeeded:
         assert result.tail == result.field.spectral_tail(band=256)
         assert result.resolved is resolved
 
+    def test_tail_is_computed_once(self, monkeypatch):
+        result = nk.solve_seeded(3.5, n=64)
+        calls = []
+        spectral_tail = nk.AngleField.spectral_tail
+
+        def counted(field, band=None):
+            calls.append(band)
+            return spectral_tail(field, band)
+
+        monkeypatch.setattr(nk.AngleField, "spectral_tail", counted)
+        assert result.resolved and result.tail == result.tail
+        assert calls == [32]
+
     @pytest.mark.parametrize("mu", [np.inf, np.nan])
     def test_non_finite_mu_is_rejected_before_any_work(self, mu, monkeypatch):
         # mu = inf would otherwise climb a ladder without end
@@ -288,7 +301,8 @@ class TestSolveSeeded:
             nk.solve_seeded(mu)
 
     def test_ladder_is_the_sequence_ladder(self):
-        # the reference loop that fixes solve_sequence's rungs and outputs
+        # the reference loop that fixes the rungs _seeded_guess climbs for
+        # solve_seeded, solve_system, trace_branch and solve_sequence
         mu1, s = 3.0, 0.3
         expected = [mu1 + s]
         s = expected[0] - mu1

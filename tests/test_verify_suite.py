@@ -1,3 +1,4 @@
+import nekrasov.solver
 from nekrasov import verify
 
 
@@ -16,3 +17,13 @@ def test_crashing_check_reports_fail(capsys, monkeypatch):
     monkeypatch.setattr(verify, "SLOW_CHECKS", [])
     assert not verify.run_suite()
     assert "FAIL  boom" in capsys.readouterr().out
+
+
+def test_solving_checks_require_resolved_results(capsys, monkeypatch):
+    # no tail is at or below -1, so every SolveResult reads unresolved
+    monkeypatch.setattr(nekrasov.solver, "TAIL_THRESHOLD", -1.0)
+    assert not verify.run_suite(fast=True)
+    failed = {line.split(":")[0][len("FAIL  "):]
+              for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")}
+    assert failed == {"local bifurcation", "system equivalence", "dispersion recovery",
+                      "cross-route profiles"}
