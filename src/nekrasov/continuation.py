@@ -18,7 +18,9 @@ crest scale (see StepPolicy); the miss falls to 1.6e-5 at mu = 123 and
 4.6e-7 at mu = 6840, and those points need one Newton iteration fewer.
 
 trace_branch (at mu_start) and solve_sequence (at each target) start from
-solver._seeded_guess, as solve_seeded does, and refine the grid from there.
+solver._seeded_guess, as solve_seeded does, and refine the grid from there;
+solve_sequence hands each climb the last target's result, so a sequence
+climbs the warm-start ladder once.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ class ConeReport:
 
 @dataclass
 class BranchPoint:
-    """A converged point; trace_branch also records the Newton iterations of
+    """A converged point: its sup-norm (on the 4x grid), wave_height = H/lambda
+    from the height integral of profile.height_over_wavelength (no profile
+    is built) and the cone report.  trace_branch also records the Newton iterations of
     the solve on its final grid, its spectral tail in the retained band and
     the max|F| of the corrector's guess on the guess grid (in memory only:
     the branch writers leave all three out)."""
@@ -196,10 +200,12 @@ def _tail_violation(v: np.ndarray) -> float:
 def _branch_point(mu: float, field: AngleField, residual: float,
                   iterations: int | None = None, tail: float | None = None,
                   guess_residual: float | None = None) -> BranchPoint:
-    height = _profile.reconstruct_profile(field, mu).height
+    """The branch point at (mu, field) with its diagnostics: the sup-norm
+    on the 4x grid, H/lambda from profile.height_over_wavelength (the
+    height integral, not a full profile) and the cone report."""
     return BranchPoint(mu=mu, field=field, sup_norm=field.sup_norm(),
-                       wave_height=height / (2.0 * np.pi), residual=residual,
-                       n=field.n, cone=cone_membership(field),
+                       wave_height=_profile.height_over_wavelength(field, mu),
+                       residual=residual, n=field.n, cone=cone_membership(field),
                        iterations=iterations, tail=tail,
                        guess_residual=guess_residual)
 
@@ -355,7 +361,9 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
                    n_max: int) -> tuple[SolveResult, list[dict]]:
     """Solve at each distinct mu of mu_sequence, in increasing order, from
     _seeded_guess on n_start points (as solve_seeded does), each grid
-    refined up to n_max until resolved.  Returns the last result and per-mu
+    refined up to n_max until resolved; past the first target, the climb
+    to the next goes on from the last result (_seeded_guess's `below`),
+    so no ladder rung is solved twice.  Returns the last result and per-mu
     records, whose "resolved" is the result's own (a grid capped at n_max
     may leave it False).  Raises ValueError, before any solve, for a target
     that is non-finite or at or below the kernel's bifurcation point, and
@@ -370,8 +378,10 @@ def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
         raise ValueError(f"mu targets must exceed the bifurcation point {mu1:g}, "
                          f"got {tuple(mu_sequence)}")
     per_mu = []
+    result = None
     for mu in mu_targets:
-        result, _ = _converge_resolved(mu, _seeded_guess(mu, spec, n_start, tol),
+        below = None if result is None else (result.mu, result.field)
+        result, _ = _converge_resolved(mu, _seeded_guess(mu, spec, n_start, tol, below=below),
                                        spec, tol, policy)
         per_mu.append({"mu": mu, "n": result.field.n, "sup_norm": result.field.sup_norm(),
                        "residual": result.residual, "tail": result.tail,

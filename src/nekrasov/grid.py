@@ -27,6 +27,15 @@ input), DST-I took 0.20 / 0.65 / 1.66 / 4.1-5.1 ms at n = 16384 / 32768 /
 DCT-I is within a few percent of DST-I.  At n = 8192 the split gains
 nothing.
 
+AngleField.sup_norm evaluates the series on a grid four times finer, from
+coefficients zero-padded to three quarters.  While the padded input's
+upper half is zero the split needs no x_{n-j} terms, so _dst1_padded hands
+back the DST-III of each odd half and the last grid's _dst1 as separate
+pieces, and the max over them is bitwise the max of the full transform.
+Same machine, best of 15: 1.38 / 2.44 / 6.35 / 13.9 ms at n = 16384 /
+32768 / 65536 / 131072 as one zero-padded transform, 0.55 / 1.03 / 2.53 /
+5.38 ms in pieces.
+
 get_grid hands every caller the same SineGrid for a given n, and
 antiderivative_closed writes through that grid's one closed-grid scratch
 array, so a grid is safe for one thread at a time.
@@ -55,6 +64,22 @@ def _dst1(x: np.ndarray) -> np.ndarray:
     out[1::2] = _dst1((lo - hi)[:-1])
     out[0::2] = _fft.dst(lo + hi, type=3)
     return out
+
+
+def _dst1_padded(x: np.ndarray, n: int) -> list[np.ndarray]:
+    """The outputs of _dst1 on grid n for x zero-padded to n - 1 values, as
+    pieces in no fixed order.  While x fits below the split's midpoint, the
+    x_{n-j} half is zero, so the odd modes are the DST-III of x padded to
+    n/2 values and the even ones recurse on grid n/2; past that point, at
+    the cut or for odd n, it is _dst1 of the padded input.  Every pocketfft
+    call sees the same input as in _dst1, up to the sign of zeros."""
+    if n % 2 or n < _SPLIT_MIN or x.size >= n // 2:
+        padded = np.zeros(n - 1)
+        padded[:x.size] = x
+        return [_dst1(padded)]
+    lo = np.zeros(n // 2)
+    lo[:x.size] = x
+    return [_fft.dst(lo, type=3), *_dst1_padded(x, n // 2)]
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:
@@ -207,15 +232,19 @@ class AngleField:
         return self.grid.evaluate_sine(self.coefficients, theta)
 
     def sup_norm(self, oversample: int = 4) -> float:
-        """Max of |Phi| over (0, pi), evaluated on an oversampled grid."""
-        if oversample <= 1:
+        """Max of |Phi| over (0, pi), evaluated on a grid oversample times
+        finer (oversample = 1: the grid values).  The fine grid's values are
+        taken piece by piece from the zero-padded coefficients
+        (_dst1_padded), bitwise equal to the max of its to_values, without
+        caching a grid that nothing else uses.  Raises ValueError unless
+        oversample is an integer of at least 1."""
+        if (isinstance(oversample, bool) or not isinstance(oversample, (int, np.integer))
+                or oversample < 1):
+            raise ValueError(f"oversample must be an integer of at least 1, got {oversample!r}")
+        if oversample == 1:
             return float(np.abs(self.values).max(initial=0.0))
-        m = self.grid.n * int(oversample)
-        padded = np.zeros(m - 1)
-        padded[:self.grid.n - 1] = self.coefficients
-        # grid m's to_values, without caching a grid that nothing else uses
-        dense = _dst1(padded) / 2.0
-        return float(np.abs(dense).max(initial=0.0))
+        pieces = _dst1_padded(self.coefficients, self.grid.n * int(oversample))
+        return float(np.max([np.abs(p, out=p).max() for p in pieces])) / 2.0
 
     def resample(self, n_new: int) -> "AngleField":
         """Spectral resampling: zero-pad or truncate the sine coefficients."""

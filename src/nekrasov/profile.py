@@ -121,6 +121,34 @@ def physical_params(field: AngleField, mu: float, wavelength: float = 2.0 * np.p
     return _speeds(mu, _crest_normalized(field, mu)[3], wavelength, g)
 
 
+def _scaled_speed(field: AngleField, mu: float):
+    """_crest_normalized's 1 + mu*I and D, with R scaled by pi/D (so that the
+    x-extent over a period is 2 pi) and R cos Phi; warns GeometryWarning
+    where R cos Phi <= 0, since the surface is then not a graph."""
+    denom, r_unit, cos_phi, d = _crest_normalized(field, mu)
+    r = (np.pi / d) * r_unit
+    rc = r * cos_phi
+    if rc.min() <= 0.0:
+        warnings.warn("dx/dtheta changes sign: surface is not a graph",
+                      GeometryWarning, stacklevel=3)
+    return denom, d, r, rc
+
+
+def height_over_wavelength(field: AngleField, mu: float) -> float:
+    """H/lambda of the reconstruct_profile surface, without building it.
+
+    With o_k the sine coefficients of R sin Phi (R scaled as in
+    reconstruct_profile), eta = (lambda/2 pi) sum (o_k/k) cos(k theta) up to
+    its offset, so H = eta(0) - eta(pi) = (lambda/2 pi) sum over odd k of
+    2 o_k/k: one transform besides the two of 1 + mu*I.  Same checks and
+    GeometryWarning as reconstruct_profile.
+    """
+    _, _, r, _ = _scaled_speed(field, mu)
+    grid = field.grid
+    odd_series = grid.to_coefficients(r[1:-1] * np.sin(field.values))
+    return float(np.sum(odd_series[0::2] / grid.modes[0::2]) / np.pi)
+
+
 def _wave_profile(field: AngleField, mu: float, wavelength: float, g: float,
                   denom: np.ndarray, d: float, r: np.ndarray,
                   even_series: np.ndarray, odd_series: np.ndarray) -> WaveProfile:
@@ -155,13 +183,8 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    denom, r_unit, cos_phi, d = _crest_normalized(field, mu)
+    denom, d, r, rc = _scaled_speed(field, mu)
     grid = field.grid
-    r = (np.pi / d) * r_unit
-    rc = r * cos_phi
-    if rc.min() <= 0.0:
-        warnings.warn("dx/dtheta changes sign: surface is not a graph",
-                      GeometryWarning, stacklevel=2)
     sin_phi = np.sin(_closed_values(field))
     # cosine series of R cos Phi - 1 (its mean is 0 after normalization)
     even_series = grid.cosine_coefficients_closed(rc - 1.0)

@@ -487,20 +487,27 @@ def _warm_start_ladder(mu1: float, mu: float) -> list[float]:
 
 
 def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float,
-                  method: str = "newton") -> AngleField:
+                  method: str = "newton",
+                  below: tuple[float, AngleField] | None = None) -> AngleField:
     """The field a seeded solve at mu starts from, on n points: the seed at
     mu within its reach (SERIES_SEED_REACH on deep water, SINE_SEED_REACH
     at finite depth, in mu - mu1); past it, the solution at the top rung of
     _warm_start_ladder, climbed from the seed at its foot with n/2 kernel
-    modes.  The one place a solve is seeded: solve_seeded, solve_system,
-    trace_branch and solve_sequence all start here.  Raises ValueError
-    unless mu exceeds the bifurcation point."""
+    modes.  `below`, a solved (mu, field) past the seed's reach and below
+    mu, continues a climb instead: from its field on n points, through the
+    rungs above its mu only.  The one place a solve is seeded: solve_seeded,
+    solve_system, trace_branch and solve_sequence all start here.  Raises
+    ValueError unless mu exceeds the bifurcation point."""
     mu1 = float(characteristic_values(spec, 1)[0])
     reach = SERIES_SEED_REACH if spec.is_infinite else SINE_SEED_REACH
     if not mu - mu1 > reach:
         return _seed_field(mu, spec, n)
     rungs = _warm_start_ladder(mu1, mu)
-    field = _seed_field(rungs[0], spec, n)
+    if below is not None and below[0] - mu1 > reach and below[0] < mu:
+        rungs = [rung for rung in rungs if rung > below[0]]
+        field = below[1].resample(n)
+    else:
+        field = _seed_field(rungs[0], spec, n)
     for rung in rungs:
         field = solve(rung, field, method=method, tol=tol, spec=spec.with_modes(n // 2)).field
     return field

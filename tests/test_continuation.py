@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
-from nekrasov import continuation, io
+from nekrasov import continuation, io, solver
 from nekrasov.continuation import _tail_violation
 from nekrasov.solver import get_operator
 
@@ -224,6 +224,62 @@ class TestPredictor:
 @pytest.fixture(scope="module")
 def branch_1e3():
     return nk.trace_branch(3.01, 1e3)
+
+
+class TestBranchPointDiagnostics:
+    """_branch_point takes H/lambda from height_over_wavelength, not from a full
+    reconstruct_profile, with the same checks."""
+
+    def test_height_and_sup_norm_match_the_full_routes(self, branch_1e3):
+        for p in branch_1e3:
+            height = nk.reconstruct_profile(p.field, p.mu).height / (2.0 * np.pi)
+            assert p.wave_height == pytest.approx(height, rel=2e-15, abs=0.0)
+            assert p.sup_norm == p.field.sup_norm()
+
+    def test_not_a_graph_still_warns(self):
+        # R cos Phi <= 0 near theta = pi/2
+        field = nk.AngleField.from_callable(lambda t: 1.7 * np.sin(t), 128)
+        with pytest.warns(nk.GeometryWarning):
+            continuation._branch_point(3.01, field, 0.0)
+
+    def test_lost_positivity_still_breaks_down(self):
+        field = nk.AngleField.from_callable(lambda t: -2.0 * np.sin(t), 64)
+        with pytest.raises(nk.BreakdownError):
+            continuation._branch_point(50.0, field, 0.0)
+
+
+class TestSolveSequenceClimb:
+    """Each target past the first continues the last target's climb."""
+
+    def test_no_rung_is_solved_twice(self, monkeypatch):
+        # the capped_seq fixture's sequence: 31 solves when each target
+        # climbed from mu1 on its own
+        solves = []
+        real_solve = solver.solve
+
+        def counted(*args, **kwargs):
+            solves.append(args[0])
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve", counted)
+        monkeypatch.setattr(continuation, "solve", counted)
+        runs, counts = [], []
+        for mus in ((30.0,), (1000.0,), (30.0, 1000.0)):
+            runs.append(nk.solve_sequence(nk.DEEP, mus, 1e-12, 512, 1024))
+            counts.append(len(solves) - sum(counts))
+        rungs_below_30 = [r for r in solver._warm_start_ladder(3.0, 1000.0) if r < 30.0]
+        assert counts[2] == counts[0] + counts[1] - len(rungs_below_30) < 31
+        (_, first), (single, second), (last, both) = runs
+        assert [(r["mu"], r["n"], r["resolved"]) for r in both] == \
+            [(r["mu"], r["n"], r["resolved"]) for r in first + second]
+        assert np.abs(last.field.values - single.field.values).max() <= 1e-12
+
+    @pytest.mark.parametrize("below_mu", [5.0, 40.0], ids=["inside-reach", "above-target"])
+    def test_a_start_off_the_climb_is_ignored(self, below_mu):
+        start = nk.AngleField.from_callable(lambda t: 0.1 * np.sin(t), 64)
+        plain = solver._seeded_guess(30.0, nk.DEEP, 64, 1e-12)
+        guess = solver._seeded_guess(30.0, nk.DEEP, 64, 1e-12, below=(below_mu, start))
+        assert guess.values.tobytes() == plain.values.tobytes()
 
 
 class TestSelfSimilarPredictor:

@@ -67,6 +67,37 @@ def test_sup_norm_caches_no_grid():
     assert value == np.abs(nk.SineGrid(4 * 1234).to_values(padded)).max()
 
 
+@pytest.mark.parametrize("oversample", [2, 4, 8])
+@pytest.mark.parametrize("n", [4096, 16384, 32768, 513 * 32])
+def test_sup_norm_pieces_are_the_full_transform_bitwise(monkeypatch, n, oversample):
+    """The zero-aware pieces give bitwise the max of the fine grid's
+    to_values, and every fine grid at or above the cut splits off at least
+    one zero half (513 * 32 is a grid grown from an odd size)."""
+    calls = []
+    pieces = grid_module._dst1_padded
+
+    def counted(x, m):
+        calls.append(m)
+        return pieces(x, m)
+
+    monkeypatch.setattr(grid_module, "_dst1_padded", counted)
+    coeffs = np.random.default_rng(n + oversample).standard_normal(n - 1) / np.arange(1, n)
+    field = nk.AngleField.from_coefficients(coeffs, n)
+    padded = np.zeros(oversample * n - 1)
+    padded[:n - 1] = coeffs
+    value = field.sup_norm(oversample=oversample)
+    assert value == np.abs(nk.SineGrid(oversample * n).to_values(padded)).max()
+    if oversample * n >= grid_module._SPLIT_MIN:
+        assert len(calls) >= 2, calls
+
+
+@pytest.mark.parametrize("oversample", [2.5, 2.9, 1.0, 0, -3, True])
+def test_sup_norm_rejects_non_integer_oversample(oversample):
+    field = nk.AngleField.from_callable(lambda t: np.sin(2 * t), 5)
+    with pytest.raises(ValueError, match="oversample"):
+        field.sup_norm(oversample=oversample)
+
+
 def test_resample_padding_and_truncation():
     field = nk.AngleField.from_callable(lambda t: np.sin(t) + 0.5 * np.sin(2 * t), 32)
     finer = field.resample(128)
