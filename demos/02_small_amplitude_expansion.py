@@ -22,12 +22,10 @@ for p in range(1, 5):
     print(f"  mu'^{p}: {terms}")
 
 print()
-print("=== wave height per wavelength, two independent exact routes ===")
-closed_form = [str(c) for c in nk.series.WAVE_HEIGHT_COEFFICIENTS]
-derived = [str(c) for c in nk.height_coefficients_from_expansion(3)]
-print("  closed form coefficients:", closed_form)
-print("  from exponentiating the angle series:", derived)
-print("  identical:", closed_form == derived)
+print("=== wave height per wavelength from exponentiating the angle series ===")
+derived = [str(c) for c in nk.height_coefficients_from_expansion(4)]
+print("  H/lambda = (1/pi) sum c_p mu'^p with c_1..c_4 =", derived)
+print("  (the classical closed form is 1/9, -8/243, 71/6561 to order 3)")
 
 print()
 print("=== series vs nonlinear solutions ===")

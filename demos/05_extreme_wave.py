@@ -28,7 +28,7 @@ print(f"  crest angle estimate = {direct.crest_angle_estimate:.8f} rad")
 print(f"  pi/6                 = {np.pi / 6:.8f} rad "
       f"(error {abs(direct.crest_angle_estimate - np.pi / 6):.1e})")
 print(f"  odd-extension jump across the crest = "
-      f"{nk.crest_jump(direct):.6f} (pi/3 = {np.pi / 3:.6f})")
+      f"{2.0 * nk.stokes_limit(direct):.6f} (pi/3 = {np.pi / 3:.6f})")
 fit = direct.grant_fit
 print(f"  crest fit: C1 = {fit.c1:.4f} (< 0), C2 = {fit.c2:.5f} (> 0)")
 

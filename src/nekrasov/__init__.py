@@ -25,11 +25,11 @@ from .continuation import (Branch, BranchExtrema, BranchPoint, ConeReport,
 from .profile import (GeometryWarning, ReconstructionError, WaveProfile,
                       fourier_map_coefficients, physical_params,
                       profile_from_map_coefficients, reconstruct_R,
-                      reconstruct_profile, surface_speed_ratio, wave_height)
+                      reconstruct_profile, surface_speed_ratio)
 from .extreme import (ConvexityReport, ExtremeSolution, GrantFit,
-                      convexity_check, crest_jump, extreme_profile,
-                      fit_asymptotics, grant_number, solve_extreme,
-                      stokes_limit, verify_constant_solution)
+                      convexity_check, extreme_profile, fit_asymptotics,
+                      grant_number, solve_extreme, stokes_limit,
+                      verify_constant_solution)
 
 __version__ = "0.1.0"
 
@@ -51,10 +51,9 @@ __all__ = [
     "GeometryWarning", "ReconstructionError", "WaveProfile",
     "fourier_map_coefficients", "physical_params",
     "profile_from_map_coefficients", "reconstruct_R", "reconstruct_profile",
-    "surface_speed_ratio", "wave_height",
+    "surface_speed_ratio",
     "ConvexityReport", "ExtremeSolution", "GrantFit", "convexity_check",
-    "crest_jump", "extreme_profile", "fit_asymptotics",
-    "grant_number", "solve_extreme", "stokes_limit",
-    "verify_constant_solution",
+    "extreme_profile", "fit_asymptotics", "grant_number", "solve_extreme",
+    "stokes_limit", "verify_constant_solution",
     "__version__",
 ]

@@ -34,9 +34,8 @@ pairs at N = 2400 (6.8% at N = 600), take the 10-point Gauss rule: 0.96M
 log1p at N = 2400 against 3.9M with the 32-element clusters.
 
 W stays dense: a solve takes about 18 products with it, Newton's residuals
-and Jacobian matvecs, each one BLAS call (2.0 ms at N = 2400).  So the tree
-serves the assembly only, and the fill of W keeps its 16 multiply-adds per
-far entry.
+and Jacobian matvecs, each one BLAS call.  So the tree serves the assembly
+only, and the fill of W keeps its 16 multiply-adds per far entry.
 
 Two kinds of pair take one batched, dyadically refined pass instead of the
 Gauss rule: an element and the row at either of its ends, where Q has its
@@ -47,13 +46,6 @@ up to 2.6e-8 of the row maximum (N = 120, grading 4.5).  The pass splits
 product rule (_log_weights), so it uses 40 nodes for most singular pairs and
 at most 100 at grading 4.5, 150 per row in all; plain dyadic panels down to
 rounding would need 500 per singular pair.
-
-Best of 15 on a shared 2-vCPU Xeon (numpy 2.4.6, one BLAS thread), at
-N = 600 / 1200 / 2400 and grading 3: the near field takes 5.0 / 6.3 / 18.9
-ms (with the first touch of W's pages), the far field 6.1 / 12.6 / 36.0 ms
-and the refined pass 2.9 / 4.9 / 9.1 ms.  The whole assembly, best of 21
-runs interleaved with one level of 32-element clusters, takes 12.1 / 25.5 /
-63.6 ms against 19.0 / 40.0 / 105.8 ms.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Subcommands: eigs, solve, branch, series, profile, extreme, verify.
 Configuration is taken from flags or from a JSON file (--config); flags
-override file values.  Exit codes: 0 success, 1 numerical failure
-(divergence or breakdown), 2 validation error.  Output is byte-stable for
-identical configurations.
+override file values.  Each subcommand takes only the flags it reads.
+Exit codes: 0 success, 1 numerical failure (divergence or breakdown),
+2 validation error.  Output is byte-stable for identical configurations.
 """
 
 from __future__ import annotations
@@ -20,11 +20,12 @@ import numpy as np
 
 from . import __version__, io as _io
 from .continuation import StepPolicy, trace_branch
-from .extreme import convexity_check, crest_jump, extreme_profile, solve_extreme
+from .extreme import convexity_check, extreme_profile, solve_extreme
 from .grid import AngleField
-from .kernel import KernelSpec, characteristic_values
+from .kernel import DEEP, KernelSpec, characteristic_values
 from .profile import reconstruct_profile
-from .series import WAVE_HEIGHT_COEFFICIENTS, UnsupportedOrderError, expand_solution
+from .series import (UnsupportedOrderError, expand_solution,
+                     height_coefficients_from_expansion)
 from .solver import (TAIL_THRESHOLD, BreakdownError, DivergenceError, SolveResult,
                      solve_seeded)
 from . import verify as _verify
@@ -88,17 +89,27 @@ def _load_config(argv: list[str]) -> list[str]:
     return head + flags + tail
 
 
-def _add_common(p: argparse.ArgumentParser):
+# the flags that several subcommands share; each subcommand declares only
+# the ones it reads, so argparse rejects (exit 2) a flag that would change
+# nothing
+_SHARED_FLAGS = {
+    "depth": dict(default="inf",
+                  help="depth-to-wavelength ratio h/lambda, or 'inf' (default)"),
+    "n": dict(type=int, default=512, help="grid size (default 512)"),
+    "tol": dict(type=float, default=1e-12, help="solver tolerance"),
+    "out-dir": dict(default=None,
+                    help="output directory (default $NEKRASOV_OUT_DIR or '.')"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "out": dict(default=None, help="output file name"),
+}
+_SOLVE_FLAGS = ("depth", "n", "tol", "out-dir", "format", "out")
+
+
+def _add_flags(p: argparse.ArgumentParser, names=()):
     p.add_argument("--config", metavar="FILE",
                    help="JSON file with flag defaults (explicit flags win)")
-    p.add_argument("--depth", default="inf",
-                   help="depth-to-wavelength ratio h/lambda, or 'inf' (default)")
-    p.add_argument("--n", type=int, default=512, help="grid size (default 512)")
-    p.add_argument("--tol", type=float, default=1e-12, help="solver tolerance")
-    p.add_argument("--out-dir", default=None,
-                   help="output directory (default $NEKRASOV_OUT_DIR or '.')")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output file name")
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -109,42 +120,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigs", help="characteristic values of the linearized operator")
     p.add_argument("--kmax", type=int, default=8)
-    _add_common(p)
+    _add_flags(p, ("depth", "n", "out-dir", "format", "out"))
 
     p = sub.add_parser("solve", help="solve the wave equation at one mu")
     p.add_argument("--mu", type=float, required=True)
-    p.add_argument("--method", choices=("newton", "newton_krylov", "fixed_point"),
-                   default="newton")
-    _add_common(p)
+    _add_flags(p, _SOLVE_FLAGS)
 
     p = sub.add_parser("branch", help="trace the solution branch in mu")
     p.add_argument("--mu-start", type=float, default=3.01)
     p.add_argument("--mu-end", type=float, default=50.0)
-    _add_common(p)
+    _add_flags(p, _SOLVE_FLAGS)
 
     p = sub.add_parser("series", help="exact small-parameter expansion coefficients")
     p.add_argument("--order", type=int, default=3)
-    _add_common(p)
+    _add_flags(p, ("out-dir", "out"))
 
     p = sub.add_parser("profile", help="reconstruct the physical wave profile")
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--wavelength", type=float, default=2.0 * math.pi)
     p.add_argument("--g", type=float, default=1.0)
-    _add_common(p)
+    _add_flags(p, _SOLVE_FLAGS)
 
     p = sub.add_parser("extreme", help="extreme-wave limit and crest diagnostics")
-    _add_common(p)
+    _add_flags(p, ("depth", "out-dir", "out"))
 
     p = sub.add_parser("verify", help="run the invariant suite")
     p.add_argument("--fast", action="store_true",
                    help="skip the slower checks (branch and extreme)")
-    _add_common(p)
+    _add_flags(p)
     return ap
 
 
 def _emit(args, stem: str, columns, metadata, payload) -> Path:
     out_dir = _out_dir(args)
-    if args.format == "csv" and columns is not None:
+    if columns is not None and args.format == "csv":
         path = out_dir / (args.out or f"{stem}.csv")
         _io.write_csv(path, columns, metadata)
     else:
@@ -168,7 +177,7 @@ def cmd_eigs(args) -> int:
     return EXIT_OK
 
 
-def _solve_seeded(args, spec, method="newton") -> SolveResult:
+def _solve_seeded(args, spec) -> SolveResult:
     """solve_seeded at the requested mu, n and tol.  At or below the
     bifurcation point it warns on stderr and returns the trivial field
     (residual 0, no iterations); it also warns when the spectral tail shows
@@ -180,8 +189,8 @@ def _solve_seeded(args, spec, method="newton") -> SolveResult:
         print(f"warning: subcritical mu <= {mu1:g} (no nontrivial solution); "
               "emitting the trivial solution", file=sys.stderr)
         return SolveResult(field=AngleField.zero(args.n), mu=args.mu, residual=0.0,
-                           iterations=0, method=method, initial_residual=0.0)
-    result = solve_seeded(args.mu, spec, args.n, args.tol, method)
+                           iterations=0, method="newton", initial_residual=0.0)
+    result = solve_seeded(args.mu, spec, args.n, args.tol)
     if not result.resolved:
         print(f"warning: unresolved on n={args.n}: spectral tail {result.tail:.3e} "
               f"above {TAIL_THRESHOLD:g}; raise --n", file=sys.stderr)
@@ -190,7 +199,7 @@ def _solve_seeded(args, spec, method="newton") -> SolveResult:
 
 def cmd_solve(args) -> int:
     spec = _spec_from(args)
-    result = _solve_seeded(args, spec, args.method)
+    result = _solve_seeded(args, spec)
     field = result.field
     meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol, mu=args.mu,
                              residual=result.residual, iterations=result.iterations,
@@ -230,9 +239,8 @@ def cmd_series(args) -> int:
             rows_p.append(p)
             rows_k.append(k)
             rows_c.append(series.coefficient(p, k))
-    spec = _spec_from(args)
-    meta = _io.base_metadata(__version__, spec, order=args.order)
-    height = [str(c) for c in WAVE_HEIGHT_COEFFICIENTS[:args.order]]
+    meta = _io.base_metadata(__version__, DEEP, order=args.order)
+    height = [str(c) for c in height_coefficients_from_expansion(args.order)]
     payload = {
         "metadata": meta,
         "coefficients": [
@@ -265,19 +273,18 @@ def cmd_profile(args) -> int:
 
 
 def cmd_extreme(args) -> int:
-    spec = _spec_from(args)
-    if not spec.is_infinite:
+    if not math.isinf(_parse_depth(args.depth)):
         raise ValidationError("the extreme limit is computed on deep water")
     sol = solve_extreme()
     convexity = convexity_check(extreme_profile(sol))
-    meta = _io.base_metadata(__version__, spec, strategy="direct")
-    # the graded mesh takes no spectral modes, so --n changes no result
+    meta = _io.base_metadata(__version__, DEEP, strategy="direct")
+    # the graded mesh takes no spectral modes
     del meta["kernel_spec"]["n_modes"]
     report = {
         "metadata": meta,
         "crest_angle_estimate": sol.crest_angle_estimate,
         "crest_angle_target": math.pi / 6.0,
-        "jump": crest_jump(sol),
+        "jump": 2.0 * sol.crest_angle_estimate,
         "C1": sol.grant_fit.c1,
         "C2": sol.grant_fit.c2,
         "beta1": sol.grant_fit.beta1,

@@ -211,8 +211,7 @@ def _branch_point(mu: float, field: AngleField, residual: float,
 
 
 def _corrector(mu, guess, spec, tol) -> SolveResult:
-    return solve(mu, guess, method="newton", tol=tol,
-                 spec=spec.with_modes(guess.n // 2))
+    return solve(mu, guess, tol=tol, spec=spec.with_modes(guess.n // 2))
 
 
 def _converge_resolved(mu, guess, spec, tol, policy):
@@ -438,7 +437,7 @@ def scale_branch_point(point: BranchPoint, n_fold: int, spec: KernelSpec = DEEP,
             raise ReconstructionOverflowError(
                 f"scaled point residual {residual:.3e} exceeds {tol:.3e} "
                 "and no finer grid is feasible")
-        source = solve(point.mu, source.resample(source.n * 2), method="newton",
+        source = solve(point.mu, source.resample(source.n * 2),
                        tol=max(point.residual, 1e-13),
                        spec=spec.with_modes(source.n)).field
     else:

@@ -143,11 +143,6 @@ def stokes_limit(sol: ExtremeSolution,
     return float(coef[0])
 
 
-def crest_jump(sol: ExtremeSolution) -> float:
-    """Jump of the odd extension across theta = 0 (twice the crest limit)."""
-    return 2.0 * stokes_limit(sol)
-
-
 def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "direct",
                   tol: float = 1e-11, n_nodes: int = 600,
                   grading: float = 3.0) -> ExtremeSolution:

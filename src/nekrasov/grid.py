@@ -21,20 +21,13 @@ mode k:
 The even half recurses down to the cut; the odd half is one pocketfft
 DST-III/DCT-III (a length-m real FFT and twiddles), so rounding stays
 O(eps log n).  Below the cut, and for odd n, the transform is the plain
-scipy call, bitwise.  Measured on a 2-vCPU Xeon (best of 60, random
-input), DST-I took 0.20 / 0.65 / 1.66 / 4.1-5.1 ms at n = 16384 / 32768 /
-65536 / 131072 as one call, and 0.18 / 0.32 / 0.72 / 1.54 ms split;
-DCT-I is within a few percent of DST-I.  At n = 8192 the split gains
-nothing.
+scipy call, bitwise.
 
 AngleField.sup_norm evaluates the series on a grid four times finer, from
 coefficients zero-padded to three quarters.  While the padded input's
 upper half is zero the split needs no x_{n-j} terms, so _dst1_padded hands
 back the DST-III of each odd half and the last grid's _dst1 as separate
 pieces, and the max over them is bitwise the max of the full transform.
-Same machine, best of 15: 1.38 / 2.44 / 6.35 / 13.9 ms at n = 16384 /
-32768 / 65536 / 131072 as one zero-padded transform, 0.55 / 1.03 / 2.53 /
-5.38 ms in pieces.
 
 get_grid hands every caller the same SineGrid for a given n, and
 antiderivative_closed writes through that grid's one closed-grid scratch

@@ -51,6 +51,7 @@ class WaveProfile:
 
     @property
     def height(self) -> float:
+        """Crest-to-trough height eta(0) - eta(pi) (offset independent)."""
         return float(self.eta[0] - self.eta[-1])
 
 
@@ -244,8 +245,3 @@ def profile_from_map_coefficients(field: AngleField, mu: float,
     profile = _wave_profile(field, mu, wavelength, g, denom, d, (np.pi / d) * r, a, a)
     profile.metadata.update(route="map_coefficients", n=field.n)
     return profile
-
-
-def wave_height(profile: WaveProfile) -> float:
-    """Crest-to-trough height eta(0) - eta(pi) (offset independent)."""
-    return profile.height

@@ -343,10 +343,6 @@ def series_coefficients(series: RationalSineSeries, mu_prime: float, k_max: int)
     return out
 
 
-# wave height per wavelength: (1/pi) [mu'/9 - 8 mu'^2/243 + 71 mu'^3/6561]
-WAVE_HEIGHT_COEFFICIENTS = (Fraction(1, 9), Fraction(-8, 243), Fraction(71, 6561))
-
-
 def wave_height_series(mu_prime: float, wavelength: float) -> float:
     """Crest-to-trough height of the small-amplitude wave.
 
@@ -357,19 +353,21 @@ def wave_height_series(mu_prime: float, wavelength: float) -> float:
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
     acc = 0.0
-    for coeff in reversed(WAVE_HEIGHT_COEFFICIENTS):
+    for coeff in reversed(height_coefficients_from_expansion(3)):
         acc = (acc + float(coeff)) * mu_prime
     return wavelength / np.pi * acc
 
 
-def height_coefficients_from_expansion(order: int = 3) -> list[Fraction]:
-    """Derive the height/wavelength coefficients from the expansion itself.
+@functools.cache
+def height_coefficients_from_expansion(order: int = 3) -> tuple[Fraction, ...]:
+    """The height/wavelength coefficients of mu'^1..mu'^order, derived from
+    the expansion itself; order 3 gives the classical 1/9, -8/243, 71/6561.
 
     The angle coefficients b_k exponentiate to the surface-map coefficients
     a_k (log f has power-series coefficients equal to the b_k), and the
     crest-to-trough height is (lambda/pi) sum_{k odd} a_k / k.  Everything
-    is exact, so this is an independent check of the closed-form height
-    coefficients above.
+    is exact; the result is computed on the first call for each order and
+    cached, like expand_solution's.
     """
     series = expand_solution(order)
     # a_k as mu'-polynomials via exp of the power series sum b_k u^k
@@ -396,4 +394,4 @@ def height_coefficients_from_expansion(order: int = 3) -> list[Fraction]:
     height = list(zero)
     for k in range(1, order + 1, 2):
         height = [x + y / k for x, y in zip(height, a[k])]
-    return height[1:order + 1]
+    return tuple(height[1:order + 1])

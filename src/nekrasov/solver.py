@@ -1,4 +1,4 @@
-"""Nonlinear operator evaluation and fixed-point/Newton solution.
+"""Nonlinear operator evaluation and Newton solution.
 
 The equation solved here is
 
@@ -372,28 +372,6 @@ def _krylov_step(jacobian, f, target):
     raise DivergenceError("inner Krylov solve stagnated", float(np.abs(f).max()), 0)
 
 
-def _solve_fixed_point(op, x, mu, tol, max_iter):
-    """Picard iteration x <- A x, damped by halving omega while the
-    residual rises; A of the accepted iterate is kept for the next step.
-    Returns (x, max|F(x)|, iterations, max|F| of the initial x)."""
-    omega = 1.0
-    ax = op.apply(x, mu)
-    res = initial = float(np.abs(x - ax).max())
-    for it in range(1, max_iter + 1):
-        if res <= tol:
-            return x, res, it - 1, initial
-        trial = (1.0 - omega) * x + omega * ax
-        trial_ax = op.apply(trial, mu)
-        trial_res = float(np.abs(trial - trial_ax).max())
-        if trial_res > res and omega > 2.0**-8:
-            omega *= 0.5
-            continue
-        x, ax, res = trial, trial_ax, trial_res
-    if res <= tol:
-        return x, res, max_iter, initial
-    raise DivergenceError(f"fixed point did not reach tol={tol:g}", res, max_iter)
-
-
 def _check_mu_tol(mu: float, tol: float) -> None:
     """Raise ValueError unless mu is positive and finite and tol is positive:
     the spectral route is ill-posed at nu = 0, and a tol of zero or below
@@ -408,40 +386,38 @@ def _check_mu_tol(mu: float, tol: float) -> None:
 
 
 def solve(mu: float, initial: AngleField, method: str = "newton",
-          tol: float = 1e-12, max_iter: int | None = None,
-          spec: KernelSpec | None = None) -> SolveResult:
+          tol: float = 1e-12, spec: KernelSpec | None = None) -> SolveResult:
     """Solve Phi = A_mu Phi from the given initial field.
 
-    method is "newton" ("newton_krylov" is accepted as an alias) or
-    "fixed_point" (damped Picard).  Newton is the damped-Newton loop and
-    the restarted-GMRES step (_krylov_step on the matrix-free Jacobian,
-    F(x) as right-hand side) that GradedCollocation.solve shares, so each
-    iterate costs one A_mu evaluation.  mu must be positive and finite and
-    tol positive (ValueError before any work otherwise): the
-    spectral route is ill-posed at nu = 0, and the extreme wave is computed
-    by solve_extreme(strategy="direct").
+    method accepts only "newton" (any other value raises ValueError); it
+    remains for bench/workloads.py, which passes it.  The solve is the
+    damped-Newton loop and the restarted-GMRES step (_krylov_step on the
+    matrix-free Jacobian, F(x) as right-hand side) that
+    GradedCollocation.solve shares, so each iterate costs one A_mu
+    evaluation, for at most NEWTON_MAX_ITER iterations.  mu must be
+    positive and finite and tol positive (ValueError before any work
+    otherwise): the spectral route is ill-posed at nu = 0, and the extreme
+    wave is computed by solve_extreme(strategy="direct").
     Raises DivergenceError on non-convergence and propagates
     BreakdownError when the initial state is outside the physical regime.
     """
+    if method != "newton":
+        raise ValueError(f"unknown method {method!r}; only \"newton\" is supported")
     _check_mu_tol(mu, tol)
     if not np.isfinite(initial.values).all():
         raise ValueError("the initial field has non-finite values")
     op = get_operator(initial.n, _default_spec(initial, spec))
-    x = initial.values.copy()
-    if method in ("newton", "newton_krylov"):
-        def residual(x):
-            return x - op.apply(x, mu)
 
-        f = residual(x)
-        first = float(np.abs(f).max())
-        x, res, its = _newton(
-            residual,
-            lambda x, f, target: _krylov_step(op.jacobian_operator(x, mu), f, target),
-            x, tol, max_iter or NEWTON_MAX_ITER, f)
-    elif method == "fixed_point":
-        x, res, its, first = _solve_fixed_point(op, x, mu, tol, max_iter or 5000)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    def residual(x):
+        return x - op.apply(x, mu)
+
+    x = initial.values.copy()
+    f = residual(x)
+    first = float(np.abs(f).max())
+    x, res, its = _newton(
+        residual,
+        lambda x, f, target: _krylov_step(op.jacobian_operator(x, mu), f, target),
+        x, tol, NEWTON_MAX_ITER, f)
     return SolveResult(field=AngleField(initial.grid, values=x), mu=mu,
                        residual=res, iterations=its, method=method,
                        initial_residual=first)
@@ -487,7 +463,6 @@ def _warm_start_ladder(mu1: float, mu: float) -> list[float]:
 
 
 def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float,
-                  method: str = "newton",
                   below: tuple[float, AngleField] | None = None) -> AngleField:
     """The field a seeded solve at mu starts from, on n points: the seed at
     mu within its reach (SERIES_SEED_REACH on deep water, SINE_SEED_REACH
@@ -509,19 +484,18 @@ def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float,
     else:
         field = _seed_field(rungs[0], spec, n)
     for rung in rungs:
-        field = solve(rung, field, method=method, tol=tol, spec=spec.with_modes(n // 2)).field
+        field = solve(rung, field, tol=tol, spec=spec.with_modes(n // 2)).field
     return field
 
 
 def solve_seeded(mu: float, spec: KernelSpec = DEEP, n: int = 512,
-                 tol: float = 1e-12, method: str = "newton") -> SolveResult:
+                 tol: float = 1e-12) -> SolveResult:
     """Seed at mu from the small-amplitude expansion and solve on n points
     with n/2 kernel modes; past the seed's reach the guess comes from the
     warm-start ladder instead (_seeded_guess).  Raises ValueError unless mu
     is finite and exceeds the bifurcation point of the kernel."""
     _check_mu_tol(mu, tol)
-    return solve(mu, _seeded_guess(mu, spec, n, tol, method), method=method, tol=tol,
-                 spec=spec.with_modes(n // 2))
+    return solve(mu, _seeded_guess(mu, spec, n, tol), tol=tol, spec=spec.with_modes(n // 2))
 
 
 def _system_f(op: NekrasovOperator, phi: np.ndarray, psi: np.ndarray, mu: float):

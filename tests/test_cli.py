@@ -160,14 +160,14 @@ def _is_stdlib_indent(text: str) -> bool:
 
 
 @pytest.mark.parametrize("argv, name", [
-    (["eigs", "--depth", "inf", "--kmax", "3"], "eigs.json"),
-    (["solve", "--mu", "3.2", "--n", "256"], "solution.json"),
-    (["branch", "--mu-end", "4"], "branch.json"),
+    (["eigs", "--depth", "inf", "--kmax", "3", "--format", "json"], "eigs.json"),
+    (["solve", "--mu", "3.2", "--n", "256", "--format", "json"], "solution.json"),
+    (["branch", "--mu-end", "4", "--format", "json"], "branch.json"),
     (["series", "--order", "3"], "series.json"),
-    (["profile", "--mu", "3.5"], "profile.json"),
+    (["profile", "--mu", "3.5", "--format", "json"], "profile.json"),
 ], ids=["eigs", "solve", "branch", "series", "profile"])
 def test_json_layout_is_stdlib_indent(tmp_path, argv, name):
-    assert run(tmp_path, *argv, "--format", "json") == 0
+    assert run(tmp_path, *argv) == 0
     assert _is_stdlib_indent((tmp_path / name).read_text(encoding="utf-8"))
 
 
@@ -188,18 +188,36 @@ class TestExtreme:
         assert "mu" not in data["convexity"]
         assert "crest angle estimate" in capsys.readouterr().out
 
-    def test_report_independent_of_n(self, tmp_path):
-        # the graded mesh takes no spectral modes, so --n changes no byte
-        reports = []
-        for n in ("512", "1024"):
-            assert run(tmp_path / n, "extreme", "--n", n) == 0
-            reports.append((tmp_path / n / "extreme.json").read_bytes())
-        assert reports[0] == reports[1]
-
     def test_strategy_option_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as info:
             run(tmp_path, "extreme", "--strategy", "sequence")
         assert info.value.code == 2
+
+
+# (subcommand, flag, value) for each flag a subcommand would ignore: series
+# and extreme write JSON only, series takes no grid, extreme solves on its
+# own graded mesh, and verify runs fixed checks that write no file
+IGNORED_FLAGS = [
+    ("solve", "--method", "newton"), ("eigs", "--tol", "1e-12"),
+    ("series", "--depth", "inf"), ("series", "--n", "512"),
+    ("series", "--tol", "1e-12"), ("series", "--format", "json"),
+    ("extreme", "--n", "7"), ("extreme", "--tol", "5"), ("extreme", "--format", "json"),
+    ("verify", "--depth", "inf"), ("verify", "--n", "512"), ("verify", "--tol", "1e-12"),
+    ("verify", "--out-dir", "."), ("verify", "--format", "json"),
+    ("verify", "--out", "verify.json"),
+]
+# the rest of a call that would succeed without the ignored flag
+REQUIRED = {"solve": ["--mu", "3.2"], "verify": ["--fast"]}
+
+
+@pytest.mark.parametrize("command, flag, value", IGNORED_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in IGNORED_FLAGS])
+def test_ignored_flag_is_rejected(tmp_path, monkeypatch, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("NEKRASOV_OUT_DIR", raising=False)
+    with pytest.raises(SystemExit) as info:
+        main([command, *REQUIRED.get(command, []), flag, value])
+    assert info.value.code == 2
 
 
 class TestConfigFile:

@@ -161,7 +161,7 @@ class TestPhysicalParams:
 class TestWaveHeightCrossChecks:
     def test_flat(self):
         profile = nk.reconstruct_profile(nk.AngleField.zero(64), mu=3.0)
-        assert nk.wave_height(profile) == pytest.approx(0.0, abs=1e-15)
+        assert profile.height == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_series_at_small_amplitude(self):
         mu_prime = 0.02

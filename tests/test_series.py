@@ -111,7 +111,7 @@ class TestWaveHeight:
         # independent route: exponentiate the angle series into the map
         # coefficients and sum the odd modes; must reproduce the closed form
         derived = nk.height_coefficients_from_expansion(3)
-        assert derived == [Fraction(1, 9), Fraction(-8, 243), Fraction(71, 6561)]
+        assert derived == (Fraction(1, 9), Fraction(-8, 243), Fraction(71, 6561))
 
     def test_validation(self):
         with pytest.raises(ValueError):

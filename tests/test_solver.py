@@ -133,7 +133,7 @@ class TestSolve:
     def test_subcritical_goes_trivial(self):
         grid = nk.get_grid(256)
         init = nk.AngleField(grid, values=0.1 * np.sin(grid.theta))
-        res = nk.solve(2.9, init, method="fixed_point", tol=1e-12)
+        res = nk.solve(2.9, init, tol=1e-12)
         assert res.field.sup_norm() < 1e-10
         assert res.residual <= 1e-12
 
@@ -146,26 +146,10 @@ class TestSolve:
         assert b1 == pytest.approx((mu - 3.0) / 9.0, rel=0.02)
         assert res.field.sup_norm() > 1e-4
 
-    def test_unphysical_initial_fails(self):
-        grid = nk.get_grid(128)
-        init = nk.AngleField(grid, values=10.0 * np.sin(grid.theta))
-        with pytest.raises((nk.DivergenceError, nk.BreakdownError)):
-            nk.solve(3.05, init, method="fixed_point", max_iter=300)
-
     def test_converged_residual_on_doubled_grid(self, wave_35):
         doubled = wave_35.field.resample(1024)
         out = nk.apply_nekrasov(doubled, 3.5, spec=nk.KernelSpec(n_modes=256))
         assert np.abs(doubled.values - out.values).max() < 1e-10
-
-    def test_methods_agree(self):
-        mu = 3.3
-        grid = nk.get_grid(256)
-        init = nk.AngleField(grid, values=(mu - 3.0) / 9.0 * np.sin(grid.theta))
-        newton = nk.solve(mu, init, method="newton")
-        krylov = nk.solve(mu, init, method="newton_krylov")
-        fixed = nk.solve(mu, init, method="fixed_point", tol=1e-11)
-        assert np.abs(newton.field.values - krylov.field.values).max() < 1e-9
-        assert np.abs(newton.field.values - fixed.field.values).max() < 1e-9
 
     def test_operator_cache_keeps_recently_used(self):
         # least-recently-used eviction: an operator in steady use survives
@@ -208,8 +192,11 @@ class TestSolve:
             nk.solve(-1.0, init)
         with pytest.raises(ValueError):
             nk.solve(3.2, init, tol=-1e-12)
-        with pytest.raises(ValueError):
-            nk.solve(3.2, init, method="sorcery")
+        # Newton is the only method; the Picard iteration and the
+        # "newton_krylov" alias are gone
+        for method in ("sorcery", "fixed_point", "newton_krylov"):
+            with pytest.raises(ValueError, match="unknown method"):
+                nk.solve(3.2, init, method=method)
 
     @pytest.mark.parametrize("mu", [np.inf, np.nan])
     def test_non_finite_mu_is_rejected(self, mu):
@@ -341,14 +328,7 @@ class TestEvaluationCounts:
         result = nk.solve_seeded(3.5)
         assert len(calls) == result.iterations + 1 == 3
 
-    def test_fixed_point_applies_once_per_iterate(self, monkeypatch):
-        grid = nk.get_grid(256)
-        init = nk.AngleField(grid, values=0.3 / 9.0 * np.sin(grid.theta))
-        calls = count_applies(monkeypatch)
-        result = nk.solve(3.3, init, method="fixed_point", tol=1e-11)
-        assert len(calls) == result.iterations + 1 == 181
-
-    @pytest.mark.parametrize("method", ["newton", "fixed_point"])
+    @pytest.mark.parametrize("method", ["newton"])
     def test_initial_residual_is_the_first_evaluation(self, method):
         grid = nk.get_grid(256)
         init = nk.AngleField(grid, values=0.3 / 9.0 * np.sin(grid.theta))
