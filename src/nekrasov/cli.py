@@ -64,14 +64,17 @@ def _out_dir(args) -> Path:
 
 
 def _load_config(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flag defaults (flags given later win)."""
-    if "--config" not in argv:
+    """Expand the --config file into flags ahead of the explicit ones, so
+    that explicit flags win.  The path is read as argparse reads --config:
+    from --config FILE, --config=FILE or an unambiguous prefix such as
+    --conf FILE.  That first pass knows no other flag, since the file may
+    supply one that the subcommand requires; the full parse that follows
+    still sees the explicit --config and rejects whatever it cannot take."""
+    first = argparse.ArgumentParser(prog="nekrasov", add_help=False)
+    first.add_argument("--config")
+    cfg_path = first.parse_known_args(argv)[0].config
+    if cfg_path is None:
         return argv
-    i = argv.index("--config")
-    try:
-        cfg_path = argv[i + 1]
-    except IndexError:
-        raise ValidationError("--config requires a file path")
     try:
         with open(cfg_path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -84,9 +87,8 @@ def _load_config(argv: list[str]) -> list[str]:
         flags.append(f"--{key.replace('_', '-')}")
         if value is not True:
             flags.append(str(value))
-    # insert config flags right after the subcommand so explicit flags override
-    head, tail = argv[:1], argv[1:i] + argv[i + 2:]
-    return head + flags + tail
+    # right after the subcommand, so that the explicit flags come later
+    return argv[:1] + flags + argv[1:]
 
 
 # the flags that several subcommands share; each subcommand declares only

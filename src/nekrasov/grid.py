@@ -6,10 +6,12 @@ theta_j = j*pi/n with a sine basis hard-codes that symmetry: every field
 handled here is implicitly extended by Phi(-theta) = -Phi(theta).
 
 The grid's transforms are scipy's unnormalised DST-I on the n - 1 interior
-values and DCT-I on the n + 1 closed-grid values.  pocketfft computes both
-through a real FFT of length 2n.  For even n >= _SPLIT_MIN they are split
-instead.  With m = n/2, x_j the input at theta_j and Y_k the output for
-mode k:
+values and DCT-I on the n + 1 closed-grid values, computed by pocketfft
+through a real FFT of length 2n.  They are called through scipy.fftpack,
+whose dst and dct pass the array straight to the pocketfft backend that
+scipy.fft dispatches to, so every result is bitwise that of scipy.fft.
+For even n >= _SPLIT_MIN they are split instead.  With m = n/2, x_j the
+input at theta_j and Y_k the output for mode k:
 
     DST-I:  Y_2k   = DST-I  on grid m of  x_j - x_{n-j}, j = 1..m-1;
             Y_2k+1 = DST-III of length m of  x_j + x_{n-j}, j = 1..m
@@ -21,7 +23,7 @@ mode k:
 The even half recurses down to the cut; the odd half is one pocketfft
 DST-III/DCT-III (a length-m real FFT and twiddles), so rounding stays
 O(eps log n).  Below the cut, and for odd n, the transform is the plain
-scipy call, bitwise.
+pocketfft call, bitwise.
 
 AngleField.sup_norm evaluates the series on a grid four times finer, from
 coefficients zero-padded to three quarters.  While the padded input's
@@ -39,7 +41,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import fft as _fft
+from scipy import fftpack
 
 TAIL_FRACTION = 0.25
 # smallest (even) grid size whose transforms are split in half; see above
@@ -47,15 +49,15 @@ _SPLIT_MIN = 16384
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
-    """scipy.fft.dst(x, type=1) of the n - 1 interior values of grid n."""
+    """DST-I (scipy.fft.dst(x, type=1)) of the n - 1 interior values of grid n."""
     n = x.size + 1
     if n % 2 or n < _SPLIT_MIN:
-        return _fft.dst(x, type=1)
+        return fftpack.dst(x, type=1)
     m = n // 2
     lo, hi = x[:m], x[m - 1:][::-1]  # x_j and x_{n-j}, j = 1..m
     out = np.empty(n - 1)
     out[1::2] = _dst1((lo - hi)[:-1])
-    out[0::2] = _fft.dst(lo + hi, type=3)
+    out[0::2] = fftpack.dst(lo + hi, type=3)
     return out
 
 
@@ -72,19 +74,19 @@ def _dst1_padded(x: np.ndarray, n: int) -> list[np.ndarray]:
         return [_dst1(padded)]
     lo = np.zeros(n // 2)
     lo[:x.size] = x
-    return [_fft.dst(lo, type=3), *_dst1_padded(x, n // 2)]
+    return [fftpack.dst(lo, type=3), *_dst1_padded(x, n // 2)]
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:
-    """scipy.fft.dct(x, type=1) of the n + 1 closed-grid values of grid n."""
+    """DCT-I (scipy.fft.dct(x, type=1)) of the n + 1 closed-grid values of grid n."""
     n = x.size - 1
     if n % 2 or n < _SPLIT_MIN:
-        return _fft.dct(x, type=1)
+        return fftpack.dct(x, type=1)
     m = n // 2
     lo, hi = x[:m + 1], x[m:][::-1]  # x_j and x_{n-j}, j = 0..m
     out = np.empty(n + 1)
     out[0::2] = _dct1(lo + hi)
-    out[1::2] = _fft.dct((lo - hi)[:-1], type=3)
+    out[1::2] = fftpack.dct((lo - hi)[:-1], type=3)
     return out
 
 

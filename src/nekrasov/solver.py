@@ -280,7 +280,7 @@ def _newton(residual, newton_step, x, tol, max_iter, f=None):
     for it in range(1, max_iter + 1):
         if res <= tol:
             return x, res, it - 1
-        target = max(min(KRYLOV_RTOL, res) * float(np.linalg.norm(f)), 0.1 * tol)
+        target = max(min(KRYLOV_RTOL, res) * math.sqrt(f @ f), 0.1 * tol)
         try:
             dx = newton_step(x, f, target)
         except DivergenceError as exc:
@@ -333,7 +333,7 @@ def _krylov_step(jacobian, f, target):
     basis = np.empty((KRYLOV_RESTART + 1, f.size))
     r = f
     for _ in range(KRYLOV_CYCLES):
-        r_norm = float(np.linalg.norm(r))
+        r_norm = math.sqrt(r @ r)
         if r_norm <= target:
             return dx
         basis[0] = r / r_norm
@@ -347,7 +347,7 @@ def _krylov_step(jacobian, f, target):
             w -= h @ v
             h2 = v @ w
             w -= h2 @ v
-            h_next = float(np.linalg.norm(w))
+            h_next = math.sqrt(w @ w)
             col = (h + h2).tolist()
             for i, (c, s) in enumerate(rotations):
                 col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
@@ -365,7 +365,8 @@ def _krylov_step(jacobian, f, target):
                 break
             basis[j + 1] = w / h_next
         k = len(rotations)
-        dx += solve_triangular(upper[:k, :k], g[:k]) @ basis[:k]
+        # every rho was checked finite, so upper and g are finite
+        dx += solve_triangular(upper[:k, :k], g[:k], check_finite=False) @ basis[:k]
         if abs(g[k]) <= target:
             return dx
         r = f - jacobian.matvec(dx)

@@ -235,6 +235,23 @@ class TestConfigFile:
         data = json.loads((tmp_path / "solution.json").read_text())
         assert data["metadata"]["mu"] == 3.6
 
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"],
+                                          ["--conf", "{}"]])
+    def test_every_config_spelling_is_read(self, tmp_path, spelling):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"mu": 3.4, "n": 128}))
+        flags = [token.format(cfg) for token in spelling]
+        assert run(tmp_path, "solve", "--mu", "3.2", *flags, "--format", "json") == 0
+        meta = json.loads((tmp_path / "solution.json").read_text())["metadata"]
+        assert (meta["n"], meta["mu"]) == (128, 3.2)
+        # an explicit flag still wins over the file, before or after it
+        assert run(tmp_path, "solve", "--mu", "3.2", *flags, "--n", "256",
+                   "--format", "json") == 0
+        assert json.loads((tmp_path / "solution.json").read_text())["metadata"]["n"] == 256
+        assert run(tmp_path, "solve", "--n", "256", "--mu", "3.2", *flags,
+                   "--format", "json") == 0
+        assert json.loads((tmp_path / "solution.json").read_text())["metadata"]["n"] == 256
+
     def test_false_boolean_in_config_stays_false(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"fast": False}))

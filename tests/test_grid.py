@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import fft
@@ -184,6 +189,82 @@ def test_unsplit_transforms_are_scipy_bitwise(n):
     assert np.array_equal(grid.to_values(x), fft.dst(x, type=1) / 2.0)
     assert np.array_equal(grid.cosine_values_closed(x), fft.dct(padded, type=1) / 2.0)
     assert np.array_equal(grid.cosine_coefficients_closed(c), fft.dct(c, type=1)[1:-1] / n)
+
+
+def _split_dst1(x):
+    """grid._dst1's split, written out again on scipy.fft."""
+    n = x.size + 1
+    if n % 2 or n < grid_module._SPLIT_MIN:
+        return fft.dst(x, type=1)
+    m = n // 2
+    lo, hi = x[:m], x[m - 1:][::-1]
+    out = np.empty(n - 1)
+    out[1::2] = _split_dst1((lo - hi)[:-1])
+    out[0::2] = fft.dst(lo + hi, type=3)
+    return out
+
+
+def _split_dct1(x):
+    """grid._dct1's split, written out again on scipy.fft."""
+    n = x.size - 1
+    if n % 2 or n < grid_module._SPLIT_MIN:
+        return fft.dct(x, type=1)
+    m = n // 2
+    lo, hi = x[:m + 1], x[m:][::-1]
+    out = np.empty(n + 1)
+    out[0::2] = _split_dct1(lo + hi)
+    out[1::2] = fft.dct((lo - hi)[:-1], type=3)
+    return out
+
+
+def _split_dst1_padded(x, n):
+    """grid._dst1_padded's pieces, written out again on scipy.fft."""
+    if n % 2 or n < grid_module._SPLIT_MIN or x.size >= n // 2:
+        padded = np.zeros(n - 1)
+        padded[:x.size] = x
+        return [_split_dst1(padded)]
+    lo = np.zeros(n // 2)
+    lo[:x.size] = x
+    return [fft.dst(lo, type=3), *_split_dst1_padded(x, n // 2)]
+
+
+@pytest.mark.parametrize("n", [16384, 32768, 1 << 17])
+def test_split_transforms_are_scipy_fft_bitwise(n):
+    """At and above the cut every piece of the split is the same pocketfft
+    call as through scipy.fft, so the transforms are bitwise those of the
+    split written on scipy.fft."""
+    assert n >= grid_module._SPLIT_MIN
+    rng = np.random.default_rng(n)
+    x, c = rng.standard_normal(n - 1), rng.standard_normal(n + 1)
+    assert np.array_equal(grid_module._dst1(x), _split_dst1(x))
+    assert np.array_equal(grid_module._dct1(c), _split_dct1(c))
+    coeffs = x[:n // 4 - 1]  # sup_norm's 4x padding of a grid n/4
+    pieces = grid_module._dst1_padded(coeffs, n)
+    expected = _split_dst1_padded(coeffs, n)
+    assert len(pieces) == len(expected) >= 2
+    for got, want in zip(pieces, expected):
+        assert np.array_equal(got, want)
+
+
+def test_transforms_raise_no_warning():
+    """scipy.fftpack is scipy's legacy interface: importing nekrasov and
+    running one DST and DCT of types 1 and 3 must not warn, so a deprecation
+    of it fails here first."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    # n = 16384 splits once: DST-III and DCT-III, then DST-I and DCT-I on
+    # grid 8192
+    code = ("import numpy as np, nekrasov\n"
+            "from nekrasov import grid\n"
+            "n = grid._SPLIT_MIN\n"
+            "grid._dst1(np.ones(n - 1))\n"
+            "grid._dct1(np.ones(n + 1))\n"
+            "grid._dst1_padded(np.ones(8), n)\n")
+    done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
 
 
 def test_split_roundtrip_at_2_pow_17():
