@@ -23,9 +23,8 @@ from .continuation import (Branch, BranchExtrema, BranchPoint, ConeReport,
                            branch_extrema, cone_membership, scale_branch_point,
                            solve_sequence, trace_branch)
 from .profile import (GeometryWarning, ReconstructionError, WaveProfile,
-                      fourier_map_coefficients, physical_params,
-                      profile_from_map_coefficients, reconstruct_R,
-                      reconstruct_profile, surface_speed_ratio)
+                      physical_params, profile_from_map_coefficients,
+                      reconstruct_profile)
 from .extreme import (ConvexityReport, ExtremeSolution, GrantFit,
                       convexity_check, extreme_profile, fit_asymptotics,
                       grant_number, solve_extreme, stokes_limit,
@@ -48,10 +47,8 @@ __all__ = [
     "Branch", "BranchExtrema", "BranchPoint", "ConeReport",
     "ReconstructionOverflowError", "StepPolicy", "branch_extrema",
     "cone_membership", "scale_branch_point", "solve_sequence", "trace_branch",
-    "GeometryWarning", "ReconstructionError", "WaveProfile",
-    "fourier_map_coefficients", "physical_params",
-    "profile_from_map_coefficients", "reconstruct_R", "reconstruct_profile",
-    "surface_speed_ratio",
+    "GeometryWarning", "ReconstructionError", "WaveProfile", "physical_params",
+    "profile_from_map_coefficients", "reconstruct_profile",
     "ConvexityReport", "ExtremeSolution", "GrantFit", "convexity_check",
     "extreme_profile", "fit_asymptotics", "grant_number", "solve_extreme",
     "stokes_limit", "verify_constant_solution",

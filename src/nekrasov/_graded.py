@@ -25,13 +25,12 @@ cluster below it.  So each row meets each element once, in the highest
 cluster far from the row, where it takes the kernel interpolated at the
 cluster's _CHEB_NODES Chebyshev nodes.  Such a row lies within a few
 lengths of the cluster's parent, so every level takes about 5 rows per
-element, or 80 N kernel values: 1.1M in all at N = 2400 (grading 3),
-against 2.7M for one level of 32-element clusters.  The leaves'
-interpolation moments come from the Gauss rule, and every other cluster's
-from its children's, exactly, a whole level at once.  Only
-the rows within two leaf lengths of a leaf, 1.7% of the (row, element)
-pairs at N = 2400 (6.8% at N = 600), take the 10-point Gauss rule: 0.96M
-log1p at N = 2400 against 3.9M with the 32-element clusters.
+element, or 80 N kernel values: 1.1M in all at N = 2400 (grading 3).
+The leaves' interpolation moments come from the Gauss rule, and every
+other cluster's from its children's, exactly, a whole level at once.
+Only the rows within two leaf lengths of a leaf, 1.7% of the (row,
+element) pairs at N = 2400 (6.8% at N = 600), take the 10-point Gauss
+rule: 0.96M log1p at N = 2400.
 
 W stays dense: a solve takes about 18 products with it, Newton's residuals
 and Jacobian matvecs, each one BLAS call.  So the tree serves the assembly
@@ -44,8 +43,7 @@ than _STEEP times its gap to it, where the plain Gauss rule would be off by
 up to 2.6e-8 of the row maximum (N = 120, grading 4.5).  The pass splits
 -log s off the singular pairs' innermost panel and integrates it by a
 product rule (_log_weights), so it uses 40 nodes for most singular pairs and
-at most 100 at grading 4.5, 150 per row in all; plain dyadic panels down to
-rounding would need 500 per singular pair.
+at most 100 at grading 4.5, 150 per row in all.
 """
 
 from __future__ import annotations
@@ -575,41 +573,29 @@ class GradedCollocation:
 
         return JacobianOperator((n - 1, n - 1), matvec)
 
-    def solve(self, nu: float, phi0: np.ndarray | None = None,
-              tol: float = 1e-11, max_iter: int = 60) -> GradedSolution:
+    def solve(self, nu: float, tol: float = 1e-11) -> GradedSolution:
         """Solution at fixed nu (nu = 0 is the extreme equation) by the
         damped Newton loop and the restarted-GMRES step the spectral solver
         shares, on the matrix-free jacobian_operator.  nu = 1/mu must be
-        finite and nonnegative."""
+        finite and nonnegative.
+
+        Newton starts from the corner-shaped guess (crest limit pi/6) rather
+        than from a finite-nu solution: the finite-nu crest layer carries an
+        exact small-angle scaling degeneracy (tau sin Phi / I is invariant
+        under Phi -> a Phi where sin Phi ~ Phi) that makes the nu = 0
+        Jacobian singular along layer modes, while at the true corner
+        solution the Jacobian is well conditioned.
+        """
         if not (np.isfinite(nu) and nu >= 0.0):
             raise ValueError(f"nu must be finite and nonnegative, got {nu}")
         if not tol > 0:
             raise ValueError(f"tol must be positive, got {tol}")
-        if phi0 is None:
-            phi = (np.pi / 6.0) * (1.0 - self.tau[1:self.n] / np.pi)
-        else:
-            phi = phi0.copy()
+        phi = (np.pi / 6.0) * (1.0 - self.tau[1:self.n] / np.pi)
         phi, res, iterations = _newton(
             lambda phi: phi - self.operator(phi, nu),
             lambda phi, f, target: _krylov_step(self.jacobian_operator(phi, nu), f, target),
-            phi, tol, max_iter)
-        return self._finish(phi, nu, res, iterations)
-
-    def _finish(self, phi_interior, nu, res, iterations):
-        phi = np.concatenate(([0.0], phi_interior, [0.0]))
+            phi, tol)
         # report the crest limit rather than the hard zero of the odd extension
-        phi[0] = phi_interior[0]
+        phi = np.concatenate(([phi[0]], phi, [0.0]))
         return GradedSolution(theta=self.tau.copy(), phi=phi, nu=nu,
                               residual=res, iterations=iterations)
-
-    def solve_extreme(self, tol: float = 1e-11) -> GradedSolution:
-        """Solve the extreme equation nu = 0.
-
-        Starts from the corner-shaped guess (crest limit pi/6) rather than
-        continuing the finite-nu family: the finite-nu crest layer carries
-        an exact small-angle scaling degeneracy (tau sin Phi / I is
-        invariant under Phi -> a Phi where sin Phi ~ Phi) that makes the
-        nu = 0 Jacobian singular along layer modes, while at the true
-        corner solution the Jacobian is well conditioned.
-        """
-        return self.solve(0.0, phi0=None, tol=tol)

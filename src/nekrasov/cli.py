@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigs", help="characteristic values of the linearized operator")
     p.add_argument("--kmax", type=int, default=8)
-    _add_flags(p, ("depth", "n", "out-dir", "format", "out"))
+    _add_flags(p, ("depth", "out-dir", "format", "out"))
 
     p = sub.add_parser("solve", help="solve the wave equation at one mu")
     p.add_argument("--mu", type=float, required=True)
@@ -168,9 +168,9 @@ def _emit(args, stem: str, columns, metadata, payload) -> Path:
 def cmd_eigs(args) -> int:
     if args.kmax < 1:
         raise ValidationError(f"kmax must be at least 1, got {args.kmax}")
-    spec = _spec_from(args)
+    spec = KernelSpec(depth_ratio=_parse_depth(args.depth))
     values = characteristic_values(spec, args.kmax)
-    meta = _io.base_metadata(__version__, spec, n=args.n)
+    meta = _io.base_metadata(__version__, spec)
     columns = {"k": np.arange(1, args.kmax + 1), "characteristic_value": values}
     payload = {"metadata": meta, "k": list(range(1, args.kmax + 1)),
                "characteristic_values": values}
@@ -257,8 +257,6 @@ def cmd_series(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    if args.wavelength <= 0 or args.g <= 0:
-        raise ValidationError("wavelength and g must be positive")
     spec = _spec_from(args)
     field = _solve_seeded(args, spec).field
     profile = reconstruct_profile(field, args.mu, args.wavelength, args.g)

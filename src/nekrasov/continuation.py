@@ -405,16 +405,16 @@ def _scaled_field(source: AngleField, n_fold: int) -> AngleField:
     return AngleField.from_coefficients(scaled, n_grid)
 
 
-def scale_branch_point(point: BranchPoint, n_fold: int, spec: KernelSpec = DEEP,
-                       verify_tol: float | None = None) -> BranchPoint:
+def scale_branch_point(point: BranchPoint, n_fold: int,
+                       spec: KernelSpec = DEEP) -> BranchPoint:
     """Map a deep-water branch point to the scaled solution (n mu, Phi(n theta)).
 
     Sine coefficients move from mode k to mode n*k, giving the wave of
     minimal period lambda/n that bifurcates from (3n, 0).  The scaled point
-    is re-verified against verify_tol (default 10x the source residual,
-    floored at 1e-11); if the source's spectral tail is too coarse for
-    that, the source is re-solved on doubled grids first.  Raises
-    ReconstructionOverflowError when no feasible grid remains.
+    is re-verified against 10x the source residual, floored at 1e-11; if
+    the source's spectral tail is too coarse for that, the source is
+    re-solved on doubled grids first.  Raises ReconstructionOverflowError
+    when no feasible grid remains.
     """
     if n_fold < 1:
         raise ValueError(f"n_fold must be at least 1, got {n_fold}")
@@ -422,7 +422,7 @@ def scale_branch_point(point: BranchPoint, n_fold: int, spec: KernelSpec = DEEP,
         raise ValueError("the scaling family exists only on deep water")
     if n_fold == 1:
         return point
-    tol = verify_tol if verify_tol is not None else 10.0 * max(point.residual, 1e-12)
+    tol = 10.0 * max(point.residual, 1e-12)
     mu_new = n_fold * point.mu
     source = point.field
     residual = np.inf

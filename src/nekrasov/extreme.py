@@ -159,7 +159,7 @@ def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "direct",
         raise ValueError("the extreme limit is computed on deep water")
     if strategy != "direct":
         raise ValueError(f"unknown strategy {strategy!r}")
-    graded = GradedCollocation(n_nodes=n_nodes, grading=grading).solve_extreme(tol=tol)
+    graded = GradedCollocation(n_nodes=n_nodes, grading=grading).solve(0.0, tol=tol)
     phi = graded.phi[1:-1]
     sol = ExtremeSolution(
         theta_samples=graded.theta[1:-1], phi_samples=phi,

@@ -226,19 +226,12 @@ class AngleField:
     def __call__(self, theta) -> np.ndarray:
         return self.grid.evaluate_sine(self.coefficients, theta)
 
-    def sup_norm(self, oversample: int = 4) -> float:
-        """Max of |Phi| over (0, pi), evaluated on a grid oversample times
-        finer (oversample = 1: the grid values).  The fine grid's values are
-        taken piece by piece from the zero-padded coefficients
-        (_dst1_padded), bitwise equal to the max of its to_values, without
-        caching a grid that nothing else uses.  Raises ValueError unless
-        oversample is an integer of at least 1."""
-        if (isinstance(oversample, bool) or not isinstance(oversample, (int, np.integer))
-                or oversample < 1):
-            raise ValueError(f"oversample must be an integer of at least 1, got {oversample!r}")
-        if oversample == 1:
-            return float(np.abs(self.values).max(initial=0.0))
-        pieces = _dst1_padded(self.coefficients, self.grid.n * int(oversample))
+    def sup_norm(self) -> float:
+        """Max of |Phi| over (0, pi), evaluated on a grid four times finer.
+        The fine grid's values are taken piece by piece from the zero-padded
+        coefficients (_dst1_padded), bitwise equal to the max of its
+        to_values, without caching a grid that nothing else uses."""
+        pieces = _dst1_padded(self.coefficients, 4 * self.grid.n)
         return float(np.max([np.abs(p, out=p).max() for p in pieces])) / 2.0
 
     def resample(self, n_new: int) -> "AngleField":

@@ -74,13 +74,6 @@ class KernelSpec:
             "n_modes": self.n_modes,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KernelSpec":
-        depth = data.get("depth_ratio", "inf")
-        if isinstance(depth, str):
-            depth = math.inf if depth.lower() in ("inf", "infinite", "deep") else float(depth)
-        return cls(depth_ratio=depth, n_modes=int(data.get("n_modes", 256)))
-
 
 DEEP = KernelSpec()
 

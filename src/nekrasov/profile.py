@@ -68,21 +68,6 @@ def _denominator(field: AngleField, mu: float) -> np.ndarray:
     return denom
 
 
-def reconstruct_R(field: AngleField, mu: float) -> np.ndarray:
-    """Surface-speed factor R(theta) = [1 + mu*I(theta)]^(-1/3), R(0) = 1.
-
-    Returned on the closed grid [0, pi] in crest-normalized units; the
-    physically scaled factor (with R(0) = c/q0) is produced by
-    reconstruct_profile.
-    """
-    return _denominator(field, mu) ** (-1.0 / 3.0)
-
-
-def surface_speed_ratio(field: AngleField, mu: float) -> np.ndarray:
-    """q(theta)/q0 = [1 + mu*I(theta)]^(1/3) on the closed grid."""
-    return _denominator(field, mu) ** (1.0 / 3.0)
-
-
 def _closed_values(field: AngleField) -> np.ndarray:
     v = np.zeros(field.n + 1)
     v[1:-1] = field.values
@@ -104,7 +89,11 @@ def _crest_normalized(field: AngleField, mu: float):
 
 
 def _speeds(mu: float, d: float, wavelength: float, g: float) -> tuple[float, float]:
-    """c and q0 from the x-extent integral D (see physical_params)."""
+    """c and q0 from the x-extent integral D (see physical_params).  Raises
+    ValueError unless the wavelength and g are finite and positive."""
+    if not (0.0 < wavelength < np.inf and 0.0 < g < np.inf):
+        raise ValueError(f"wavelength and g must be finite and positive, "
+                         f"got {wavelength} and {g}")
     q_at = mu ** (1.0 / 3.0) * d / np.pi
     c = np.sqrt(3.0 * g * wavelength / (2.0 * np.pi * q_at**3))
     q0 = (3.0 * g * c * wavelength / (2.0 * np.pi * mu)) ** (1.0 / 3.0)
@@ -117,7 +106,8 @@ def physical_params(field: AngleField, mu: float, wavelength: float = 2.0 * np.p
 
     c solves [3 g lambda/(2 pi c^2)]^(1/3) =
     (1/2 pi) Int_{-pi}^{pi} cos Phi [mu^(-1) + I]^(-1/3) dtau, after which
-    q0 follows from mu = 3 g c lambda / (2 pi q0^3).
+    q0 follows from mu = 3 g c lambda / (2 pi q0^3).  Raises ValueError
+    unless the wavelength and g are finite and positive.
     """
     return _speeds(mu, _crest_normalized(field, mu)[3], wavelength, g)
 
@@ -158,6 +148,7 @@ def _wave_profile(field: AngleField, mu: float, wavelength: float, g: float,
     are also the map coefficients a_k.  x and eta are integrated on the
     closed grid and eta is shifted to zero mean over one period in x
     (trapezoid in the x variable); c and q0 follow from D."""
+    c, q0 = _speeds(mu, d, wavelength, g)
     grid = field.grid
     scale = wavelength / (2.0 * np.pi)
     theta = grid.theta_closed
@@ -167,7 +158,6 @@ def _wave_profile(field: AngleField, mu: float, wavelength: float, g: float,
     eta = scale * grid.cosine_values_closed(odd_series / k)
     offset = float(np.trapezoid(eta, x) / (x[-1] - x[0]))
     eta = eta - offset
-    c, q0 = _speeds(mu, d, wavelength, g)
     return WaveProfile(
         theta=theta.copy(), x=x, eta=eta, R=r, q_over_q0=denom ** (1.0 / 3.0),
         wavelength=wavelength, c=c, q0=q0, g=g, mu=mu, a_k=even_series,
@@ -182,8 +172,6 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
     R is normalized so the horizontal extent over a full period is exactly
     the wavelength; eta is shifted to zero mean over one period.
     """
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
     denom, d, r, rc = _scaled_speed(field, mu)
     grid = field.grid
     sin_phi = np.sin(_closed_values(field))
@@ -197,30 +185,17 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
     return profile
 
 
-def fourier_map_coefficients(field: AngleField, mu: float,
-                             k_max: int | None = None) -> np.ndarray:
-    """Power-series coefficients a_k of the conformal map derivative factor
-    f(u) = 1 + sum a_k u^k.
+def _map_coefficients(field: AngleField, k_max: int | None = None) -> np.ndarray:
+    """Power-series coefficients a_1..a_k_max (default: as many as the grid
+    has modes) of the conformal map derivative factor f(u) = 1 + sum a_k u^k.
 
     The boundary values of i log f are (-Phi, log R), so log f has power
     series coefficients equal to Phi's sine coefficients b_k; f follows by
-    exact series exponentiation.  Raises ReconstructionError when the
-    requested modes exceed what the grid resolves, and ValueError when
-    k_max is negative or not an integer.
+    exact series exponentiation.
     """
-    _denominator(field, mu)
-    return _map_coefficients(field, k_max)
-
-
-def _map_coefficients(field: AngleField, k_max: int | None = None) -> np.ndarray:
     b = field.coefficients
     if k_max is None:
         k_max = b.size
-    if isinstance(k_max, bool) or not isinstance(k_max, (int, np.integer)) or k_max < 0:
-        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
-    if k_max > b.size:
-        raise ReconstructionError(
-            f"requested {k_max} map modes but the grid resolves {b.size}")
     # k a_k = sum_{m=1..k} m b_m a_{k-m}.  a is kept reversed, a_j at
     # rev[k_max - j], so a_{k-1}, ..., a_0 is the contiguous tail
     # rev[k_max - k + 1:] and each step is one dot of two slices

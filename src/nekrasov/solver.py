@@ -258,7 +258,7 @@ def apply_nekrasov(field: AngleField, mu: float, spec: KernelSpec | None = None)
 NEWTON_MAX_ITER = 100
 
 
-def _newton(residual, newton_step, x, tol, max_iter, f=None):
+def _newton(residual, newton_step, x, tol, f=None):
     """Damped inexact Newton iteration shared by the spectral and graded
     solvers.
 
@@ -272,12 +272,13 @@ def _newton(residual, newton_step, x, tol, max_iter, f=None):
     x - scale*dx, halving scale while the trial breaks down or its residual
     rises.  The accepted trial's F is the next iterate's, so no iterate is
     evaluated twice; a caller that has evaluated F(x) already passes it as
-    f.  Returns (x, max|F(x)|, iterations).
+    f.  Returns (x, max|F(x)|, iterations), after at most NEWTON_MAX_ITER
+    iterations.
     """
     if f is None:
         f = residual(x)
     res = float(np.abs(f).max())
-    for it in range(1, max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         if res <= tol:
             return x, res, it - 1
         target = max(min(KRYLOV_RTOL, res) * math.sqrt(f @ f), 0.1 * tol)
@@ -302,8 +303,8 @@ def _newton(residual, newton_step, x, tol, max_iter, f=None):
             raise DivergenceError("line search failed to reduce the residual", res, it)
         x, f, res = trial, trial_f, trial_res
     if res <= tol:
-        return x, res, max_iter
-    raise DivergenceError(f"Newton did not reach tol={tol:g}", res, max_iter)
+        return x, res, NEWTON_MAX_ITER
+    raise DivergenceError(f"Newton did not reach tol={tol:g}", res, NEWTON_MAX_ITER)
 
 
 # restarted GMRES of the Newton step: _newton asks for at most KRYLOV_RTOL
@@ -418,7 +419,7 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     x, res, its = _newton(
         residual,
         lambda x, f, target: _krylov_step(op.jacobian_operator(x, mu), f, target),
-        x, tol, NEWTON_MAX_ITER, f)
+        x, tol, f)
     return SolveResult(field=AngleField(initial.grid, values=x), mu=mu,
                        residual=res, iterations=its, method=method,
                        initial_residual=first)
@@ -557,7 +558,7 @@ def solve_system(mu: float, initial: SystemState | None = None,
 
     x = np.concatenate((initial.phi.values, initial.psi))
     x, _, _ = _newton(residual, lambda x, f, target: _krylov_step(jacobian(x), f, target),
-                      x, tol, NEWTON_MAX_ITER)
+                      x, tol)
     x[m] = 1.0
     return SystemState(phi=AngleField(op.grid, values=x[:m]), psi=x[m:])
 

@@ -99,6 +99,14 @@ class TestSolveAndProfile:
     def test_negative_mu_is_validation_error(self, tmp_path):
         assert run(tmp_path, "solve", "--mu", "-3.0") == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--g", "nan"), ("--g", "-1"), ("--wavelength", "inf"), ("--wavelength", "0")])
+    def test_bad_wavelength_or_g_is_validation_error(self, tmp_path, capsys, flag, value):
+        assert run(tmp_path, "profile", "--mu", "3.5", "--n", "64", flag, value,
+                   "--format", "json") == 2
+        assert "wavelength and g" in capsys.readouterr().err
+        assert not (tmp_path / "profile.json").exists()
+
 
 class TestBranch:
     def test_columns_and_determinism(self, tmp_path):
@@ -194,11 +202,12 @@ class TestExtreme:
         assert info.value.code == 2
 
 
-# (subcommand, flag, value) for each flag a subcommand would ignore: series
-# and extreme write JSON only, series takes no grid, extreme solves on its
-# own graded mesh, and verify runs fixed checks that write no file
+# (subcommand, flag, value) for each flag a subcommand would ignore: eigs
+# depends on the depth alone, series and extreme write JSON only, series
+# takes no grid, extreme solves on its own graded mesh, and verify runs
+# fixed checks that write no file
 IGNORED_FLAGS = [
-    ("solve", "--method", "newton"), ("eigs", "--tol", "1e-12"),
+    ("solve", "--method", "newton"), ("eigs", "--n", "64"), ("eigs", "--tol", "1e-12"),
     ("series", "--depth", "inf"), ("series", "--n", "512"),
     ("series", "--tol", "1e-12"), ("series", "--format", "json"),
     ("extreme", "--n", "7"), ("extreme", "--tol", "5"), ("extreme", "--format", "json"),
@@ -275,8 +284,8 @@ class TestConfigFile:
 
 class TestMetadata:
     def test_header_block(self, tmp_path):
-        run(tmp_path, "eigs", "--kmax", "2", "--n", "64")
-        text = (tmp_path / "eigs.csv").read_text()
+        run(tmp_path, "solve", "--mu", "3.2", "--n", "64")
+        text = (tmp_path / "solution.csv").read_text()
         assert "# tool: nekrasov" in text
         assert "# version:" in text
         assert "# kernel_spec:" in text

@@ -165,7 +165,7 @@ class TestGradedCollocation:
     def test_solve_matches_reference_weights(self):
         eng, ref = GradedCollocation(n_nodes=600), GradedCollocation(n_nodes=600)
         ref._weights = _reference_weights(ref)
-        sol, ref_sol = eng.solve_extreme(), ref.solve_extreme()
+        sol, ref_sol = eng.solve(0.0), ref.solve(0.0)
         assert sol.iterations == ref_sol.iterations
         assert np.abs(sol.phi - ref_sol.phi).max() <= 1e-14
 
@@ -240,10 +240,11 @@ class TestGradedCollocation:
                                            first_cell=1.5)
         assert got[0] == pytest.approx(1.5 * tau1 ** (2.0 / 3.0), rel=1e-15)
 
-    def test_iteration_cap_raises_with_iterations(self):
+    def test_iteration_cap_raises_with_iterations(self, monkeypatch):
+        monkeypatch.setattr(nk.solver, "NEWTON_MAX_ITER", 1)
         eng = GradedCollocation(n_nodes=120)
         with pytest.raises(nk.DivergenceError) as info:
-            eng.solve(0.0, tol=1e-14, max_iter=1)
+            eng.solve(0.0, tol=1e-14)
         assert info.value.iterations == 1
 
     def test_operator_evaluated_once_per_iterate(self, monkeypatch):
@@ -252,7 +253,7 @@ class TestGradedCollocation:
         operator = eng.operator
         monkeypatch.setattr(eng, "operator",
                             lambda phi, nu: calls.append(nu) or operator(phi, nu))
-        sol = eng.solve_extreme()
+        sol = eng.solve(0.0)
         assert len(calls) == sol.iterations + 1
 
     def test_extreme_solution_properties(self, extreme_direct):
@@ -495,7 +496,7 @@ def test_cross_discretization_at_large_mu():
     # they must agree including inside the crest layer
     result, _ = nk.solve_sequence(nk.DEEP, (1000.0,), 1e-12, 512, 1 << 15)
     eng = GradedCollocation(n_nodes=700, grading=3.0)
-    sol = eng.solve(1e-3, phi0=None, tol=1e-10)
+    sol = eng.solve(1e-3, tol=1e-10)
     sup_diff = abs(np.abs(sol.phi[1:-1]).max() - result.field.sup_norm())
     assert sup_diff < 1e-4
     theta = np.geomspace(0.01, 3.0, 200)

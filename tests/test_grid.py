@@ -56,8 +56,8 @@ def test_oddness_of_evaluation():
 def test_sup_norm_oversampling():
     # sin(2 theta) peaks strictly between the nodes of a 5-point grid
     field = nk.AngleField.from_callable(lambda t: np.sin(2 * t), 5)
-    assert field.sup_norm(oversample=1) < 0.999
-    assert field.sup_norm(oversample=8) == pytest.approx(1.0, abs=1e-3)
+    assert np.abs(field.values).max() < 0.999
+    assert np.abs(field.resample(40).values).max() == pytest.approx(1.0, abs=1e-3)
     assert field.sup_norm() == pytest.approx(sup_norm_scan(field), abs=1e-3)
 
 
@@ -74,33 +74,22 @@ def test_sup_norm_caches_no_grid():
 
 @pytest.mark.parametrize("oversample", [2, 4, 8])
 @pytest.mark.parametrize("n", [4096, 16384, 32768, 513 * 32])
-def test_sup_norm_pieces_are_the_full_transform_bitwise(monkeypatch, n, oversample):
+def test_sup_norm_pieces_are_the_full_transform_bitwise(n, oversample):
     """The zero-aware pieces give bitwise the max of the fine grid's
     to_values, and every fine grid at or above the cut splits off at least
-    one zero half (513 * 32 is a grid grown from an odd size)."""
-    calls = []
-    pieces = grid_module._dst1_padded
-
-    def counted(x, m):
-        calls.append(m)
-        return pieces(x, m)
-
-    monkeypatch.setattr(grid_module, "_dst1_padded", counted)
+    one zero half (513 * 32 is a grid grown from an odd size); sup_norm
+    takes them on the 4x grid."""
     coeffs = np.random.default_rng(n + oversample).standard_normal(n - 1) / np.arange(1, n)
     field = nk.AngleField.from_coefficients(coeffs, n)
     padded = np.zeros(oversample * n - 1)
     padded[:n - 1] = coeffs
-    value = field.sup_norm(oversample=oversample)
+    pieces = grid_module._dst1_padded(coeffs, oversample * n)
+    value = float(np.max([np.abs(p).max() for p in pieces])) / 2.0
     assert value == np.abs(nk.SineGrid(oversample * n).to_values(padded)).max()
+    if oversample == 4:
+        assert field.sup_norm() == value
     if oversample * n >= grid_module._SPLIT_MIN:
-        assert len(calls) >= 2, calls
-
-
-@pytest.mark.parametrize("oversample", [2.5, 2.9, 1.0, 0, -3, True])
-def test_sup_norm_rejects_non_integer_oversample(oversample):
-    field = nk.AngleField.from_callable(lambda t: np.sin(2 * t), 5)
-    with pytest.raises(ValueError, match="oversample"):
-        field.sup_norm(oversample=oversample)
+        assert len(pieces) >= 2, len(pieces)
 
 
 def test_resample_padding_and_truncation():

@@ -158,8 +158,3 @@ def test_kernel_spec_r0():
     r = spec.r0
     assert spec.mode_weights(k)[-1] == pytest.approx(
         (1 - r**(2 * k)) / (1 + r**(2 * k)), rel=1e-14)
-
-
-def test_kernel_spec_roundtrip_serialization():
-    for spec in (nk.DEEP, nk.KernelSpec(depth_ratio=0.7, n_modes=64)):
-        assert nk.KernelSpec.from_dict(spec.to_dict()) == spec

@@ -30,13 +30,15 @@ def _coefficient_fields(draw):
 
 class TestReconstructR:
     def test_flat(self):
-        r = nk.reconstruct_R(nk.AngleField.zero(64), mu=3.0)
-        assert np.allclose(r, 1.0)
+        profile = nk.reconstruct_profile(nk.AngleField.zero(64), mu=3.0)
+        assert np.allclose(profile.q_over_q0, 1.0)
+        assert np.allclose(profile.R / profile.R[0], 1.0)
 
     def test_monotone_for_cone_solution(self, wave_35):
-        r = nk.reconstruct_R(wave_35.field, 3.5)
+        profile = nk.reconstruct_profile(wave_35.field, 3.5)
+        r = profile.R / profile.R[0]
         assert np.all(np.diff(r) < 0), "R decreases from crest to trough"
-        q = nk.surface_speed_ratio(wave_35.field, 3.5)
+        q = profile.q_over_q0
         assert np.all(np.diff(q) > 0), "surface speed grows toward the trough"
         assert np.allclose(r * q, 1.0, atol=1e-14)
 
@@ -55,18 +57,28 @@ class TestReconstructR:
     def test_breakdown(self):
         field = nk.AngleField.from_callable(lambda t: -2.0 * np.sin(t), 64)
         with pytest.raises(nk.BreakdownError):
-            nk.reconstruct_R(field, 50.0)
+            nk.reconstruct_profile(field, 50.0)
 
 
 @pytest.mark.parametrize("entry", [
-    nk.reconstruct_profile, nk.profile_from_map_coefficients, nk.physical_params,
-    nk.reconstruct_R, nk.surface_speed_ratio, nk.fourier_map_coefficients])
+    nk.reconstruct_profile, nk.profile_from_map_coefficients, nk.physical_params])
 def test_non_finite_field_is_rejected(entry):
     grid = nk.get_grid(64)
     values = 0.04 * np.sin(grid.theta)
     values[10] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         entry(nk.AngleField(grid, values=values), 3.4)
+
+
+@pytest.mark.parametrize("wavelength, g", [
+    (np.nan, 1.0), (np.inf, 1.0), (-1.0, 1.0), (0.0, 1.0),
+    (2 * np.pi, np.nan), (2 * np.pi, np.inf), (2 * np.pi, -1.0), (2 * np.pi, 0.0)])
+@pytest.mark.parametrize("entry", [
+    nk.reconstruct_profile, nk.profile_from_map_coefficients, nk.physical_params])
+def test_bad_wavelength_or_g_is_rejected(entry, wavelength, g):
+    # c and q0 would be NaN or inf
+    with pytest.raises(ValueError, match="wavelength and g"):
+        entry(nk.AngleField.zero(64), 3.0, wavelength=wavelength, g=g)
 
 
 class TestReconstructProfile:
@@ -173,11 +185,11 @@ class TestWaveHeightCrossChecks:
 
 class TestMapCoefficients:
     def test_flat(self):
-        a = nk.fourier_map_coefficients(nk.AngleField.zero(64), mu=3.0)
+        a = nk.profile_from_map_coefficients(nk.AngleField.zero(64), mu=3.0).a_k
         assert np.all(a == 0.0)
 
     def test_leading_coefficient(self, wave_35):
-        a = nk.fourier_map_coefficients(wave_35.field, 3.5)
+        a = nk.profile_from_map_coefficients(wave_35.field, 3.5).a_k
         b = wave_35.field.coefficients
         assert a[0] == pytest.approx(b[0], rel=1e-13)
         assert a[1] == pytest.approx(b[1] + 0.5 * b[0]**2, rel=1e-12)
@@ -198,17 +210,8 @@ class TestMapCoefficients:
         assert np.abs(p1.eta - p2.eta).max() < 1e-8
         assert np.abs(p1.x - p2.x).max() < 1e-8
 
-    def test_refinement_error(self, wave_35):
-        with pytest.raises(nk.ReconstructionError):
-            nk.fourier_map_coefficients(wave_35.field, 3.5, k_max=2000)
-
-    @pytest.mark.parametrize("k_max", [-1, -2, 2.0, 2.5, "3", True])
-    def test_bad_k_max_is_value_error(self, wave_35, k_max):
-        with pytest.raises(ValueError, match="k_max"):
-            nk.fourier_map_coefficients(wave_35.field, 3.5, k_max=k_max)
-
     def test_zero_modes(self, wave_35):
-        a = nk.fourier_map_coefficients(wave_35.field, 3.5, k_max=np.int64(0))
+        a = _map_coefficients(wave_35.field, k_max=np.int64(0))
         assert a.shape == (0,)
 
     @pytest.mark.parametrize("n", [128, 512, 1024])
