@@ -1,8 +1,9 @@
 """Tracing the global wave branch and its cone diagnostics.
 
 From the bifurcation point mu = 3 the branch of deep-water waves is
-followed in mu with a Newton corrector, each guess extrapolated in
-log mu through the last four points; the grid refines itself as the crest
+followed in mu with a Newton corrector, by additive steps up to mu = 10
+and by a factor 1.25 per point beyond, each guess extrapolated in log mu
+through the last four points; the grid refines itself as the crest
 sharpens.  From mu = 100 on the crest layer, of width ~1/mu, is
 self-similar in mu * theta, so each geometric guess also adds the previous
 step's miss stretched to the new crest scale (the guess residual column
@@ -19,7 +20,7 @@ import nekrasov as nk
 print(__doc__)
 
 print("=== branch from mu = 3.01 to mu = 2000 ===")
-branch = nk.trace_branch(3.01, 2000.0, policy=nk.StepPolicy(ratio=1.5))
+branch = nk.trace_branch(3.01, 2000.0)
 print(f"  {len(branch)} points, truncated: {branch.truncated}")
 print()
 print("  mu          n      sup|Phi| (deg)  height/lambda  residual  guess res.  cone")

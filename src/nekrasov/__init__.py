@@ -10,18 +10,16 @@ from .kernel import (DEEP, KernelSpec, SingularEvaluationError,
                      apply_linearized, characteristic_values,
                      kernel_deep_closed, kernel_series, linearized_factors)
 from .solver import (AmplitudeBound, BreakdownError, DivergenceError,
-                     SolveResult, SystemState, apply_nekrasov,
-                     check_amplitude_bound, crest_trough_asymmetry,
-                     inner_accumulate, solve, solve_seeded, solve_system,
-                     system_residual)
+                     SolveResult, SystemState, check_amplitude_bound,
+                     crest_trough_asymmetry, inner_accumulate, solve,
+                     solve_seeded, solve_system)
 from .series import (MAX_ORDER, RationalSineSeries, UnsupportedOrderError,
                      eval_series, expand_solution,
                      height_coefficients_from_expansion, series_coefficients,
                      wave_height_series)
 from .continuation import (Branch, BranchExtrema, BranchPoint, ConeReport,
-                           ReconstructionOverflowError, StepPolicy,
-                           branch_extrema, cone_membership, scale_branch_point,
-                           solve_sequence, trace_branch)
+                           ReconstructionOverflowError, branch_extrema,
+                           cone_membership, scale_branch_point, trace_branch)
 from .profile import (GeometryWarning, ReconstructionError, WaveProfile,
                       physical_params, profile_from_map_coefficients,
                       reconstruct_profile)
@@ -38,15 +36,14 @@ __all__ = [
     "characteristic_values", "kernel_deep_closed", "kernel_series",
     "linearized_factors",
     "AmplitudeBound", "BreakdownError", "DivergenceError", "SolveResult",
-    "SystemState", "apply_nekrasov", "check_amplitude_bound",
-    "crest_trough_asymmetry", "inner_accumulate", "solve", "solve_seeded",
-    "solve_system", "system_residual",
+    "SystemState", "check_amplitude_bound", "crest_trough_asymmetry",
+    "inner_accumulate", "solve", "solve_seeded", "solve_system",
     "MAX_ORDER", "RationalSineSeries", "UnsupportedOrderError", "eval_series",
     "expand_solution", "height_coefficients_from_expansion",
     "series_coefficients", "wave_height_series",
     "Branch", "BranchExtrema", "BranchPoint", "ConeReport",
-    "ReconstructionOverflowError", "StepPolicy", "branch_extrema",
-    "cone_membership", "scale_branch_point", "solve_sequence", "trace_branch",
+    "ReconstructionOverflowError", "branch_extrema", "cone_membership",
+    "scale_branch_point", "trace_branch",
     "GeometryWarning", "ReconstructionError", "WaveProfile", "physical_params",
     "profile_from_map_coefficients", "reconstruct_profile",
     "ConvexityReport", "ExtremeSolution", "GrantFit", "convexity_check",

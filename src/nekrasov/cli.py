@@ -19,11 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io as _io
-from .continuation import StepPolicy, trace_branch
+from .continuation import trace_branch
 from .extreme import convexity_check, extreme_profile, solve_extreme
 from .grid import AngleField
 from .kernel import DEEP, KernelSpec, characteristic_values
-from .profile import reconstruct_profile
+from .profile import _check_scales, reconstruct_profile
 from .series import (UnsupportedOrderError, expand_solution,
                      height_coefficients_from_expansion)
 from .solver import (TAIL_THRESHOLD, BreakdownError, DivergenceError, SolveResult,
@@ -217,8 +217,7 @@ def cmd_branch(args) -> int:
     if args.mu_end <= args.mu_start:
         raise ValidationError("mu-end must exceed mu-start")
     spec = _spec_from(args)
-    policy = StepPolicy(n_start=args.n)
-    branch = trace_branch(args.mu_start, args.mu_end, spec=spec, policy=policy,
+    branch = trace_branch(args.mu_start, args.mu_end, spec=spec, n_start=args.n,
                           tol=args.tol)
     meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol,
                              mu_start=args.mu_start, mu_end=args.mu_end,
@@ -257,6 +256,8 @@ def cmd_series(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    # reconstruct_profile's own check, made before the solve rather than after it
+    _check_scales(args.wavelength, args.g)
     spec = _spec_from(args)
     field = _solve_seeded(args, spec).field
     profile = reconstruct_profile(field, args.mu, args.wavelength, args.g)

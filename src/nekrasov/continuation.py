@@ -1,4 +1,4 @@
-"""Branch tracing, solves at a sequence of mu, cone diagnostics, scaled continua.
+"""Branch tracing, cone diagnostics, scaled continua.
 
 The nontrivial solution branch bifurcates from the first characteristic
 value (mu = 3 on deep water) and is followed in mu by a predictor that
@@ -14,13 +14,11 @@ extrapolation's miss: on trace_branch(3.01, 1e4) the plain guess misses by
 max|F| ~ 6.6e-4 at every geometric point from mu = 20 on, peaked at
 theta ~ 8.1/mu.  From SELF_SIMILAR_START on, each geometric guess
 therefore adds the previous geometric step's miss, stretched to the new
-crest scale (see StepPolicy); the miss falls to 1.6e-5 at mu = 123 and
+crest scale (see trace_branch); the miss falls to 1.6e-5 at mu = 123 and
 4.6e-7 at mu = 6840, and those points need one Newton iteration fewer.
 
-trace_branch (at mu_start) and solve_sequence (at each target) start from
-solver._seeded_guess, as solve_seeded does, and refine the grid from there;
-solve_sequence hands each climb the last target's result, so a sequence
-climbs the warm-start ladder once.
+trace_branch starts at mu_start from solver._seeded_guess, as solve_seeded
+does, and refines the grid from there.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import numpy as np
 
 from . import profile as _profile
 from .grid import AngleField
-from .kernel import DEEP, KernelSpec, characteristic_values
+from .kernel import DEEP, KernelSpec
 from .solver import (TAIL_THRESHOLD, BreakdownError, DivergenceError, SolveResult,
                      _seeded_guess, get_operator, solve)
 
@@ -112,8 +110,10 @@ INITIAL_STEP = 0.01
 GROWTH = 1.5
 MAX_STEP = 1.0
 GEOMETRIC_START = 10.0
+# the step factor in mu from GEOMETRIC_START on
+GEOMETRIC_RATIO = 1.25
 # from here on a geometric step's guess also carries the last geometric
-# step's predictor miss, stretched to the new crest scale (see StepPolicy)
+# step's predictor miss, stretched to the new crest scale (see trace_branch)
 SELF_SIMILAR_START = 100.0
 MIN_STEP = 1e-8
 N_MAX = 1 << 17
@@ -121,45 +121,6 @@ MAX_POINTS = 2000
 CONE_EPS = 1e-9
 # accepted points through which the next guess is extrapolated in log mu
 PREDICTOR_POINTS = 4
-
-
-@dataclass
-class StepPolicy:
-    """Continuation step control; its settings are `ratio`, `n_start` and
-    `n_max`, and the rest of the rule is the module constants above.
-
-    Below GEOMETRIC_START, mu advances by steps that start at INITIAL_STEP
-    and grow by GROWTH per accepted point up to MAX_STEP; from there on it
-    is multiplied by `ratio` (the extreme limit is approached
-    logarithmically).  A failed corrector halves the step (takes the square
-    root of the ratio) until it falls below MIN_STEP.  Each corrector starts
-    from the log-mu extrapolation through the last PREDICTOR_POINTS accepted
-    points (see _predict), on the finest grid among them, so a grid
-    doubling carries over to every later guess.  On a geometric step to
-    mu >= SELF_SIMILAR_START the guess also carries the last geometric
-    step's miss (accepted field minus its plain guess), stretched in theta
-    by the ratio of the two mu and scaled by the ratio of the two steps'
-    node polynomials in log mu; below it the layer is not yet
-    self-similar and the plain guess serves.  The grid starts at
-    `n_start` and doubles, up to `n_max`, while the spectral tail of a
-    converged point exceeds TAIL_THRESHOLD.  A point still unresolved at
-    n_max is not accepted: the branch ends before it and comes back
-    truncated, as it does at the MAX_POINTS cap and when the step underflows.
-    """
-
-    ratio: float = 1.25
-    n_start: int = 512
-    n_max: int = N_MAX
-
-    def check(self) -> None:
-        """Raise ValueError unless ratio > 1 is finite and 4 <= n_start <= n_max."""
-        if not (math.isfinite(self.ratio) and self.ratio > 1.0):
-            raise ValueError(f"StepPolicy.ratio must be finite and exceed 1, got {self.ratio}")
-        if not self.n_start >= 4:
-            raise ValueError(f"StepPolicy.n_start must be at least 4, got {self.n_start}")
-        if not self.n_max >= self.n_start:
-            raise ValueError(f"StepPolicy.n_max must be at least n_start={self.n_start}, "
-                             f"got {self.n_max}")
 
 
 def cone_membership(field: AngleField) -> ConeReport:
@@ -214,13 +175,13 @@ def _corrector(mu, guess, spec, tol) -> SolveResult:
     return solve(mu, guess, tol=tol, spec=spec.with_modes(guess.n // 2))
 
 
-def _converge_resolved(mu, guess, spec, tol, policy):
+def _converge_resolved(mu, guess, spec, tol):
     """Solve at mu, doubling the grid until the spectral tail decays or
-    n reaches policy.n_max; the result may be unresolved at n_max.
+    n reaches N_MAX; the result may be unresolved at N_MAX.
     Returns the last grid's result and the max|F| of the guess."""
     result = _corrector(mu, guess, spec, tol)
     guess_residual = result.initial_residual
-    while not result.resolved and result.field.n < policy.n_max:
+    while not result.resolved and result.field.n < N_MAX:
         result = _corrector(mu, result.field.resample(result.field.n * 2), spec, tol)
     return result, guess_residual
 
@@ -271,22 +232,40 @@ def _stretch(values: np.ndarray, ratio: float, n: int) -> np.ndarray:
 
 
 def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
-                 policy: StepPolicy | None = None, tol: float = 1e-12,
-                 progress=None) -> Branch:
+                 n_start: int = 512, tol: float = 1e-12, progress=None) -> Branch:
     """Trace the solution branch from mu_start to mu_end.
 
     mu_start must exceed the first characteristic value of the kernel and
-    both ends must be finite.  The first point starts from _seeded_guess on
-    policy.n_start points, as in solve_seeded; every accepted point
-    satisfies the residual bound on its own grid and is spectrally resolved.  On corrector failure
-    the step is halved.  The branch is returned truncated, with a failure
-    record, when the step underflows, when a point stays unresolved at
-    policy.n_max (that point is left out), or when MAX_POINTS points are
-    reached before mu_end.  Raises ValueError for a bad policy (see
-    StepPolicy.check) or bad ends.
+    both ends must be finite; n_start must be an integer from 4 to N_MAX.
+    Both are checked before any solve (ValueError).  The first point starts
+    from _seeded_guess on n_start points, as in solve_seeded.
+
+    The step rule is fixed by the module constants.  Below GEOMETRIC_START,
+    mu advances by steps that start at INITIAL_STEP and grow by GROWTH per
+    accepted point up to MAX_STEP; from there on it is multiplied by
+    GEOMETRIC_RATIO (the extreme limit is approached logarithmically).  A
+    failed corrector halves the step (takes the square root of the ratio)
+    until it falls below MIN_STEP.  Each corrector starts from the log-mu
+    extrapolation through the last PREDICTOR_POINTS accepted points (see
+    _predict), on the finest grid among them, so a grid doubling carries
+    over to every later guess.  On a geometric step to
+    mu >= SELF_SIMILAR_START the guess also carries the last geometric
+    step's miss (accepted field minus its plain guess), stretched in theta
+    by the ratio of the two mu and scaled by the ratio of the two steps'
+    node polynomials in log mu; below it the layer is not yet
+    self-similar and the plain guess serves.  The grid starts at n_start
+    and doubles, up to N_MAX, while the spectral tail of a converged point
+    exceeds TAIL_THRESHOLD.
+
+    Every accepted point satisfies the residual bound on its own grid and
+    is spectrally resolved.  The branch is returned truncated, with a
+    failure record, when the step underflows, when a point stays
+    unresolved at N_MAX (that point is left out), or when MAX_POINTS
+    points are reached before mu_end.
     """
-    policy = policy or StepPolicy()
-    policy.check()
+    if not (isinstance(n_start, (int, np.integer)) and 4 <= n_start <= N_MAX):
+        raise ValueError(f"n_start must be an integer from 4 to N_MAX={N_MAX}, "
+                         f"got {n_start!r}")
     if not (math.isfinite(mu_start) and math.isfinite(mu_end)):
         raise ValueError(f"mu_start and mu_end must be finite, got {mu_start}, {mu_end}")
     if not mu_end > mu_start:
@@ -294,12 +273,12 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
 
     branch = Branch(points=[], spec=spec, tol=tol,
                     metadata={"mu_start": mu_start, "mu_end": mu_end,
-                              "n_start": policy.n_start})
+                              "n_start": n_start})
     candidate, guess_residual = _converge_resolved(
-        mu_start, _seeded_guess(mu_start, spec, policy.n_start, tol), spec, tol, policy)
+        mu_start, _seeded_guess(mu_start, spec, n_start, tol), spec, tol)
     result = None
     step = INITIAL_STEP
-    ratio = policy.ratio
+    ratio = GEOMETRIC_RATIO
     # the last geometric step's predictor miss: (accepted field - plain guess)
     # on the accepted grid, its mu and its node polynomial
     miss = None
@@ -311,7 +290,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
             break
         if result is not None:
             step = min(step * GROWTH, MAX_STEP)
-            ratio = min(ratio * np.sqrt(GROWTH), policy.ratio)
+            ratio = min(ratio * np.sqrt(GROWTH), GEOMETRIC_RATIO)
         result = candidate
         branch.points.append(_branch_point(result.mu, result.field, result.residual,
                                            result.iterations, result.tail, guess_residual))
@@ -337,8 +316,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                 guess = AngleField(plain.grid, values=plain.values + factor * _stretch(
                     values, mu_next / mu_last, plain.n))
             try:
-                candidate, guess_residual = _converge_resolved(mu_next, guess, spec, tol,
-                                                               policy)
+                candidate, guess_residual = _converge_resolved(mu_next, guess, spec, tol)
             except (DivergenceError, BreakdownError) as exc:
                 if geometric:
                     ratio = np.sqrt(ratio)
@@ -354,38 +332,6 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                             _node_polynomial(nodes, mu_next))
     branch.truncated = branch.failure is not None
     return branch
-
-
-def solve_sequence(spec: KernelSpec, mu_sequence, tol: float, n_start: int,
-                   n_max: int) -> tuple[SolveResult, list[dict]]:
-    """Solve at each distinct mu of mu_sequence, in increasing order, from
-    _seeded_guess on n_start points (as solve_seeded does), each grid
-    refined up to n_max until resolved; past the first target, the climb
-    to the next goes on from the last result (_seeded_guess's `below`),
-    so no ladder rung is solved twice.  Returns the last result and per-mu
-    records, whose "resolved" is the result's own (a grid capped at n_max
-    may leave it False).  Raises ValueError, before any solve, for a target
-    that is non-finite or at or below the kernel's bifurcation point, and
-    for n_start, n_max that StepPolicy.check rejects."""
-    policy = StepPolicy(n_start=n_start, n_max=n_max)
-    policy.check()
-    mu_targets = sorted({float(m) for m in mu_sequence})
-    if not all(math.isfinite(m) for m in mu_targets):
-        raise ValueError(f"mu targets must be finite, got {tuple(mu_sequence)}")
-    mu1 = float(characteristic_values(spec, 1)[0])
-    if not (mu_targets and mu_targets[0] > mu1):
-        raise ValueError(f"mu targets must exceed the bifurcation point {mu1:g}, "
-                         f"got {tuple(mu_sequence)}")
-    per_mu = []
-    result = None
-    for mu in mu_targets:
-        below = None if result is None else (result.mu, result.field)
-        result, _ = _converge_resolved(mu, _seeded_guess(mu, spec, n_start, tol, below=below),
-                                       spec, tol, policy)
-        per_mu.append({"mu": mu, "n": result.field.n, "sup_norm": result.field.sup_norm(),
-                       "residual": result.residual, "tail": result.tail,
-                       "resolved": result.resolved})
-    return result, per_mu
 
 
 def _scaled_field(source: AngleField, n_fold: int) -> AngleField:

@@ -197,11 +197,6 @@ class AngleField:
         return cls(get_grid(n), coefficients=coeffs)
 
     @classmethod
-    def from_callable(cls, func, n: int) -> "AngleField":
-        grid = get_grid(n)
-        return cls(grid, values=np.asarray(func(grid.theta), dtype=float))
-
-    @classmethod
     def zero(cls, n: int) -> "AngleField":
         field = cls(get_grid(n), values=np.zeros(n - 1))
         field._coeffs = np.zeros(n - 1)  # +0.0: the transform of zeros gives -0.0

@@ -88,12 +88,17 @@ def _crest_normalized(field: AngleField, mu: float):
     return denom, r, cos_phi, d
 
 
-def _speeds(mu: float, d: float, wavelength: float, g: float) -> tuple[float, float]:
-    """c and q0 from the x-extent integral D (see physical_params).  Raises
-    ValueError unless the wavelength and g are finite and positive."""
+def _check_scales(wavelength: float, g: float) -> None:
+    """Raise ValueError unless the wavelength and g are finite and positive."""
     if not (0.0 < wavelength < np.inf and 0.0 < g < np.inf):
         raise ValueError(f"wavelength and g must be finite and positive, "
                          f"got {wavelength} and {g}")
+
+
+def _speeds(mu: float, d: float, wavelength: float, g: float) -> tuple[float, float]:
+    """c and q0 from the x-extent integral D (see physical_params).  Raises
+    ValueError unless the wavelength and g are finite and positive."""
+    _check_scales(wavelength, g)
     q_at = mu ** (1.0 / 3.0) * d / np.pi
     c = np.sqrt(3.0 * g * wavelength / (2.0 * np.pi * q_at**3))
     q0 = (3.0 * g * c * wavelength / (2.0 * np.pi * mu)) ** (1.0 / 3.0)
@@ -185,17 +190,16 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
     return profile
 
 
-def _map_coefficients(field: AngleField, k_max: int | None = None) -> np.ndarray:
-    """Power-series coefficients a_1..a_k_max (default: as many as the grid
-    has modes) of the conformal map derivative factor f(u) = 1 + sum a_k u^k.
+def _map_coefficients(field: AngleField) -> np.ndarray:
+    """Power-series coefficients a_1..a_k_max, k_max the grid's mode count,
+    of the conformal map derivative factor f(u) = 1 + sum a_k u^k.
 
     The boundary values of i log f are (-Phi, log R), so log f has power
     series coefficients equal to Phi's sine coefficients b_k; f follows by
     exact series exponentiation.
     """
     b = field.coefficients
-    if k_max is None:
-        k_max = b.size
+    k_max = b.size
     # k a_k = sum_{m=1..k} m b_m a_{k-m}.  a is kept reversed, a_j at
     # rev[k_max - j], so a_{k-1}, ..., a_0 is the contiguous tail
     # rev[k_max - k + 1:] and each step is one dot of two slices

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dtrtrs
 
 from .grid import AngleField, SineGrid, _dst1, get_grid
 from .kernel import DEEP, KernelSpec, characteristic_values, linearized_factors
@@ -246,15 +247,6 @@ def inner_accumulate(field: AngleField) -> np.ndarray:
     return field.grid.antiderivative_closed(np.sin(field.values))
 
 
-def apply_nekrasov(field: AngleField, mu: float, spec: KernelSpec | None = None) -> AngleField:
-    """Evaluate A_mu Phi.  Raises ValueError on a non-finite field and
-    BreakdownError if 1 + mu*I loses positivity."""
-    if not np.isfinite(field.values).all():
-        raise ValueError("the field has non-finite values")
-    op = get_operator(field.n, _default_spec(field, spec))
-    return AngleField(field.grid, values=op.apply(field.values, mu))
-
-
 NEWTON_MAX_ITER = 100
 
 
@@ -366,8 +358,13 @@ def _krylov_step(jacobian, f, target):
                 break
             basis[j + 1] = w / h_next
         k = len(rotations)
-        # every rho was checked finite, so upper and g are finite
-        dx += solve_triangular(upper[:k, :k], g[:k], check_finite=False) @ basis[:k]
+        # every rho was checked finite, so upper and g are finite; the
+        # transposed lower solve is the call solve_triangular makes for a
+        # C-ordered slice, without its per-call checks
+        y, info = dtrtrs(upper[:k, :k].T, g[:k], lower=1, trans=1)
+        if info:
+            raise LinAlgError(f"dtrtrs failed on the Arnoldi factor, info {info}")
+        dx += y @ basis[:k]
         if abs(g[k]) <= target:
             return dx
         r = f - jacobian.matvec(dx)
@@ -464,27 +461,20 @@ def _warm_start_ladder(mu1: float, mu: float) -> list[float]:
     return rungs
 
 
-def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float,
-                  below: tuple[float, AngleField] | None = None) -> AngleField:
+def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float) -> AngleField:
     """The field a seeded solve at mu starts from, on n points: the seed at
     mu within its reach (SERIES_SEED_REACH on deep water, SINE_SEED_REACH
     at finite depth, in mu - mu1); past it, the solution at the top rung of
     _warm_start_ladder, climbed from the seed at its foot with n/2 kernel
-    modes.  `below`, a solved (mu, field) past the seed's reach and below
-    mu, continues a climb instead: from its field on n points, through the
-    rungs above its mu only.  The one place a solve is seeded: solve_seeded,
-    solve_system, trace_branch and solve_sequence all start here.  Raises
-    ValueError unless mu exceeds the bifurcation point."""
+    modes.  The one place a solve is seeded: solve_seeded, solve_system and
+    trace_branch all start here.  Raises ValueError unless mu exceeds the
+    bifurcation point."""
     mu1 = float(characteristic_values(spec, 1)[0])
     reach = SERIES_SEED_REACH if spec.is_infinite else SINE_SEED_REACH
     if not mu - mu1 > reach:
         return _seed_field(mu, spec, n)
     rungs = _warm_start_ladder(mu1, mu)
-    if below is not None and below[0] - mu1 > reach and below[0] < mu:
-        rungs = [rung for rung in rungs if rung > below[0]]
-        field = below[1].resample(n)
-    else:
-        field = _seed_field(rungs[0], spec, n)
+    field = _seed_field(rungs[0], spec, n)
     for rung in rungs:
         field = solve(rung, field, tol=tol, spec=spec.with_modes(n // 2)).field
     return field
@@ -494,8 +484,9 @@ def solve_seeded(mu: float, spec: KernelSpec = DEEP, n: int = 512,
                  tol: float = 1e-12) -> SolveResult:
     """Seed at mu from the small-amplitude expansion and solve on n points
     with n/2 kernel modes; past the seed's reach the guess comes from the
-    warm-start ladder instead (_seeded_guess).  Raises ValueError unless mu
-    is finite and exceeds the bifurcation point of the kernel."""
+    warm-start ladder instead (_seeded_guess, where trace_branch's first
+    point starts too).  Raises ValueError unless mu is finite and exceeds
+    the bifurcation point of the kernel."""
     _check_mu_tol(mu, tol)
     return solve(mu, _seeded_guess(mu, spec, n, tol), tol=tol, spec=spec.with_modes(n // 2))
 
@@ -506,12 +497,6 @@ def _system_f(op: NekrasovOperator, phi: np.ndarray, psi: np.ndarray, mu: float)
     psi_sin = psi[1:-1] * np.sin(phi)
     return np.concatenate((phi - mu * op.apply_linear(psi_sin),
                            psi - 1.0 + mu * op.grid.antiderivative_closed(psi[1:-1] * psi_sin)))
-
-
-def system_residual(state: SystemState, mu: float, spec: KernelSpec | None = None) -> float:
-    """Sup-norm residual of the coupled system at the given state."""
-    op = get_operator(state.phi.n, _default_spec(state.phi, spec))
-    return float(np.abs(_system_f(op, state.phi.values, state.psi, mu)).max())
 
 
 def solve_system(mu: float, initial: SystemState | None = None,

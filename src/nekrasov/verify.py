@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .continuation import StepPolicy, trace_branch
+from .continuation import trace_branch
 from .extreme import grant_number, solve_extreme, verify_constant_solution
 from .kernel import (DEEP, KernelSpec, characteristic_values,
                      kernel_deep_closed, kernel_series)
@@ -80,7 +80,7 @@ def _check_system_equivalence():
 
 
 def _check_mini_branch():
-    branch = trace_branch(3.05, 4.0, policy=StepPolicy(n_start=256))
+    branch = trace_branch(3.05, 4.0, n_start=256)
     ok = True
     msgs = []
     for p in branch.points:

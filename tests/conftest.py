@@ -15,6 +15,12 @@ sys.path.insert(0, str(Path(__file__).parent))
 import nekrasov as nk
 
 
+def field_of(n: int, func) -> nk.AngleField:
+    """The field with grid values func(theta) on n points."""
+    grid = nk.get_grid(n)
+    return nk.AngleField(grid, values=func(grid.theta))
+
+
 def solved_field(mu: float, n: int = 512) -> nk.SolveResult:
     return nk.solve_seeded(mu, n=n)
 

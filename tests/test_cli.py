@@ -101,7 +101,13 @@ class TestSolveAndProfile:
 
     @pytest.mark.parametrize("flag, value", [
         ("--g", "nan"), ("--g", "-1"), ("--wavelength", "inf"), ("--wavelength", "0")])
-    def test_bad_wavelength_or_g_is_validation_error(self, tmp_path, capsys, flag, value):
+    def test_bad_wavelength_or_g_is_validation_error(self, tmp_path, capsys, monkeypatch,
+                                                     flag, value):
+        # rejected before the solve, not after it
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before --g and --wavelength were checked")
+
+        monkeypatch.setattr(nekrasov.solver, "solve", no_solve)
         assert run(tmp_path, "profile", "--mu", "3.5", "--n", "64", flag, value,
                    "--format", "json") == 2
         assert "wavelength and g" in capsys.readouterr().err

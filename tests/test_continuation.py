@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
-from nekrasov import continuation, io, solver
+from nekrasov import continuation, io
 from nekrasov.continuation import _tail_violation
 from nekrasov.solver import get_operator
+from conftest import field_of
 
 
 def _tail_violation_loop(v):
@@ -44,41 +45,23 @@ class TestTraceBranch:
         lambda: nk.trace_branch(3.01, math.nan),
         lambda: nk.trace_branch(math.nan, 4.0),
         lambda: nk.trace_branch(-math.inf, 4.0),
-        lambda: nk.solve_sequence(nk.DEEP, (math.inf,), 1e-12, 256, 1 << 15),
-        lambda: nk.solve_sequence(nk.DEEP, (30.0, math.nan), 1e-12, 256, 1 << 15),
-    ], ids=["branch-end-inf", "branch-end-nan", "branch-start-nan", "branch-start-minus-inf",
-            "sequence-inf", "sequence-nan"])
+    ], ids=["branch-end-inf", "branch-end-nan", "branch-start-nan", "branch-start-minus-inf"])
     def test_non_finite_mu_fails_before_solving(self, monkeypatch, call):
         monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
         monkeypatch.setattr(continuation, "_seeded_guess", _no_solve)
         with pytest.raises(ValueError, match="finite"):
             call()
 
-    @pytest.mark.parametrize("call, field", [
-        (lambda: nk.trace_branch(9.0, 12.0, policy=nk.StepPolicy(ratio=1.0)), "ratio"),
-        (lambda: nk.trace_branch(9.0, 12.0, policy=nk.StepPolicy(ratio=0.9)), "ratio"),
-        (lambda: nk.trace_branch(9.0, 12.0, policy=nk.StepPolicy(ratio=math.nan)), "ratio"),
-        (lambda: nk.trace_branch(9.0, 12.0, policy=nk.StepPolicy(ratio=math.inf)), "ratio"),
-        (lambda: nk.trace_branch(3.01, 4.0, policy=nk.StepPolicy(n_start=2)), "n_start"),
-        (lambda: nk.trace_branch(3.01, 4.0, policy=nk.StepPolicy(n_max=256)), "n_max"),
-        (lambda: nk.solve_sequence(nk.DEEP, (30.0,), 1e-12, 2, 1 << 15), "n_start"),
-        (lambda: nk.solve_sequence(nk.DEEP, (30.0,), 1e-12, 512, 256), "n_max"),
-    ], ids=["ratio-one", "ratio-below-one", "ratio-nan", "ratio-inf", "n-start-below-4",
-            "n-max-below-n-start", "sequence-n-start-below-4", "sequence-n-max-below-n-start"])
-    def test_bad_step_policy_fails_before_solving(self, monkeypatch, call, field):
+    @pytest.mark.parametrize("n_start", [2, continuation.N_MAX * 2, 512.0, "512"],
+                             ids=["n-start-below-4", "n-max-below-n-start", "n-start-float",
+                                  "n-start-str"])
+    def test_bad_step_policy_fails_before_solving(self, monkeypatch, n_start):
+        # the first grid is the one setting of the step rule: an integer
+        # from 4 up to the grid cap N_MAX
         monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
         monkeypatch.setattr(continuation, "_seeded_guess", _no_solve)
-        with pytest.raises(ValueError, match=f"StepPolicy.{field}"):
-            call()
-
-    @pytest.mark.parametrize("targets", [(2.9, 30.0), (3.0,)], ids=["below-mu1", "at-mu1"])
-    def test_sequence_subcritical_target_fails_before_solving(self, monkeypatch, targets):
-        # no target at or below mu1 reaches a solve: a climb through 2.9
-        # collapses to the trivial field, which then reads resolved at mu = 30
-        monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
-        monkeypatch.setattr(continuation, "_seeded_guess", _no_solve)
-        with pytest.raises(ValueError, match="bifurcation point"):
-            nk.solve_sequence(nk.DEEP, targets, 1e-12, 256, 1 << 12)
+        with pytest.raises(ValueError, match="n_start"):
+            nk.trace_branch(3.01, 4.0, n_start=n_start)
 
     @pytest.mark.parametrize("mu_start, mu_end, points", [(8.75, 10.75, 13), (10.0, 12.0, 2)])
     def test_starts_past_the_seed_reach(self, mu_start, mu_end, points):
@@ -105,9 +88,10 @@ class TestTraceBranch:
         assert not branch.truncated
         assert branch.mus.tolist() == expected
 
-    def test_unresolved_at_n_max_truncates(self):
-        policy = nk.StepPolicy(n_start=64, n_max=128, ratio=1.6)
-        branch = nk.trace_branch(3.01, 200.0, policy=policy)
+    def test_unresolved_at_n_max_truncates(self, monkeypatch):
+        monkeypatch.setattr(continuation, "N_MAX", 128)
+        monkeypatch.setattr(continuation, "GEOMETRIC_RATIO", 1.6)
+        branch = nk.trace_branch(3.01, 200.0, n_start=64)
         assert branch.truncated
         assert "unresolved at mu=" in branch.failure and "n=128" in branch.failure
         assert branch.mus[-1] < 200.0
@@ -161,10 +145,10 @@ class TestTraceBranch:
             assert p.mu > mu1
             assert p.field.values.min() > 0.0
 
-    def test_sup_norm_exceeds_pi_six_at_large_mu(self):
+    def test_sup_norm_exceeds_pi_six_at_large_mu(self, monkeypatch):
         # sup|Phi| crosses pi/6 near mu ~ 3.5e3 (resolved crest layer needed)
-        policy = nk.StepPolicy(ratio=1.6)
-        branch = nk.trace_branch(3.05, 6000.0, policy=policy)
+        monkeypatch.setattr(continuation, "GEOMETRIC_RATIO", 1.6)
+        branch = nk.trace_branch(3.05, 6000.0)
         assert branch.sup_norms.max() > np.pi / 6.0
 
 
@@ -238,48 +222,14 @@ class TestBranchPointDiagnostics:
 
     def test_not_a_graph_still_warns(self):
         # R cos Phi <= 0 near theta = pi/2
-        field = nk.AngleField.from_callable(lambda t: 1.7 * np.sin(t), 128)
+        field = field_of(128, lambda t: 1.7 * np.sin(t))
         with pytest.warns(nk.GeometryWarning):
             continuation._branch_point(3.01, field, 0.0)
 
     def test_lost_positivity_still_breaks_down(self):
-        field = nk.AngleField.from_callable(lambda t: -2.0 * np.sin(t), 64)
+        field = field_of(64, lambda t: -2.0 * np.sin(t))
         with pytest.raises(nk.BreakdownError):
             continuation._branch_point(50.0, field, 0.0)
-
-
-class TestSolveSequenceClimb:
-    """Each target past the first continues the last target's climb."""
-
-    def test_no_rung_is_solved_twice(self, monkeypatch):
-        # the capped_seq fixture's sequence: 31 solves when each target
-        # climbed from mu1 on its own
-        solves = []
-        real_solve = solver.solve
-
-        def counted(*args, **kwargs):
-            solves.append(args[0])
-            return real_solve(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "solve", counted)
-        monkeypatch.setattr(continuation, "solve", counted)
-        runs, counts = [], []
-        for mus in ((30.0,), (1000.0,), (30.0, 1000.0)):
-            runs.append(nk.solve_sequence(nk.DEEP, mus, 1e-12, 512, 1024))
-            counts.append(len(solves) - sum(counts))
-        rungs_below_30 = [r for r in solver._warm_start_ladder(3.0, 1000.0) if r < 30.0]
-        assert counts[2] == counts[0] + counts[1] - len(rungs_below_30) < 31
-        (_, first), (single, second), (last, both) = runs
-        assert [(r["mu"], r["n"], r["resolved"]) for r in both] == \
-            [(r["mu"], r["n"], r["resolved"]) for r in first + second]
-        assert np.abs(last.field.values - single.field.values).max() <= 1e-12
-
-    @pytest.mark.parametrize("below_mu", [5.0, 40.0], ids=["inside-reach", "above-target"])
-    def test_a_start_off_the_climb_is_ignored(self, below_mu):
-        start = nk.AngleField.from_callable(lambda t: 0.1 * np.sin(t), 64)
-        plain = solver._seeded_guess(30.0, nk.DEEP, 64, 1e-12)
-        guess = solver._seeded_guess(30.0, nk.DEEP, 64, 1e-12, below=(below_mu, start))
-        assert guess.values.tobytes() == plain.values.tobytes()
 
 
 class TestSelfSimilarPredictor:
@@ -339,14 +289,14 @@ class TestConeMembership:
     def test_ratio_constant_field(self):
         # Phi = sin(theta/2): nonnegativity and the constant ratio hold;
         # the tail ordering fails for a field increasing toward theta = pi
-        field = nk.AngleField.from_callable(lambda t: np.sin(0.5 * t), 256)
+        field = field_of(256, lambda t: np.sin(0.5 * t))
         report = nk.cone_membership(field)
         assert report.nonneg_ok
         assert report.ratio_monotone_ok
         assert not report.tail_ordering_ok
 
     def test_sin_2theta_fails_nonnegativity(self):
-        field = nk.AngleField.from_callable(lambda t: np.sin(2 * t), 256)
+        field = field_of(256, lambda t: np.sin(2 * t))
         report = nk.cone_membership(field)
         assert not report.nonneg_ok
         assert report.max_violation == pytest.approx(1.0, abs=1e-3)

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
-from nekrasov import _graded
+from nekrasov import _graded, continuation
 from nekrasov._graded import GradedCollocation
+from nekrasov.solver import _seeded_guess
 
 
 def kernel_q(theta: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -444,29 +445,37 @@ class TestFits:
             nk.fit_asymptotics(extreme_direct, window=(0.29, 0.3))
 
 
+def resolved_solve(mu, spec, n):
+    """Seed at mu on n points and solve, doubling the grid until the
+    solution is resolved or n reaches continuation.N_MAX."""
+    return continuation._converge_resolved(mu, _seeded_guess(mu, spec, n, 1e-12),
+                                           spec, 1e-12)[0]
+
+
 @pytest.fixture(scope="module")
 def capped_seq():
-    # capped at n_max = 1024, mu = 30 resolves and mu = 1000 converges with
+    # capped at N_MAX = 1024, mu = 30 resolves and mu = 1000 converges with
     # its tail still above TAIL_THRESHOLD
-    _, per_mu = nk.solve_sequence(nk.DEEP, (30.0, 1000.0), 1e-12, 512, 1024)
-    return per_mu
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuation, "N_MAX", 1024)
+        return [resolved_solve(mu, nk.DEEP, 512) for mu in (30.0, 1000.0)]
 
 
 class TestSequenceStrategy:
     def test_residuals(self, capped_seq):
-        assert [r["mu"] for r in capped_seq] == [30.0, 1000.0]
-        assert all(r["residual"] < 1e-10 for r in capped_seq)
+        assert [r.mu for r in capped_seq] == [30.0, 1000.0]
+        assert all(r.residual < 1e-10 for r in capped_seq)
 
     def test_unresolved_record_is_flagged(self, capped_seq):
-        # each record's flag follows its tail; the capped mu = 1000 field
+        # each result's flag follows its tail; the capped mu = 1000 field
         # must say it is unresolved
-        assert [r["resolved"] for r in capped_seq] == [r["tail"] <= 1e-9 for r in capped_seq]
-        assert capped_seq[0]["resolved"] is True
+        assert [r.resolved for r in capped_seq] == [r.tail <= 1e-9 for r in capped_seq]
+        assert capped_seq[0].resolved is True
         last = capped_seq[-1]
-        assert last["mu"] == 1000.0
-        assert last["n"] == 1024
-        assert last["tail"] > 1e-9
-        assert last["resolved"] is False
+        assert last.mu == 1000.0
+        assert last.field.n == 1024
+        assert last.tail > 1e-9
+        assert last.resolved is False
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -482,11 +491,11 @@ def test_sequence_at_finite_depth(depth):
     # the seed expands about the kernel's own mu1 (5.387 at h/lambda = 0.1),
     # not about the deep-water value 3
     spec = nk.KernelSpec(depth_ratio=depth)
-    result, per_mu = nk.solve_sequence(spec, (30.0,), 1e-12, 256, 1 << 15)
-    assert [r["mu"] for r in per_mu] == [30.0]
-    assert per_mu[0]["residual"] <= 1e-12
-    assert per_mu[0]["tail"] <= 1e-9
-    assert per_mu[0]["resolved"] is True
+    result = resolved_solve(30.0, spec, 256)
+    assert result.mu == 30.0
+    assert result.residual <= 1e-12
+    assert result.tail <= 1e-9
+    assert result.resolved is True
     assert result.field.sup_norm() > 0.1
 
 
@@ -494,7 +503,7 @@ def test_cross_discretization_at_large_mu():
     # the uniform sine-spectral solver and the graded collocation engine
     # discretize the same equation in entirely different ways; at mu = 1000
     # they must agree including inside the crest layer
-    result, _ = nk.solve_sequence(nk.DEEP, (1000.0,), 1e-12, 512, 1 << 15)
+    result = resolved_solve(1000.0, nk.DEEP, 512)
     eng = GradedCollocation(n_nodes=700, grading=3.0)
     sol = eng.solve(1e-3, tol=1e-10)
     sup_diff = abs(np.abs(sol.phi[1:-1]).max() - result.field.sup_norm())
@@ -512,8 +521,9 @@ class TestConvexity:
         assert report.convex
         assert report.max_violation == 0.0
 
-    def test_near_extreme_profile_convex(self):
-        branch = nk.trace_branch(3.05, 300.0, policy=nk.StepPolicy(ratio=1.6))
+    def test_near_extreme_profile_convex(self, monkeypatch):
+        monkeypatch.setattr(continuation, "GEOMETRIC_RATIO", 1.6)
+        branch = nk.trace_branch(3.05, 300.0)
         point = branch.points[-1]
         assert point.mu == pytest.approx(300.0)
         profile = nk.reconstruct_profile(point.field, point.mu)

@@ -9,6 +9,7 @@ from scipy import fft
 
 import nekrasov as nk
 from nekrasov import grid as grid_module
+from conftest import field_of
 from oracles import inner_integral_quadrature, sup_norm_scan
 
 # pi to long-double precision (np.pi would limit the reference to double)
@@ -33,8 +34,7 @@ def test_pure_mode_coefficients():
 
 
 def test_antiderivative_matches_quadrature():
-    field = nk.AngleField.from_callable(
-        lambda t: 0.3 * np.sin(t) + 0.1 * np.sin(3 * t), 128)
+    field = field_of(128, lambda t: 0.3 * np.sin(t) + 0.1 * np.sin(3 * t))
     closed = field.grid.antiderivative_closed(np.sin(field.values))
     for j in (0, 1, 17, 64, 128):
         tau = field.grid.theta_closed[j]
@@ -43,19 +43,19 @@ def test_antiderivative_matches_quadrature():
 
 
 def test_evaluate_matches_grid_values():
-    field = nk.AngleField.from_callable(lambda t: np.sin(2 * t) - 0.2 * np.sin(5 * t), 64)
+    field = field_of(64, lambda t: np.sin(2 * t) - 0.2 * np.sin(5 * t))
     assert np.abs(field(field.grid.theta) - field.values).max() < 1e-12
 
 
 def test_oddness_of_evaluation():
-    field = nk.AngleField.from_callable(lambda t: np.sin(t) + 0.3 * np.sin(4 * t), 64)
+    field = field_of(64, lambda t: np.sin(t) + 0.3 * np.sin(4 * t))
     theta = np.array([0.3, 1.1, 2.0])
     assert np.allclose(field(-theta), -field(theta), atol=1e-14)
 
 
 def test_sup_norm_oversampling():
     # sin(2 theta) peaks strictly between the nodes of a 5-point grid
-    field = nk.AngleField.from_callable(lambda t: np.sin(2 * t), 5)
+    field = field_of(5, lambda t: np.sin(2 * t))
     assert np.abs(field.values).max() < 0.999
     assert np.abs(field.resample(40).values).max() == pytest.approx(1.0, abs=1e-3)
     assert field.sup_norm() == pytest.approx(sup_norm_scan(field), abs=1e-3)
@@ -63,7 +63,7 @@ def test_sup_norm_oversampling():
 
 def test_sup_norm_caches_no_grid():
     # n = 1234 is used nowhere else, so a cached 4n grid would be new
-    field = nk.AngleField.from_callable(lambda t: np.sin(t) + 0.2 * np.sin(7 * t), 1234)
+    field = field_of(1234, lambda t: np.sin(t) + 0.2 * np.sin(7 * t))
     before = nk.get_grid.cache_info().currsize
     value = field.sup_norm()
     assert nk.get_grid.cache_info().currsize == before
@@ -93,7 +93,7 @@ def test_sup_norm_pieces_are_the_full_transform_bitwise(n, oversample):
 
 
 def test_resample_padding_and_truncation():
-    field = nk.AngleField.from_callable(lambda t: np.sin(t) + 0.5 * np.sin(2 * t), 32)
+    field = field_of(32, lambda t: np.sin(t) + 0.5 * np.sin(2 * t))
     finer = field.resample(128)
     assert np.abs(finer(np.array([0.7])) - field(np.array([0.7]))).max() < 1e-13
     back = finer.resample(32)
