@@ -22,7 +22,7 @@ from . import __version__, io as _io
 from .continuation import trace_branch
 from .extreme import convexity_check, extreme_profile, solve_extreme
 from .grid import AngleField
-from .kernel import DEEP, KernelSpec, characteristic_values
+from .kernel import KernelSpec, characteristic_values
 from .profile import _check_scales, reconstruct_profile
 from .series import (UnsupportedOrderError, expand_solution,
                      height_coefficients_from_expansion)
@@ -153,11 +153,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _emit(args, stem: str, columns, metadata, payload) -> Path:
+def _emit(args, stem: str, columns, payload) -> Path:
+    """Write payload as JSON, or its columns as CSV under payload's metadata."""
     out_dir = _out_dir(args)
     if columns is not None and args.format == "csv":
         path = out_dir / (args.out or f"{stem}.csv")
-        _io.write_csv(path, columns, metadata)
+        _io.write_csv(path, columns, payload["metadata"])
     else:
         path = out_dir / (args.out or f"{stem}.json")
         _io.write_json(path, payload)
@@ -170,11 +171,7 @@ def cmd_eigs(args) -> int:
         raise ValidationError(f"kmax must be at least 1, got {args.kmax}")
     spec = KernelSpec(depth_ratio=_parse_depth(args.depth))
     values = characteristic_values(spec, args.kmax)
-    meta = _io.base_metadata(__version__, spec)
-    columns = {"k": np.arange(1, args.kmax + 1), "characteristic_value": values}
-    payload = {"metadata": meta, "k": list(range(1, args.kmax + 1)),
-               "characteristic_values": values}
-    _emit(args, "eigs", columns, meta, payload)
+    _emit(args, "eigs", _io.eigs_columns(values), _io.eigs_payload(values, __version__, spec))
     print(", ".join(_io.format_float(v) for v in values))
     return EXIT_OK
 
@@ -191,7 +188,7 @@ def _solve_seeded(args, spec) -> SolveResult:
         print(f"warning: subcritical mu <= {mu1:g} (no nontrivial solution); "
               "emitting the trivial solution", file=sys.stderr)
         return SolveResult(field=AngleField.zero(args.n), mu=args.mu, residual=0.0,
-                           iterations=0, method="newton", initial_residual=0.0)
+                           iterations=0, initial_residual=0.0)
     result = solve_seeded(args.mu, spec, args.n, args.tol)
     if not result.resolved:
         print(f"warning: unresolved on n={args.n}: spectral tail {result.tail:.3e} "
@@ -202,14 +199,8 @@ def _solve_seeded(args, spec) -> SolveResult:
 def cmd_solve(args) -> int:
     spec = _spec_from(args)
     result = _solve_seeded(args, spec)
-    field = result.field
-    meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol, mu=args.mu,
-                             residual=result.residual, iterations=result.iterations,
-                             method=result.method)
-    columns = {"theta": field.grid.theta, "phi": field.values}
-    payload = {"metadata": meta, "theta": field.grid.theta, "phi": field.values,
-               "coefficients": field.coefficients}
-    _emit(args, "solution", columns, meta, payload)
+    _emit(args, "solution", _io.solve_columns(result.field),
+          _io.solve_payload(result, __version__, spec, args.tol))
     return EXIT_OK
 
 
@@ -219,11 +210,7 @@ def cmd_branch(args) -> int:
     spec = _spec_from(args)
     branch = trace_branch(args.mu_start, args.mu_end, spec=spec, n_start=args.n,
                           tol=args.tol)
-    meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol,
-                             mu_start=args.mu_start, mu_end=args.mu_end,
-                             truncated=branch.truncated)
-    _emit(args, "branch", _io.branch_columns(branch), meta,
-          _io.branch_payload(branch, __version__))
+    _emit(args, "branch", _io.branch_columns(branch), _io.branch_payload(branch, __version__))
     if branch.truncated:
         print(f"warning: branch truncated: {branch.failure}", file=sys.stderr)
     return EXIT_OK
@@ -234,24 +221,11 @@ def cmd_series(args) -> int:
         series = expand_solution(args.order)
     except UnsupportedOrderError as exc:
         raise ValidationError(str(exc)) from exc
-    rows_p, rows_k, rows_c = [], [], []
-    for p in range(1, args.order + 1):
-        for k in sorted(series.coefficients.get(p, {})):
-            rows_p.append(p)
-            rows_k.append(k)
-            rows_c.append(series.coefficient(p, k))
-    meta = _io.base_metadata(__version__, DEEP, order=args.order)
-    height = [str(c) for c in height_coefficients_from_expansion(args.order)]
-    payload = {
-        "metadata": meta,
-        "coefficients": [
-            {"power": p, "mode": k, "value": str(series.coefficient(p, k))}
-            for p, k in zip(rows_p, rows_k)],
-        "wave_height_over_wavelength": height,
-    }
-    _emit(args, "series", None, meta, payload)
-    for p, k, c in zip(rows_p, rows_k, rows_c):
-        print(f"mu'^{p} sin({k} theta): {c}")
+    payload = _io.series_payload(
+        series, height_coefficients_from_expansion(args.order), __version__)
+    _emit(args, "series", None, payload)
+    for c in payload["coefficients"]:
+        print(f"mu'^{c['power']} sin({c['mode']} theta): {c['value']}")
     return EXIT_OK
 
 
@@ -259,17 +233,14 @@ def cmd_profile(args) -> int:
     # reconstruct_profile's own check, made before the solve rather than after it
     _check_scales(args.wavelength, args.g)
     spec = _spec_from(args)
-    field = _solve_seeded(args, spec).field
-    profile = reconstruct_profile(field, args.mu, args.wavelength, args.g)
-    meta = _io.base_metadata(__version__, spec, n=args.n, tol=args.tol,
-                             mu=args.mu, height=profile.height,
-                             c=profile.c, q0=profile.q0)
+    result = _solve_seeded(args, spec)
+    profile = reconstruct_profile(result.field, args.mu, args.wavelength, args.g)
     columns = _io.profile_columns(profile)
     # emit x in increasing order (theta runs crest -> trough, x decreases)
     order = np.argsort(columns["x"], kind="stable")
     columns = {k: v[order] for k, v in columns.items()}
-    _emit(args, "profile", columns, meta,
-          _io.profile_payload(profile, __version__, spec))
+    _emit(args, "profile", columns,
+          _io.solved_profile_payload(result, profile, __version__, spec, args.tol))
     return EXIT_OK
 
 
@@ -278,22 +249,7 @@ def cmd_extreme(args) -> int:
         raise ValidationError("the extreme limit is computed on deep water")
     sol = solve_extreme()
     convexity = convexity_check(extreme_profile(sol))
-    meta = _io.base_metadata(__version__, DEEP, strategy="direct")
-    # the graded mesh takes no spectral modes
-    del meta["kernel_spec"]["n_modes"]
-    report = {
-        "metadata": meta,
-        "crest_angle_estimate": sol.crest_angle_estimate,
-        "crest_angle_target": math.pi / 6.0,
-        "jump": 2.0 * sol.crest_angle_estimate,
-        "C1": sol.grant_fit.c1,
-        "C2": sol.grant_fit.c2,
-        "beta1": sol.grant_fit.beta1,
-        "convexity": {"convex": convexity.convex,
-                      "max_violation": convexity.max_violation},
-        "per_mu": sol.per_mu,
-    }
-    _emit(args, "extreme", None, meta, report)
+    _emit(args, "extreme", None, _io.extreme_payload(sol, convexity, __version__))
     print(f"crest angle estimate: {sol.crest_angle_estimate:.6f} "
           f"(pi/6 = {math.pi / 6.0:.6f})")
     return EXIT_OK

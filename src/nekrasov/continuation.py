@@ -58,10 +58,10 @@ class ConeReport:
 class BranchPoint:
     """A converged point: its sup-norm (on the 4x grid), wave_height = H/lambda
     from the height integral of profile.height_over_wavelength (no profile
-    is built) and the cone report.  trace_branch also records the Newton iterations of
-    the solve on its final grid, its spectral tail in the retained band and
-    the max|F| of the corrector's guess on the guess grid (in memory only:
-    the branch writers leave all three out)."""
+    is built) and the cone report.  trace_branch also records the Newton
+    iterations of the solve on its final grid and its spectral tail in the
+    retained band, which the branch writers write, and the max|F| of the
+    corrector's guess on the guess grid, which they leave out."""
 
     mu: float
     field: AngleField

@@ -12,7 +12,7 @@ judges convexity between crests (Plotnikov & Toland, 2004).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,15 +35,17 @@ class ExtremeSolution:
     """Extreme-wave angle field with crest diagnostics.
 
     theta_samples/phi_samples are the interior graded nodes and the angle
-    there, on which the crest fits and extreme_profile work.
+    there, on which the crest fits and extreme_profile work; n_nodes,
+    residual and iterations are the graded-mesh solve's.
     """
 
     theta_samples: np.ndarray
     phi_samples: np.ndarray
     crest_angle_estimate: float
     grant_fit: GrantFit | None
-    per_mu: list[dict] = dataclass_field(default_factory=list)
-    residual: float = np.nan
+    n_nodes: int
+    residual: float
+    iterations: int
 
 
 @dataclass
@@ -160,13 +162,10 @@ def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "direct",
     if strategy != "direct":
         raise ValueError(f"unknown strategy {strategy!r}")
     graded = GradedCollocation(n_nodes=n_nodes, grading=grading).solve(0.0, tol=tol)
-    phi = graded.phi[1:-1]
     sol = ExtremeSolution(
-        theta_samples=graded.theta[1:-1], phi_samples=phi,
-        crest_angle_estimate=np.nan, grant_fit=None,
-        per_mu=[{"nu": graded.nu, "n_nodes": n_nodes, "residual": graded.residual,
-                 "sup_norm": float(np.abs(phi).max())}],
-        residual=graded.residual)
+        theta_samples=graded.theta[1:-1], phi_samples=graded.phi[1:-1],
+        crest_angle_estimate=np.nan, grant_fit=None, n_nodes=n_nodes,
+        residual=graded.residual, iterations=graded.iterations)
     sol.crest_angle_estimate = stokes_limit(sol)
     sol.grant_fit = fit_asymptotics(sol)
     return sol

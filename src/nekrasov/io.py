@@ -2,8 +2,10 @@
 
 Identical inputs must produce byte-identical files: floats are formatted
 with 17 significant digits, lines end with a bare newline, and no
-timestamps or environment-dependent values are written.  Every file starts
-with a metadata block (tool version, grid size, tolerances, kernel spec).
+timestamps or environment-dependent values are written.  Each output has
+one metadata dict (tool version, kernel spec, and what the file reports
+on), which a JSON file holds under "metadata" and a CSV file writes as its
+'#' lines above the columns, so the two formats say the same thing.
 
 JSON files have the standard library's ``indent=2`` layout, byte for byte,
 but are produced with its C encoder: ``json.dump(..., indent=2)`` always
@@ -13,12 +15,17 @@ runs the pure-Python one.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from .kernel import DEEP
+
 
 def format_float(x) -> str:
+    if x is None:  # a value not recorded, such as a hand-built branch point's tail
+        return ""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -107,68 +114,99 @@ def write_json(path, payload: dict) -> None:
         fh.write(text)
 
 
-def base_metadata(version: str, spec, n: int | None = None,
-                  tol: float | None = None, **extra) -> dict:
-    meta = {"tool": "nekrasov", "version": version, "kernel_spec": spec.to_dict()}
-    if n is not None:
-        meta["n"] = n
-    if tol is not None:
-        meta["tol"] = tol
-    meta.update(extra)
-    return meta
+def base_metadata(version: str, spec, **extra) -> dict:
+    return {"tool": "nekrasov", "version": version, "kernel_spec": spec.to_dict(), **extra}
+
+
+def _solve_fields(result, tol: float) -> dict:
+    """A SolveResult's deterministic fields, with the tol it was solved to."""
+    return {"n": result.field.n, "tol": tol, "mu": result.mu, "residual": result.residual,
+            "iterations": result.iterations, "tail": result.tail,
+            "resolved": result.resolved}
+
+
+def eigs_columns(values) -> dict[str, np.ndarray]:
+    return {"k": np.arange(1, len(values) + 1), "characteristic_value": values}
+
+
+def eigs_payload(values, version: str, spec) -> dict:
+    return {"metadata": base_metadata(version, spec), **eigs_columns(values)}
+
+
+def solve_columns(field) -> dict[str, np.ndarray]:
+    return {"theta": field.grid.theta, "phi": field.values}
+
+
+def solve_payload(result, version: str, spec, tol: float) -> dict:
+    return {"metadata": base_metadata(version, spec, **_solve_fields(result, tol)),
+            **solve_columns(result.field), "coefficients": result.field.coefficients}
+
+
+# a branch point's fields, in the order both branch formats write them
+_POINT_FIELDS = ("mu", "n", "iterations", "sup_norm", "wave_height", "residual", "tail",
+                 "cone_ok", "cone_max_violation")
+
+
+def _point_values(p) -> tuple:
+    return (p.mu, p.n, p.iterations, p.sup_norm, p.wave_height, p.residual, p.tail,
+            bool(p.cone and p.cone.all_ok), p.cone.max_violation if p.cone else None)
 
 
 def branch_columns(branch) -> dict[str, np.ndarray]:
-    pts = branch.points
-    return {
-        "mu": np.array([p.mu for p in pts]),
-        "sup_norm": np.array([p.sup_norm for p in pts]),
-        "wave_height": np.array([p.wave_height for p in pts]),
-        "residual": np.array([p.residual for p in pts]),
-        "cone_ok": np.array([bool(p.cone and p.cone.all_ok) for p in pts]),
-    }
+    rows = [_point_values(p) for p in branch.points]
+    return {name: np.array([row[i] for row in rows]) for i, name in enumerate(_POINT_FIELDS)}
 
 
 def branch_payload(branch, version: str) -> dict:
-    meta = base_metadata(version, branch.spec, tol=branch.tol, **branch.metadata)
-    points = []
-    for p in branch.points:
-        points.append({
-            "mu": p.mu,
-            "n": p.n,
-            "sup_norm": p.sup_norm,
-            "wave_height": p.wave_height,
-            "residual": p.residual,
-            "cone_ok": bool(p.cone and p.cone.all_ok),
-            "cone_max_violation": p.cone.max_violation if p.cone else None,
-            "coefficients": p.field.coefficients,
-        })
-    return {"metadata": meta, "truncated": branch.truncated,
-            "failure": branch.failure, "points": points}
+    meta = base_metadata(version, branch.spec, tol=branch.tol, **branch.metadata,
+                         truncated=branch.truncated, failure=branch.failure)
+    points = [{**dict(zip(_POINT_FIELDS, _point_values(p))),
+               "coefficients": p.field.coefficients} for p in branch.points]
+    return {"metadata": meta, "points": points}
+
+
+def series_payload(series, height, version: str) -> dict:
+    """The expansion's coefficients and the height coefficients, as exact
+    fractions in text."""
+    return {
+        "metadata": base_metadata(version, DEEP, order=series.order),
+        "coefficients": [
+            {"power": p, "mode": k, "value": str(series.coefficient(p, k))}
+            for p in range(1, series.order + 1)
+            for k in sorted(series.coefficients.get(p, {}))],
+        "wave_height_over_wavelength": [str(c) for c in height],
+    }
 
 
 def profile_columns(profile) -> dict[str, np.ndarray]:
-    return {
-        "theta": profile.theta,
-        "x": profile.x,
-        "eta": profile.eta,
-        "R": profile.R,
-        "q_over_q0": profile.q_over_q0,
-    }
+    return {"theta": profile.theta, "x": profile.x, "eta": profile.eta, "R": profile.R,
+            "q_over_q0": profile.q_over_q0}
 
 
 def profile_payload(profile, version: str, spec) -> dict:
     meta = base_metadata(version, spec, n=profile.metadata.get("n"))
-    meta.update({
-        "lambda": profile.wavelength,
-        "c": profile.c,
-        "q0": profile.q0,
-        "mu": profile.mu,
-        "g": profile.g,
-        "height": profile.height,
-    })
+    meta.update({"lambda": profile.wavelength, "c": profile.c, "q0": profile.q0,
+                 "mu": profile.mu, "g": profile.g, "height": profile.height})
     meta.update(profile.metadata)
-    return {"metadata": meta,
-            "theta": profile.theta, "x": profile.x, "eta": profile.eta,
-            "R": profile.R, "q_over_q0": profile.q_over_q0,
-            "a_k": profile.a_k}
+    return {"metadata": meta, **profile_columns(profile), "a_k": profile.a_k}
+
+
+def solved_profile_payload(result, profile, version: str, spec, tol: float) -> dict:
+    """profile_payload with the fields of the solve the profile came from."""
+    payload = profile_payload(profile, version, spec)
+    payload["metadata"].update(_solve_fields(result, tol))
+    return payload
+
+
+def extreme_payload(sol, convexity, version: str) -> dict:
+    meta = base_metadata(version, DEEP, n_nodes=sol.n_nodes, residual=sol.residual,
+                         iterations=sol.iterations,
+                         sup_norm=float(np.abs(sol.phi_samples).max()))
+    # the graded mesh takes no spectral modes
+    del meta["kernel_spec"]["n_modes"]
+    fit = sol.grant_fit
+    return {"metadata": meta, "crest_angle_estimate": sol.crest_angle_estimate,
+            "crest_angle_target": math.pi / 6.0, "jump": 2.0 * sol.crest_angle_estimate,
+            "C1": fit.c1, "C2": fit.c2, "beta1": fit.beta1,
+            "convexity": {"convex": convexity.convex,
+                          "max_violation": convexity.max_violation}}

@@ -62,7 +62,6 @@ class SolveResult:
     mu: float
     residual: float
     iterations: int
-    method: str
     # max|F| of the initial field, the first evaluation of the solve
     initial_residual: float
 
@@ -418,7 +417,7 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
         lambda x, f, target: _krylov_step(op.jacobian_operator(x, mu), f, target),
         x, tol, f)
     return SolveResult(field=AngleField(initial.grid, values=x), mu=mu,
-                       residual=res, iterations=its, method=method,
+                       residual=res, iterations=its,
                        initial_residual=first)
 
 

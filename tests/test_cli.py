@@ -6,6 +6,7 @@ import pytest
 
 import nekrasov.extreme
 from nekrasov.cli import main
+from nekrasov.io import _metadata_text
 
 
 def run(tmp_path, *argv):
@@ -96,6 +97,30 @@ class TestSolveAndProfile:
         assert run(tmp_path, command, "--mu", "100") == 0
         assert "warning: unresolved on n=512" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name", [("solve", "solution"),
+                                               ("profile", "profile")])
+    def test_unresolved_file_says_so(self, tmp_path, command, name):
+        # still exit 0: an unresolved result is written, flagged, not refused
+        assert run(tmp_path, command, "--mu", "100", "--format", "json") == 0
+        meta = json.loads((tmp_path / f"{name}.json").read_text())["metadata"]
+        assert meta["resolved"] is False
+        assert meta["tail"] == pytest.approx(1.5e-5, rel=0.05)
+        assert (meta["n"], meta["mu"]) == (512, 100.0)
+        assert run(tmp_path, command, "--mu", "100") == 0
+        header = _csv_metadata((tmp_path / f"{name}.csv").read_text())
+        assert header["resolved"] == "False"
+        assert float(header["tail"]) == meta["tail"]
+
+    @pytest.mark.parametrize("command, name", [("solve", "solution"),
+                                               ("profile", "profile")])
+    def test_resolved_file_says_so(self, tmp_path, command, name):
+        assert run(tmp_path, command, "--mu", "3.2", "--n", "256", "--format", "json") == 0
+        meta = json.loads((tmp_path / f"{name}.json").read_text())["metadata"]
+        assert meta["resolved"] is True
+        assert meta["tail"] <= 1e-9
+        assert meta["iterations"] >= 1 and meta["residual"] <= 1e-12
+        assert "method" not in meta
+
     def test_negative_mu_is_validation_error(self, tmp_path):
         assert run(tmp_path, "solve", "--mu", "-3.0") == 2
 
@@ -122,14 +147,15 @@ class TestBranch:
         assert b1 == (tmp_path / "b2.csv").read_bytes()
         text = b1.decode()
         header = next(l for l in text.splitlines() if not l.startswith("#"))
-        assert header == "mu,sup_norm,wave_height,residual,cone_ok"
+        assert header == ("mu,n,iterations,sup_norm,wave_height,residual,tail,"
+                          "cone_ok,cone_max_violation")
         rows = [l.split(",") for l in text.splitlines()
                 if not l.startswith(("#", "mu"))]
-        sup = np.array([float(r[1]) for r in rows])
-        resid = np.array([float(r[3]) for r in rows])
+        sup = np.array([float(r[3]) for r in rows])
+        resid = np.array([float(r[5]) for r in rows])
         assert np.all(np.diff(sup) > 0)
         assert resid.max() <= 1e-12
-        assert all(r[4] == "true" for r in rows)
+        assert all(r[7] == "true" for r in rows)
 
     def test_inverted_range_is_validation_error(self, tmp_path):
         assert run(tmp_path, "branch", "--mu-start", "5", "--mu-end", "4") == 2
@@ -152,7 +178,7 @@ class TestBranch:
     def test_json_payload(self, tmp_path):
         assert run(tmp_path, "branch", "--mu-end", "3.3", "--format", "json") == 0
         data = json.loads((tmp_path / "branch.json").read_text())
-        assert not data["truncated"]
+        assert not data["metadata"]["truncated"]
         assert all(p["cone_ok"] for p in data["points"])
 
 
@@ -200,6 +226,12 @@ class TestExtreme:
         # the extreme profile is judged itself: no grid size, no proxy mu
         assert "n" not in data["metadata"]
         assert "mu" not in data["convexity"]
+        # the graded solve's own record, with no strategy key and no per-mu list
+        meta = data["metadata"]
+        assert "strategy" not in meta and "per_mu" not in data
+        assert meta["n_nodes"] == 600 and meta["iterations"] >= 1
+        assert meta["residual"] <= 1e-11
+        assert meta["sup_norm"] == pytest.approx(math.pi / 6, abs=1e-6)
         assert "crest angle estimate" in capsys.readouterr().out
 
     def test_strategy_option_is_gone(self, tmp_path):
@@ -288,6 +320,13 @@ class TestConfigFile:
         assert (tmp_path / "envout" / "eigs.csv").exists()
 
 
+def _csv_metadata(text: str) -> dict[str, str]:
+    """The '# key: value' lines above a CSV file's columns."""
+    lines = text.splitlines()
+    head = lines[:next(i for i, l in enumerate(lines) if not l.startswith("#"))]
+    return dict(l[2:].split(": ", 1) for l in head)
+
+
 class TestMetadata:
     def test_header_block(self, tmp_path):
         run(tmp_path, "solve", "--mu", "3.2", "--n", "64")
@@ -296,3 +335,45 @@ class TestMetadata:
         assert "# version:" in text
         assert "# kernel_spec:" in text
         assert "# n: 64" in text
+
+    @pytest.mark.parametrize("argv, stem", [
+        (["eigs", "--depth", "0.5", "--kmax", "3"], "eigs"),
+        (["solve", "--mu", "3.2", "--n", "128"], "solution"),
+        (["solve", "--mu", "2.5", "--n", "64"], "solution"),
+        (["branch", "--mu-end", "3.1", "--n", "128"], "branch"),
+        (["profile", "--mu", "3.5", "--n", "128", "--wavelength", "100", "--g", "9.81"],
+         "profile"),
+    ], ids=["eigs", "solve", "solve-subcritical", "branch", "profile"])
+    def test_csv_and_json_carry_the_same_metadata(self, tmp_path, argv, stem):
+        # one metadata dict per output: the CSV's '#' lines hold the same
+        # keys, in the same order, as the JSON's "metadata", and each value
+        # is the JSON value in the CSV's text
+        assert run(tmp_path, *argv) == 0
+        assert run(tmp_path, *argv, "--format", "json") == 0
+        header = _csv_metadata((tmp_path / f"{stem}.csv").read_text())
+        meta = json.loads((tmp_path / f"{stem}.json").read_text())["metadata"]
+        assert list(header) == list(meta)
+        assert header == {key: _metadata_text(value) for key, value in meta.items()}
+
+    def test_profile_csv_says_its_scale(self, tmp_path):
+        assert run(tmp_path, "profile", "--mu", "3.5", "--n", "128",
+                   "--wavelength", "100", "--g", "9.81") == 0
+        header = _csv_metadata((tmp_path / "profile.csv").read_text())
+        assert header["lambda"] == "100"
+        assert header["g"] == "9.8100000000000005"
+
+    def test_branch_metadata(self, tmp_path):
+        assert run(tmp_path, "branch", "--mu-end", "3.1", "--n", "128") == 0
+        header = _csv_metadata((tmp_path / "branch.csv").read_text())
+        assert (header["n_start"], header["truncated"], header["failure"]) == (
+            "128", "False", "None")
+        assert "n" not in header
+
+    def test_eigs_column_has_one_name(self, tmp_path):
+        assert run(tmp_path, "eigs", "--kmax", "2") == 0
+        assert run(tmp_path, "eigs", "--kmax", "2", "--format", "json") == 0
+        csv_text = (tmp_path / "eigs.csv").read_text()
+        assert "k,characteristic_value\n" in csv_text
+        data = json.loads((tmp_path / "eigs.json").read_text())
+        assert data["characteristic_value"] == [3.0, 6.0]
+        assert "characteristic_values" not in data

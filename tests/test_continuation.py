@@ -194,15 +194,21 @@ class TestPredictor:
         assert all(q.iterations == 1 for q in refined)
         assert all(p.iterations <= 2 for p in branch.points[2:])
 
-    def test_points_record_iterations_and_tail_in_memory_only(self, small_branch):
+    def test_points_write_iterations_and_tail_not_guess_residual(self, small_branch):
         for p in small_branch:
             assert p.iterations >= 0
             assert p.tail == p.field.spectral_tail(band=p.n // 2) <= continuation.TAIL_THRESHOLD
             assert p.guess_residual > p.residual
-        in_memory = {"iterations", "tail", "guess_residual"}
+        # both formats write the same point fields: iterations and tail
+        # among them, the guess residual in memory only
         payload = io.branch_payload(small_branch, "test")
-        assert not in_memory & set(payload["points"][0])
-        assert not in_memory & set(io.branch_columns(small_branch))
+        columns = io.branch_columns(small_branch)
+        for record in payload["points"]:
+            assert set(record) == set(columns) | {"coefficients"}
+        assert "guess_residual" not in columns
+        assert columns["iterations"].tolist() == [p.iterations for p in small_branch]
+        assert columns["tail"].tolist() == [p.tail for p in small_branch]
+        assert [r["tail"] for r in payload["points"]] == [p.tail for p in small_branch]
 
 
 @pytest.fixture(scope="module")

@@ -453,7 +453,7 @@ def resolved_solve(mu, spec, n):
 
 
 @pytest.fixture(scope="module")
-def capped_seq():
+def capped_solves():
     # capped at N_MAX = 1024, mu = 30 resolves and mu = 1000 converges with
     # its tail still above TAIL_THRESHOLD
     with pytest.MonkeyPatch.context() as patch:
@@ -461,22 +461,24 @@ def capped_seq():
         return [resolved_solve(mu, nk.DEEP, 512) for mu in (30.0, 1000.0)]
 
 
-class TestSequenceStrategy:
-    def test_residuals(self, capped_seq):
-        assert [r.mu for r in capped_seq] == [30.0, 1000.0]
-        assert all(r.residual < 1e-10 for r in capped_seq)
+class TestConvergeResolvedAtTheGridCap:
+    def test_residuals(self, capped_solves):
+        assert [r.mu for r in capped_solves] == [30.0, 1000.0]
+        assert all(r.residual < 1e-10 for r in capped_solves)
 
-    def test_unresolved_record_is_flagged(self, capped_seq):
+    def test_unresolved_record_is_flagged(self, capped_solves):
         # each result's flag follows its tail; the capped mu = 1000 field
         # must say it is unresolved
-        assert [r.resolved for r in capped_seq] == [r.tail <= 1e-9 for r in capped_seq]
-        assert capped_seq[0].resolved is True
-        last = capped_seq[-1]
+        assert [r.resolved for r in capped_solves] == [r.tail <= 1e-9 for r in capped_solves]
+        assert capped_solves[0].resolved is True
+        last = capped_solves[-1]
         assert last.mu == 1000.0
         assert last.field.n == 1024
         assert last.tail > 1e-9
         assert last.resolved is False
 
+
+class TestSolveExtremeInput:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             nk.solve_extreme(strategy="levitation")
@@ -487,7 +489,7 @@ class TestSequenceStrategy:
 
 
 @pytest.mark.parametrize("depth", [0.1, 0.5])
-def test_sequence_at_finite_depth(depth):
+def test_converge_resolved_at_finite_depth(depth):
     # the seed expands about the kernel's own mu1 (5.387 at h/lambda = 0.1),
     # not about the deep-water value 3
     spec = nk.KernelSpec(depth_ratio=depth)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from nekrasov.io import _canonical, format_float, write_json
+import nekrasov as nk
+from nekrasov.io import _canonical, branch_columns, format_float, write_csv, write_json
 
 
 def _canonical_elementwise(value):
@@ -124,3 +125,12 @@ class TestWriteJson:
         text = self._written(path, payload)
         assert text == json.dumps(_canonical(payload), indent=2) + "\n"
         assert '"1/9"' in text
+
+
+def test_unrecorded_branch_fields_are_empty_csv_cells(tmp_path):
+    # a hand-built point has no cone report, iterations or tail
+    point = nk.BranchPoint(mu=3.5, field=nk.AngleField.zero(64), sup_norm=0.0,
+                           wave_height=0.0, residual=0.0, n=64)
+    branch = nk.Branch(points=[point], spec=nk.DEEP, tol=1e-12)
+    write_csv(tmp_path / "branch.csv", branch_columns(branch), {})
+    assert (tmp_path / "branch.csv").read_text().splitlines()[1] == "3.5,64,,0,0,0,,false,"

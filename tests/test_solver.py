@@ -283,7 +283,7 @@ class TestSolveSeeded:
         with pytest.raises(ValueError, match="finite"):
             nk.solve_seeded(mu)
 
-    def test_ladder_is_the_sequence_ladder(self):
+    def test_warm_start_ladder_rungs(self):
         # the reference loop that fixes the rungs _seeded_guess climbs for
         # solve_seeded, solve_system and trace_branch
         mu1, s = 3.0, 0.3
