@@ -153,10 +153,10 @@ class GradedCollocation:
     """Product-integration collocation of the folded equation."""
 
     def __init__(self, n_nodes: int = 600, grading: float = 3.0):
+        if not (isinstance(n_nodes, (int, np.integer)) and n_nodes >= 2):
+            raise ValueError(f"n_nodes must be an integer of at least 2, got {n_nodes!r}")
         self.n = int(n_nodes)
         self.grading = float(grading)
-        if self.n < 2:
-            raise ValueError(f"n_nodes must be at least 2, got {n_nodes}")
         if not (np.isfinite(self.grading) and self.grading > 0):
             raise ValueError(f"grading must be finite and positive, got {grading}")
         self.tau = np.pi * (np.arange(self.n + 1) / self.n) ** self.grading

@@ -52,8 +52,7 @@ def _parse_depth(text: str) -> float:
 
 
 def _spec_from(args) -> KernelSpec:
-    return KernelSpec(depth_ratio=_parse_depth(args.depth),
-                      n_modes=args.n // 2)
+    return KernelSpec(depth_ratio=_parse_depth(args.depth))
 
 
 def _out_dir(args) -> Path:
@@ -169,7 +168,7 @@ def _emit(args, stem: str, columns, payload) -> Path:
 def cmd_eigs(args) -> int:
     if args.kmax < 1:
         raise ValidationError(f"kmax must be at least 1, got {args.kmax}")
-    spec = KernelSpec(depth_ratio=_parse_depth(args.depth))
+    spec = _spec_from(args)
     values = characteristic_values(spec, args.kmax)
     _emit(args, "eigs", _io.eigs_columns(values), _io.eigs_payload(values, __version__, spec))
     print(", ".join(_io.format_float(v) for v in values))

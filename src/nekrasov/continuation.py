@@ -172,7 +172,7 @@ def _branch_point(mu: float, field: AngleField, residual: float,
 
 
 def _corrector(mu, guess, spec, tol) -> SolveResult:
-    return solve(mu, guess, tol=tol, spec=spec.with_modes(guess.n // 2))
+    return solve(mu, guess, tol=tol, spec=spec)
 
 
 def _converge_resolved(mu, guess, spec, tol):
@@ -375,7 +375,7 @@ def scale_branch_point(point: BranchPoint, n_fold: int,
     field = None
     for _ in range(5):
         field = _scaled_field(source, n_fold)
-        op = get_operator(field.n, spec.with_modes(field.n // 2))
+        op = get_operator(field.n, spec)
         residual = op.residual(field.values, mu_new)
         if residual <= tol:
             break
@@ -384,8 +384,7 @@ def scale_branch_point(point: BranchPoint, n_fold: int,
                 f"scaled point residual {residual:.3e} exceeds {tol:.3e} "
                 "and no finer grid is feasible")
         source = solve(point.mu, source.resample(source.n * 2),
-                       tol=max(point.residual, 1e-13),
-                       spec=spec.with_modes(source.n)).field
+                       tol=max(point.residual, 1e-13), spec=spec).field
     else:
         raise ReconstructionOverflowError(
             f"scaled point residual {residual:.3e} exceeds {tol:.3e} "

@@ -151,7 +151,8 @@ def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "direct",
     """Compute the extreme-wave angle field by collocating the limiting
     equation (1/mu = 0) on a crest-graded mesh, where the quadrature in the
     bounded density tau sin Phi / I sidesteps the loss of compactness at
-    the crest.
+    the crest.  n_nodes must be an integer of at least 2 (ValueError
+    otherwise), and the solution records the mesh's own.
 
     strategy accepts only "direct" (any other value raises ValueError); it
     remains for the benchmark workload that passes it and goes with the
@@ -161,10 +162,11 @@ def solve_extreme(spec: KernelSpec = DEEP, strategy: str = "direct",
         raise ValueError("the extreme limit is computed on deep water")
     if strategy != "direct":
         raise ValueError(f"unknown strategy {strategy!r}")
-    graded = GradedCollocation(n_nodes=n_nodes, grading=grading).solve(0.0, tol=tol)
+    mesh = GradedCollocation(n_nodes=n_nodes, grading=grading)
+    graded = mesh.solve(0.0, tol=tol)
     sol = ExtremeSolution(
         theta_samples=graded.theta[1:-1], phi_samples=graded.phi[1:-1],
-        crest_angle_estimate=np.nan, grant_fit=None, n_nodes=n_nodes,
+        crest_angle_estimate=np.nan, grant_fit=None, n_nodes=mesh.n,
         residual=graded.residual, iterations=graded.iterations)
     sol.crest_angle_estimate = stokes_limit(sol)
     sol.grant_fit = fit_asymptotics(sol)

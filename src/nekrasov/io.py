@@ -202,8 +202,6 @@ def extreme_payload(sol, convexity, version: str) -> dict:
     meta = base_metadata(version, DEEP, n_nodes=sol.n_nodes, residual=sol.residual,
                          iterations=sol.iterations,
                          sup_norm=float(np.abs(sol.phi_samples).max()))
-    # the graded mesh takes no spectral modes
-    del meta["kernel_spec"]["n_modes"]
     fit = sol.grant_fit
     return {"metadata": meta, "crest_angle_estimate": sol.crest_angle_estimate,
             "crest_angle_target": math.pi / 6.0, "jump": 2.0 * sol.crest_angle_estimate,

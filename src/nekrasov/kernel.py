@@ -32,10 +32,12 @@ class SingularEvaluationError(ValueError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Depth regime and series truncation for the wave kernel.
+    """Depth regime of the wave kernel, with a series truncation.
 
     depth_ratio is h/L (depth over wavelength); infinity selects deep water.
-    n_modes is the number of sine modes retained by the truncated kernel.
+    It is the one input of the solvers: their operator keeps its grid's
+    dealiased band, modes 1..n // 2, whatever n_modes says.  n_modes
+    truncates only the series of kernel_series and apply_linearized.
     """
 
     depth_ratio: float = math.inf
@@ -65,14 +67,8 @@ class KernelSpec:
             return np.ones(k_max)
         return np.tanh(2.0 * np.pi * k * self.depth_ratio)
 
-    def with_modes(self, n_modes: int) -> "KernelSpec":
-        return KernelSpec(depth_ratio=self.depth_ratio, n_modes=n_modes)
-
     def to_dict(self) -> dict:
-        return {
-            "depth_ratio": "inf" if self.is_infinite else self.depth_ratio,
-            "n_modes": self.n_modes,
-        }
+        return {"depth_ratio": "inf" if self.is_infinite else self.depth_ratio}
 
 
 DEEP = KernelSpec()

@@ -67,8 +67,8 @@ class SolveResult:
 
     @functools.cached_property
     def tail(self) -> float:
-        """The field's spectral tail within the retained band n // 2 of the
-        dealiased operator, computed on first access and kept."""
+        """The field's spectral tail within the band n // 2 that every
+        operator on n points keeps, computed on first access and kept."""
         return self.field.spectral_tail(band=self.field.n // 2)
 
     @property
@@ -108,8 +108,10 @@ def _mu_to_nu(mu: float) -> float:
 
 
 class NekrasovOperator:
-    """Workspace for one (grid, kernel spec) pair.
+    """Workspace for one grid and depth.
 
+    B keeps the grid's dealiased band, sine modes 1..n // 2, with the
+    factors lambda_k/(3k) of spec's depth; spec.n_modes is not read.
     Evaluation and the matrix-free Jacobian action are O(n log n).  The
     dense (n-1) x (n-1) matrices b_dense, w_dense and jacobian_dense are
     built only on request, for spectral checks and as test references;
@@ -118,11 +120,9 @@ class NekrasovOperator:
 
     def __init__(self, grid: SineGrid, spec: KernelSpec):
         self.grid = grid
-        self.spec = spec
         n = grid.n
         self.weights = np.zeros(n - 1)
-        keep = min(spec.n_modes, n - 1)
-        self.weights[:keep] = linearized_factors(spec, keep)
+        self.weights[:n // 2] = linearized_factors(spec, n // 2)
         # B's factors with the 1/n and 1/2 of its two transforms folded in
         self._half_weights = self.weights / (2.0 * n)
         self._b_dense = None
@@ -222,16 +222,15 @@ class NekrasovOperator:
         return JacobianOperator((m, m), matvec)
 
 
-@functools.lru_cache(maxsize=25)
 def get_operator(n: int, spec: KernelSpec) -> NekrasovOperator:
-    """The cached operator for (n, spec); pass both positionally."""
-    return NekrasovOperator(get_grid(n), spec)
+    """The operator on n points at spec's depth, cached on (n, depth_ratio)
+    for the 25 most recently used keys."""
+    return _cached_operator(n, spec.depth_ratio)
 
 
-def _default_spec(field: AngleField, spec: KernelSpec | None) -> KernelSpec:
-    if spec is not None:
-        return spec
-    return KernelSpec(n_modes=field.n // 2)
+@functools.lru_cache(maxsize=25)
+def _cached_operator(n: int, depth_ratio: float) -> NekrasovOperator:
+    return NekrasovOperator(get_grid(n), KernelSpec(depth_ratio=depth_ratio))
 
 
 # -- public operations ----------------------------------------------------------
@@ -376,7 +375,7 @@ def _check_mu_tol(mu: float, tol: float) -> None:
     can never be met."""
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}; the extreme wave "
-                         "(mu = inf) is solved by solve_extreme(strategy=\"direct\")")
+                         "(mu = inf) is solved by solve_extreme()")
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     if not tol > 0:
@@ -384,8 +383,9 @@ def _check_mu_tol(mu: float, tol: float) -> None:
 
 
 def solve(mu: float, initial: AngleField, method: str = "newton",
-          tol: float = 1e-12, spec: KernelSpec | None = None) -> SolveResult:
-    """Solve Phi = A_mu Phi from the given initial field.
+          tol: float = 1e-12, spec: KernelSpec = DEEP) -> SolveResult:
+    """Solve Phi = A_mu Phi from the given initial field, at spec's depth,
+    with the operator's n // 2 modes (get_operator).
 
     method accepts only "newton" (any other value raises ValueError); it
     remains for bench/workloads.py, which passes it.  The solve is the
@@ -395,7 +395,7 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     evaluation, for at most NEWTON_MAX_ITER iterations.  mu must be
     positive and finite and tol positive (ValueError before any work
     otherwise): the spectral route is ill-posed at nu = 0, and the extreme
-    wave is computed by solve_extreme(strategy="direct").
+    wave is computed by solve_extreme().
     Raises DivergenceError on non-convergence and propagates
     BreakdownError when the initial state is outside the physical regime.
     """
@@ -404,7 +404,7 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     _check_mu_tol(mu, tol)
     if not np.isfinite(initial.values).all():
         raise ValueError("the initial field has non-finite values")
-    op = get_operator(initial.n, _default_spec(initial, spec))
+    op = get_operator(initial.n, spec)
 
     def residual(x):
         return x - op.apply(x, mu)
@@ -464,8 +464,8 @@ def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float) -> AngleField
     """The field a seeded solve at mu starts from, on n points: the seed at
     mu within its reach (SERIES_SEED_REACH on deep water, SINE_SEED_REACH
     at finite depth, in mu - mu1); past it, the solution at the top rung of
-    _warm_start_ladder, climbed from the seed at its foot with n/2 kernel
-    modes.  The one place a solve is seeded: solve_seeded, solve_system and
+    _warm_start_ladder, climbed from the seed at its foot on the same
+    grid.  The one place a solve is seeded: solve_seeded, solve_system and
     trace_branch all start here.  Raises ValueError unless mu exceeds the
     bifurcation point."""
     mu1 = float(characteristic_values(spec, 1)[0])
@@ -475,19 +475,19 @@ def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float) -> AngleField
     rungs = _warm_start_ladder(mu1, mu)
     field = _seed_field(rungs[0], spec, n)
     for rung in rungs:
-        field = solve(rung, field, tol=tol, spec=spec.with_modes(n // 2)).field
+        field = solve(rung, field, tol=tol, spec=spec).field
     return field
 
 
 def solve_seeded(mu: float, spec: KernelSpec = DEEP, n: int = 512,
                  tol: float = 1e-12) -> SolveResult:
-    """Seed at mu from the small-amplitude expansion and solve on n points
-    with n/2 kernel modes; past the seed's reach the guess comes from the
-    warm-start ladder instead (_seeded_guess, where trace_branch's first
-    point starts too).  Raises ValueError unless mu is finite and exceeds
-    the bifurcation point of the kernel."""
+    """Seed at mu from the small-amplitude expansion and solve on n points;
+    past the seed's reach the guess comes from the warm-start ladder
+    instead (_seeded_guess, where trace_branch's first point starts too).
+    Raises ValueError unless mu is finite and exceeds the bifurcation point
+    of the kernel."""
     _check_mu_tol(mu, tol)
-    return solve(mu, _seeded_guess(mu, spec, n, tol), tol=tol, spec=spec.with_modes(n // 2))
+    return solve(mu, _seeded_guess(mu, spec, n, tol), tol=tol, spec=spec)
 
 
 def _system_f(op: NekrasovOperator, phi: np.ndarray, psi: np.ndarray, mu: float):
@@ -499,7 +499,7 @@ def _system_f(op: NekrasovOperator, phi: np.ndarray, psi: np.ndarray, mu: float)
 
 
 def solve_system(mu: float, initial: SystemState | None = None,
-                 tol: float = 1e-12, spec: KernelSpec | None = None,
+                 tol: float = 1e-12, spec: KernelSpec = DEEP,
                  n: int = 512) -> SystemState:
     """Solve the coupled system for (Phi, Psi) with the shared Newton loop.
 
@@ -515,11 +515,11 @@ def solve_system(mu: float, initial: SystemState | None = None,
     """
     _check_mu_tol(mu, tol)
     if initial is None:
-        phi0 = _seeded_guess(mu, DEEP if spec is None else spec, n, tol)
+        phi0 = _seeded_guess(mu, spec, n, tol)
         initial = SystemState(phi0, 1.0 / (1.0 + mu * inner_accumulate(phi0)))
     elif not (np.isfinite(initial.phi.values).all() and np.isfinite(initial.psi).all()):
         raise ValueError("the initial state has non-finite values")
-    op = get_operator(initial.phi.n, _default_spec(initial.phi, spec))
+    op = get_operator(initial.phi.n, spec)
     m = op.grid.n - 1
 
     def residual(x):

@@ -43,7 +43,7 @@ def _check_series_vs_closed():
 def _check_eigenstructure():
     worst = 0.0
     for spec in (DEEP, KernelSpec(depth_ratio=0.5)):
-        op = get_operator(256, spec.with_modes(128))
+        op = get_operator(256, spec)
         eig = np.linalg.eigvalsh(op.b_dense)[::-1][:16]
         target = 1.0 / characteristic_values(spec, 16)
         worst = max(worst, np.abs(np.sort(eig)[::-1] - target).max()
@@ -89,7 +89,7 @@ def _check_mini_branch():
         if not p.cone.all_ok:
             ok, msgs = False, msgs + [f"cone violation at mu={p.mu:g}"]
         doubled = p.field.resample(2 * p.field.n)
-        op = get_operator(doubled.n, branch.spec.with_modes(p.field.n // 2))
+        op = get_operator(doubled.n, branch.spec)
         if op.residual(doubled.values, p.mu) > 100 * branch.tol:
             ok, msgs = False, msgs + [f"doubled-grid residual at mu={p.mu:g}"]
     return ok, "; ".join(msgs) or f"{len(branch)} points clean"

@@ -32,7 +32,7 @@ def test_criterion_01_eigenstructure():
     worst = 0.0
     specs = [nk.DEEP] + [nk.KernelSpec(depth_ratio=h) for h in (0.1, 0.5, 2.0)]
     for spec in specs:
-        op = get_operator(512, spec.with_modes(256))
+        op = get_operator(512, spec)
         eigenvalues = np.sort(np.linalg.eigvalsh(op.b_dense))[::-1][:32]
         target = 1.0 / nk.characteristic_values(spec, 32)
         worst = max(worst, float(np.max(np.abs(eigenvalues - target) / target)))

@@ -230,6 +230,7 @@ class TestExtreme:
         meta = data["metadata"]
         assert "strategy" not in meta and "per_mu" not in data
         assert meta["n_nodes"] == 600 and meta["iterations"] >= 1
+        assert meta["kernel_spec"] == {"depth_ratio": "inf"}
         assert meta["residual"] <= 1e-11
         assert meta["sup_norm"] == pytest.approx(math.pi / 6, abs=1e-6)
         assert "crest angle estimate" in capsys.readouterr().out
@@ -354,6 +355,19 @@ class TestMetadata:
         meta = json.loads((tmp_path / f"{stem}.json").read_text())["metadata"]
         assert list(header) == list(meta)
         assert header == {key: _metadata_text(value) for key, value in meta.items()}
+
+    @pytest.mark.parametrize("argv, stem, depth", [
+        (["eigs", "--depth", "0.5", "--format", "json"], "eigs", 0.5),
+        (["solve", "--mu", "3.2", "--n", "128", "--format", "json"], "solution", "inf"),
+        (["branch", "--mu-end", "3.1", "--n", "128", "--format", "json"], "branch", "inf"),
+        (["series", "--order", "2"], "series", "inf"),
+        (["profile", "--mu", "3.5", "--n", "128", "--format", "json"], "profile", "inf"),
+    ], ids=["eigs", "solve", "branch", "series", "profile"])
+    def test_kernel_spec_is_the_depth_alone(self, tmp_path, argv, stem, depth):
+        # the operator keeps the grid's n // 2 modes, and n is in the metadata
+        assert run(tmp_path, *argv) == 0
+        meta = json.loads((tmp_path / f"{stem}.json").read_text())["metadata"]
+        assert meta["kernel_spec"] == {"depth_ratio": depth}
 
     def test_profile_csv_says_its_scale(self, tmp_path):
         assert run(tmp_path, "profile", "--mu", "3.5", "--n", "128",

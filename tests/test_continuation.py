@@ -122,7 +122,7 @@ class TestTraceBranch:
     def test_doubled_grid_residual(self, small_branch):
         for p in small_branch.points[:: max(1, len(small_branch) // 5)]:
             doubled = p.field.resample(2 * p.field.n)
-            op = get_operator(doubled.n, small_branch.spec.with_modes(p.field.n // 2))
+            op = get_operator(doubled.n, small_branch.spec)
             assert op.residual(doubled.values, p.mu) < 100 * small_branch.tol
 
     def test_positivity_and_upper_angle_bound(self, small_branch):
@@ -267,7 +267,7 @@ class TestSelfSimilarPredictor:
         for i, p in enumerate(points):
             if p.mu >= continuation.SELF_SIMILAR_START:
                 plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu)
-                op = get_operator(plain.n, nk.DEEP.with_modes(plain.n // 2))
+                op = get_operator(plain.n, nk.DEEP)
                 gains.append(op.residual(plain.values, p.mu) / p.guess_residual)
         # every full step gains at least 20x; the last step, clipped at
         # mu_end, has other node ratios than the step it corrects from
@@ -357,7 +357,7 @@ class TestScaledContinua:
         tol = 10 * max(p.residual, 1e-12)
         assert scaled.mu == n_fold * p.mu
         # the reported residual is the scaled field's own, and within tol
-        op = get_operator(scaled.n, nk.DEEP.with_modes(scaled.n // 2))
+        op = get_operator(scaled.n, nk.DEEP)
         assert scaled.residual == op.residual(scaled.field.values, scaled.mu)
         assert scaled.residual <= tol
 

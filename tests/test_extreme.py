@@ -396,10 +396,15 @@ def _exact_weight(tau, theta, j, method="gauss-legendre"):
 @pytest.mark.parametrize("kwargs", [
     {"n_nodes": 0}, {"n_nodes": 1}, {"grading": 0.0}, {"grading": -1.0},
     {"grading": np.nan}, {"grading": np.inf}, {"tol": np.nan}, {"tol": -1.0},
-    {"tol": 0.0}])
+    {"tol": 0.0}, {"n_nodes": 200.7}, {"n_nodes": 200.0}, {"n_nodes": "200"}])
 def test_direct_rejects_ill_posed_input(kwargs):
     with pytest.raises(ValueError, match="n_nodes|grading|tol"):
         nk.solve_extreme(**kwargs)
+
+
+def test_n_nodes_is_recorded_from_the_mesh():
+    sol = nk.solve_extreme(n_nodes=np.int64(200))
+    assert type(sol.n_nodes) is int and sol.n_nodes == 200
 
 
 def test_direct_extreme_independent_of_blas_threads():

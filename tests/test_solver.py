@@ -55,9 +55,8 @@ class TestInnerAccumulate:
         assert nk.inner_accumulate(field)[0] == 0.0
 
 
-def apply_nekrasov(field, mu, spec=None):
-    """A_mu Phi on the cached operator, with n/2 kernel modes unless spec is given."""
-    spec = spec or nk.KernelSpec(n_modes=field.n // 2)
+def apply_nekrasov(field, mu, spec=nk.DEEP):
+    """A_mu Phi on the cached operator for the field's grid at spec's depth."""
     op = _solver.get_operator(field.n, spec)
     return nk.AngleField(field.grid, values=op.apply(field.values, mu))
 
@@ -70,7 +69,7 @@ class TestApplyNekrasov:
     def test_quadrature_oracle(self):
         field = field_of(64, lambda t: 0.1 * np.sin(t) + 0.02 * np.sin(2 * t))
         mu = 3.5
-        out = apply_nekrasov(field, mu, spec=nk.KernelSpec(n_modes=31))
+        out = apply_nekrasov(field, mu)
         check_at = [3, 20, 40, 60]
         oracle = apply_operator_quadrature(field, mu,
                                            field.grid.theta[check_at])
@@ -95,21 +94,21 @@ class TestApplyNekrasov:
         # mode by fine trapezoid quadrature and apply the tanh/(3k) factors
         depth = 0.3
         mu = 6.0
-        spec = nk.KernelSpec(depth_ratio=depth, n_modes=31)
+        spec = nk.KernelSpec(depth_ratio=depth)
         field = field_of(64, lambda t: 0.08 * np.sin(t) + 0.01 * np.sin(3 * t))
         out = apply_nekrasov(field, mu, spec=spec)
 
         fine = field.resample(4096)
         g_fine = np.sin(fine.values) / (1.0 + mu * nk.inner_accumulate(fine)[1:-1])
         theta_f = fine.grid.theta
-        modes = np.arange(1, 32)
+        modes = np.arange(1, 33)
         # g odd: the [-pi, pi] integral is twice the half-range one
         proj = 2.0 * np.trapezoid(np.sin(np.multiply.outer(modes, theta_f)) * g_fine,
                                   theta_f, axis=1)
         lam = np.tanh(2 * np.pi * modes * depth)
         coeffs = mu * lam / (3.0 * modes) * proj / np.pi
         oracle = np.zeros(63)
-        oracle[:31] = coeffs
+        oracle[:32] = coeffs
         assert np.abs(out.coefficients - oracle).max() < 1e-9
 
     def test_output_is_odd_sine_spectrum(self):
@@ -144,18 +143,34 @@ class TestSolve:
 
     def test_converged_residual_on_doubled_grid(self, wave_35):
         doubled = wave_35.field.resample(1024)
-        out = apply_nekrasov(doubled, 3.5, spec=nk.KernelSpec(n_modes=256))
+        out = apply_nekrasov(doubled, 3.5)
         assert np.abs(doubled.values - out.values).max() < 1e-10
 
     def test_operator_cache_keeps_recently_used(self):
         # least-recently-used eviction: an operator in steady use survives
         # any number of other keys passing through the 25-entry cache
         from nekrasov.solver import get_operator
-        spec = nk.KernelSpec(n_modes=4)
-        kept = get_operator(8, spec)
-        for modes in range(1, 60):
-            get_operator(16, nk.KernelSpec(n_modes=modes))
-            assert get_operator(8, spec) is kept
+        kept = get_operator(8, nk.DEEP)
+        for depth in np.linspace(0.1, 3.0, 59):
+            get_operator(16, nk.KernelSpec(depth_ratio=depth))
+            assert get_operator(8, nk.DEEP) is kept
+
+    def test_operator_cache_key_is_grid_and_depth(self):
+        # the operator keeps its grid's n // 2 modes whatever n_modes says,
+        # so n_modes makes no new key
+        from nekrasov.solver import get_operator
+        op = get_operator(64, nk.KernelSpec(depth_ratio=0.5, n_modes=3))
+        assert get_operator(64, nk.KernelSpec(depth_ratio=0.5)) is op
+        assert np.count_nonzero(op.weights) == 32
+
+    def test_passing_deep_does_not_change_the_answer(self):
+        # DEEP carries n_modes = 256; on n = 1024 the operator keeps 512
+        # modes with or without it, and the mu = 100 field stays unresolved
+        field = nk.solve_seeded(100, n=1024).field
+        plain = nk.solve(100, field)
+        deep = nk.solve(100, field, spec=nk.DEEP)
+        assert deep.field.values.tobytes() == plain.field.values.tobytes()
+        assert deep.resolved is plain.resolved is False
 
     def test_jacobian_operator_matches_dense_and_finite_differences(self, wave_35):
         # derivative consistency at a genuinely nonlinear state: every column
@@ -163,7 +178,7 @@ class TestSolve:
         # central difference of the operator
         from nekrasov.solver import get_operator
         values = wave_35.field.resample(64).values
-        op = get_operator(64, nk.KernelSpec(n_modes=32))
+        op = get_operator(64, nk.DEEP)
         jac = op.jacobian_operator(values, 3.5)
         dense = op.jacobian_dense(values, 3.5)
         step = 1e-7
@@ -199,7 +214,7 @@ class TestSolve:
         # a physical seed: at mu = inf the ill-posed spectral route would
         # otherwise report convergence
         field = field_of(256, lambda t: 0.3 * np.sin(t))
-        with pytest.raises(ValueError, match='strategy="direct"'):
+        with pytest.raises(ValueError, match=r"solve_extreme\(\)"):
             nk.solve(mu, field)
 
     def test_non_finite_initial_field_is_rejected(self):
@@ -224,7 +239,7 @@ class TestSolveSeeded:
         assert result.iterations == reference.iterations
 
     def test_finite_depth_matches_sine_seed(self):
-        spec = nk.KernelSpec(depth_ratio=0.5, n_modes=128)
+        spec = nk.KernelSpec(depth_ratio=0.5)
         mu1 = float(nk.characteristic_values(spec, 1)[0])
         mu = mu1 + 0.2
         grid = nk.get_grid(256)
@@ -251,7 +266,7 @@ class TestSolveSeeded:
         mu1 = float(nk.characteristic_values(spec, 1)[0])
         reach = _solver.SERIES_SEED_REACH if spec.is_infinite else _solver.SINE_SEED_REACH
         mu = mu1 + reach
-        reference = nk.solve(mu, _solver._seed_field(mu, spec, 512), spec=spec.with_modes(256))
+        reference = nk.solve(mu, _solver._seed_field(mu, spec, 512), spec=spec)
         result = nk.solve_seeded(mu, spec)
         assert result.field.values.tobytes() == reference.field.values.tobytes()
         assert result.iterations == reference.iterations
@@ -328,7 +343,7 @@ class TestEvaluationCounts:
     def test_initial_residual_is_the_first_evaluation(self, method):
         grid = nk.get_grid(256)
         init = nk.AngleField(grid, values=0.3 / 9.0 * np.sin(grid.theta))
-        op = _solver.get_operator(256, nk.KernelSpec(n_modes=128))
+        op = _solver.get_operator(256, nk.DEEP)
         expected = op.residual(init.values, 3.3)
         result = nk.solve(3.3, init, method=method, tol=1e-11)
         assert result.initial_residual == expected > result.residual
@@ -462,8 +477,8 @@ class TestForcing:
         branch = nk.trace_branch(3.01, 40.0)
         field = branch.points[-1].field
         for mu in (56.0, 70.0):
-            field = nk.solve(mu, field, spec=nk.KernelSpec(n_modes=256)).field
-        result = nk.solve(70.0, field.resample(1024), spec=nk.KernelSpec(n_modes=512))
+            field = nk.solve(mu, field).field
+        result = nk.solve(70.0, field.resample(1024))
         assert result.iterations == 1
         assert result.residual <= 1e-12
 
@@ -486,7 +501,7 @@ class TestJacobianOperator:
         values = wave_35.field.resample(64).values
         eng = GradedCollocation(n_nodes=16)
         phi = np.linspace(0.5, 0.1, eng.n - 1)
-        for jac in (_solver.get_operator(64, nk.KernelSpec(n_modes=32)).jacobian_operator(
+        for jac in (_solver.get_operator(64, nk.DEEP).jacobian_operator(
                         values, 3.5),
                     eng.jacobian_operator(phi, 0.0)):
             wrapped = aslinearoperator(jac)
@@ -496,8 +511,8 @@ class TestJacobianOperator:
 
 
 def system_residual(state, mu):
-    """Sup-norm of the coupled system's F at the state, n/2 kernel modes."""
-    op = _solver.get_operator(state.phi.n, nk.KernelSpec(n_modes=state.phi.n // 2))
+    """Sup-norm of the coupled system's F at the state."""
+    op = _solver.get_operator(state.phi.n, nk.DEEP)
     return float(np.abs(_solver._system_f(op, state.phi.values, state.psi, mu)).max())
 
 
@@ -524,6 +539,12 @@ class TestSolveSystem:
         state = nk.solve_system(mu, tol=1e-12, spec=spec, n=512)
         single = nk.solve_seeded(mu, spec, n=512)
         assert np.abs(state.phi.values - single.field.values).max() < 1e-10
+
+    def test_deep_spec_matches_solve_seeded_on_a_fine_grid(self):
+        # the seeded guess and the solve both keep n // 2 = 512 modes
+        state = nk.solve_system(100, spec=nk.DEEP, n=1024)
+        single = nk.solve_seeded(100, n=1024)
+        assert np.abs(state.phi.values - single.field.values).max() <= 1e-12
 
     @pytest.mark.parametrize("mu", [3.05, 3.2, 4.5])
     def test_runs_the_shared_newton_loop(self, mu, monkeypatch):
