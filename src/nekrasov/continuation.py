@@ -255,7 +255,11 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     node polynomials in log mu; below it the layer is not yet
     self-similar and the plain guess serves.  The grid starts at n_start
     and doubles, up to N_MAX, while the spectral tail of a converged point
-    exceeds TAIL_THRESHOLD.
+    exceeds TAIL_THRESHOLD.  On a geometric step to mu >= SELF_SIMILAR_START
+    the grid is first doubled, up to N_MAX, while the plain guess's own
+    tail exceeds TAIL_THRESHOLD, before the miss is added and the corrector
+    runs; the prediction reads the solved tail low, so the doubling after a
+    converged point stays as the fallback.
 
     Every accepted point satisfies the residual bound on its own grid and
     is spectrally resolved.  The branch is returned truncated, with a
@@ -309,8 +313,12 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
             mu_next = min(result.mu * ratio if geometric else result.mu + step, mu_end)
             nodes = branch.points[-PREDICTOR_POINTS:]
             plain = _predict(nodes, mu_next)
+            self_similar = geometric and mu_next >= SELF_SIMILAR_START
+            while (self_similar and plain.n < N_MAX
+                   and plain.spectral_tail(band=plain.n // 2) > TAIL_THRESHOLD):
+                plain = plain.resample(2 * plain.n)
             guess = plain
-            if geometric and miss is not None and mu_next >= SELF_SIMILAR_START:
+            if self_similar and miss is not None:
                 values, mu_last, last_polynomial = miss
                 factor = _node_polynomial(nodes, mu_next) / last_polynomial
                 guess = AngleField(plain.grid, values=plain.values + factor * _stretch(
@@ -360,10 +368,11 @@ def scale_branch_point(point: BranchPoint, n_fold: int,
     is re-verified against 10x the source residual, floored at 1e-11; if
     the source's spectral tail is too coarse for that, the source is
     re-solved on doubled grids first.  Raises ReconstructionOverflowError
-    when no feasible grid remains.
+    when no feasible grid remains.  n_fold must be an integer of at least 1
+    (ValueError).
     """
-    if n_fold < 1:
-        raise ValueError(f"n_fold must be at least 1, got {n_fold}")
+    if not (isinstance(n_fold, (int, np.integer)) and n_fold >= 1):
+        raise ValueError(f"n_fold must be an integer of at least 1, got {n_fold!r}")
     if not spec.is_infinite:
         raise ValueError("the scaling family exists only on deep water")
     if n_fold == 1:

@@ -36,8 +36,8 @@ class KernelSpec:
 
     depth_ratio is h/L (depth over wavelength); infinity selects deep water.
     It is the one input of the solvers: their operator keeps its grid's
-    dealiased band, modes 1..n // 2, whatever n_modes says.  n_modes
-    truncates only the series of kernel_series and apply_linearized.
+    dealiased band, modes 1..n // 2, whatever n_modes says, and so does
+    apply_linearized.  n_modes truncates only the series of kernel_series.
     """
 
     depth_ratio: float = math.inf
@@ -123,12 +123,14 @@ def linearized_factors(spec: KernelSpec, k_max: int) -> np.ndarray:
 def apply_linearized(coeffs: np.ndarray, spec: KernelSpec) -> np.ndarray:
     """Apply B to a sine series: mode k is scaled by lambda_k/(3k).
 
-    Modes beyond the spec truncation are annihilated, which is the exact
-    action of the truncated kernel.
+    The series is read as the coefficients of a grid of coeffs.size + 1
+    points, and B keeps that grid's dealiased band, modes
+    1..(coeffs.size + 1) // 2, annihilating the rest: the action of the
+    solvers' operator on that grid.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     out = np.zeros_like(coeffs)
-    keep = min(coeffs.size, spec.n_modes)
+    keep = (coeffs.size + 1) // 2
     out[:keep] = coeffs[:keep] * linearized_factors(spec, keep)
     return out
 

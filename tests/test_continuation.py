@@ -186,7 +186,11 @@ class TestPredictor:
     def test_corrector_iterations(self):
         # from the third point on each guess is within reach of two Newton
         # iterations, and a refinement re-solve (the final solve of a point
-        # on a doubled grid) takes one
+        # on a doubled grid) takes one.  From SELF_SIMILAR_START on, a
+        # geometric step whose plain prediction is already unresolved is
+        # instead solved once, on the grid doubled until the prediction is
+        # resolved; on this branch the prediction stays resolved up to
+        # mu = 300, so every refinement here is a re-solve
         branch = nk.trace_branch(3.01, 300.0)
         assert len(branch) == 33 and not branch.truncated
         refined = [q for p, q in zip(branch.points, branch.points[1:]) if q.n > p.n]
@@ -212,8 +216,26 @@ class TestPredictor:
 
 
 @pytest.fixture(scope="module")
-def branch_1e3():
-    return nk.trace_branch(3.01, 1e3)
+def traced_1e3():
+    """trace_branch(3.01, 1e3) and its corrector solves, each recorded as
+    (mu, the guess's grid, whether the solve came back resolved)."""
+    solves = []
+    corrector = continuation._corrector
+
+    def recorded(mu, guess, spec, tol):
+        result = corrector(mu, guess, spec, tol)
+        solves.append((mu, guess.n, result.resolved))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(continuation, "_corrector", recorded)
+        branch = nk.trace_branch(3.01, 1e3)
+    return branch, solves
+
+
+@pytest.fixture(scope="module")
+def branch_1e3(traced_1e3):
+    return traced_1e3[0]
 
 
 class TestBranchPointDiagnostics:
@@ -291,6 +313,34 @@ class TestSelfSimilarPredictor:
                 assert q.residual <= branch_1e3.tol
 
 
+class TestPredictedGrid:
+    """From SELF_SIMILAR_START on, a geometric step's grid is doubled while
+    its plain prediction's spectral tail exceeds TAIL_THRESHOLD, before the
+    corrector runs."""
+
+    def test_a_point_predicted_unresolved_is_solved_once(self, traced_1e3):
+        branch, solves = traced_1e3
+        point = next(p for p in branch if p.mu > 918.0)
+        assert point.mu == pytest.approx(918.096, abs=1e-3)
+        assert [s for s in solves if s[0] == point.mu] == [(point.mu, 16384, True)]
+        assert point.n == 16384
+
+    def test_no_unresolved_solve_from_an_unresolved_prediction(self, traced_1e3):
+        branch, solves = traced_1e3
+        points = branch.points
+        refined = 0
+        for i, p in enumerate(points):
+            if p.mu < continuation.SELF_SIMILAR_START:
+                continue
+            plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu)
+            refined += plain.spectral_tail(band=plain.n // 2) > continuation.TAIL_THRESHOLD
+            for mu, n, resolved in solves:
+                if mu == p.mu and plain.resample(n).spectral_tail(
+                        band=n // 2) > continuation.TAIL_THRESHOLD:
+                    assert resolved, f"mu={mu:g}: unresolved solve on n={n}"
+        assert refined >= 1
+
+
 class TestConeMembership:
     def test_ratio_constant_field(self):
         # Phi = sin(theta/2): nonnegativity and the constant ratio hold;
@@ -360,6 +410,11 @@ class TestScaledContinua:
         op = get_operator(scaled.n, nk.DEEP)
         assert scaled.residual == op.residual(scaled.field.values, scaled.mu)
         assert scaled.residual <= tol
+
+    @pytest.mark.parametrize("n_fold", [2.0, 2.5, 0, -1])
+    def test_n_fold_must_be_a_positive_integer(self, small_branch, n_fold):
+        with pytest.raises(ValueError, match="n_fold"):
+            nk.scale_branch_point(small_branch.points[0], n_fold)
 
     def test_scaling_requires_deep_water(self, small_branch):
         with pytest.raises(ValueError):

@@ -111,6 +111,21 @@ def test_apply_linearized_respects_truncation():
     assert np.all(out[:4] > 0.0)
 
 
+def test_apply_linearized_keeps_the_grid_band():
+    # 1023 coefficients are the sine modes of grid n = 1024, whose operator
+    # keeps modes 1..512: mode 300 is kept, as get_operator(1024) keeps it,
+    # although DEEP's n_modes is 256
+    from nekrasov.solver import get_operator
+    coeffs = np.zeros(1023)
+    coeffs[299] = 1e-3
+    out = nk.apply_linearized(coeffs, nk.DEEP)
+    assert out[299] == pytest.approx(1e-3 / 900.0, rel=1e-15)
+    field = nk.AngleField.from_coefficients(coeffs, 1024)
+    op = get_operator(1024, nk.DEEP)
+    operator = nk.AngleField(field.grid, values=op.apply_linear(field.values)).coefficients
+    assert np.abs(out - operator).max() <= 1e-18
+
+
 def test_characteristic_values_deep():
     assert np.allclose(nk.characteristic_values(nk.DEEP, 3), [3.0, 6.0, 9.0])
 
