@@ -4,13 +4,13 @@ From the bifurcation point mu = 3 the branch of deep-water waves is
 followed in mu with a Newton corrector, by additive steps up to mu = 10
 and by a factor 1.25 per point beyond, each guess extrapolated in log mu
 through the last four points; the grid refines itself as the crest
-sharpens.  From mu = 100 on the crest layer, of width ~1/mu, is
-self-similar in mu * theta, so each geometric guess also adds the previous
-step's miss stretched to the new crest scale (the guess residual column
-below).  Along the way every solution is
-checked against the cone conditions (nonnegativity, ratio monotonicity,
-tail ordering) and the classical amplitude bound is tabulated; the
-sup-norm creeps toward the extreme-wave range between pi/6 and 0.5434.
+sharpens.  The crest layer, of width ~1/mu, turns self-similar in
+mu * theta, so each geometric guess also adds the previous step's miss
+stretched to the new crest scale (the guess residual column below).
+Along the way every solution is checked against the cone conditions
+(nonnegativity, ratio monotonicity, tail ordering) and the classical
+amplitude bound is tabulated; the sup-norm creeps toward the extreme-wave
+range between pi/6 and 0.5434.
 """
 
 import numpy as np

@@ -12,10 +12,10 @@ Near the highest wave that layer, of width ~1/mu, is self-similar in
 mu * theta (Longuet-Higgins & Fox, J. Fluid Mech. 80, 1977), and so is the
 extrapolation's miss: on trace_branch(3.01, 1e4) the plain guess misses by
 max|F| ~ 6.6e-4 at every geometric point from mu = 20 on, peaked at
-theta ~ 8.1/mu.  From SELF_SIMILAR_START on, each geometric guess
-therefore adds the previous geometric step's miss, stretched to the new
-crest scale (see trace_branch); the miss falls to 1.6e-5 at mu = 123 and
-4.6e-7 at mu = 6840, and those points need one Newton iteration fewer.
+theta ~ 8.1/mu.  Each geometric guess therefore adds the previous
+geometric step's miss, stretched to the new crest scale (see
+trace_branch); the miss falls to 1.6e-5 at mu = 123 and 4.6e-7 at
+mu = 6840, and those points need one Newton iteration fewer.
 
 trace_branch starts at mu_start from solver._seeded_guess, as solve_seeded
 does, and refines the grid from there.
@@ -112,9 +112,6 @@ MAX_STEP = 1.0
 GEOMETRIC_START = 10.0
 # the step factor in mu from GEOMETRIC_START on
 GEOMETRIC_RATIO = 1.25
-# from here on a geometric step's guess also carries the last geometric
-# step's predictor miss, stretched to the new crest scale (see trace_branch)
-SELF_SIMILAR_START = 100.0
 MIN_STEP = 1e-8
 N_MAX = 1 << 17
 MAX_POINTS = 2000
@@ -248,17 +245,15 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     until it falls below MIN_STEP.  Each corrector starts from the log-mu
     extrapolation through the last PREDICTOR_POINTS accepted points (see
     _predict), on the finest grid among them, so a grid doubling carries
-    over to every later guess.  On a geometric step to
-    mu >= SELF_SIMILAR_START the guess also carries the last geometric
-    step's miss (accepted field minus its plain guess), stretched in theta
-    by the ratio of the two mu and scaled by the ratio of the two steps'
-    node polynomials in log mu; below it the layer is not yet
-    self-similar and the plain guess serves.  The grid starts at n_start
-    and doubles, up to N_MAX, while the spectral tail of a converged point
-    exceeds TAIL_THRESHOLD.  On a geometric step to mu >= SELF_SIMILAR_START
-    the grid is first doubled, up to N_MAX, while the plain guess's own
-    tail exceeds TAIL_THRESHOLD, before the miss is added and the corrector
-    runs; the prediction reads the solved tail low, so the doubling after a
+    over to every later guess.  On a geometric step the guess also carries
+    the last geometric step's miss (accepted field minus its plain guess),
+    stretched in theta by the ratio of the two mu and scaled by the ratio
+    of the two steps' node polynomials in log mu.  The grid starts at
+    n_start and doubles, up to N_MAX, while the spectral tail of a
+    converged point exceeds TAIL_THRESHOLD.  On a geometric step the grid
+    is first doubled, up to N_MAX, while the plain guess's own tail exceeds
+    TAIL_THRESHOLD, before the miss is added and the corrector runs; the
+    prediction reads the solved tail low, so the doubling after a
     converged point stays as the fallback.
 
     Every accepted point satisfies the residual bound on its own grid and
@@ -313,12 +308,11 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
             mu_next = min(result.mu * ratio if geometric else result.mu + step, mu_end)
             nodes = branch.points[-PREDICTOR_POINTS:]
             plain = _predict(nodes, mu_next)
-            self_similar = geometric and mu_next >= SELF_SIMILAR_START
-            while (self_similar and plain.n < N_MAX
+            while (geometric and plain.n < N_MAX
                    and plain.spectral_tail(band=plain.n // 2) > TAIL_THRESHOLD):
                 plain = plain.resample(2 * plain.n)
             guess = plain
-            if self_similar and miss is not None:
+            if geometric and miss is not None:
                 values, mu_last, last_polynomial = miss
                 factor = _node_polynomial(nodes, mu_next) / last_polynomial
                 guess = AngleField(plain.grid, values=plain.values + factor * _stretch(

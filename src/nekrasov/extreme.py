@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._graded import GradedCollocation, cumulative_trapezoid
+from ._graded import (_GAUSS_ORDER, GradedCollocation, _dyadic_rule, _gauss_rule,
+                      _log_weights, cumulative_trapezoid)
 from .kernel import DEEP, KernelSpec
 from .profile import WaveProfile
 
@@ -214,22 +215,29 @@ def verify_constant_solution(theta_samples=(0.3, 1.0, 3.0),
     computed value a function of T/theta only, so the scale invariance
     (theta, T) -> (a theta, a T) is exact here.  The truncation tail is
     bounded by 2 theta/(3 pi T) (1 + O((theta/T)^2)).
-    """
-    from scipy import integrate as _integrate  # deferred: only this check uses it
 
+    The integral takes a fixed Gauss-Legendre rule.  On [0, 2] the panels
+    halve toward s = 1 from both sides (_dyadic_rule, three levels); on the
+    innermost ones, -log|1 - s| takes the product rule _log_weights.  The
+    tail s in [2, T/theta] is mapped by t = 1/s onto the smooth
+    2 artanh(t)/t on [theta/T, 1/2], one Gauss panel.
+    """
     theta_samples = np.atleast_1d(np.asarray(theta_samples, dtype=float))
     if np.any(theta_samples <= 0) or np.any(theta_samples >= truncation / 10.0):
         raise ValueError("theta samples must lie in (0, truncation/10)")
 
-    def integrand(s):
-        return np.log((1.0 + s) / abs(1.0 - s)) / s
-
-    values = np.empty_like(theta_samples)
-    for i, theta in enumerate(theta_samples):
-        upper = truncation / theta
-        head, _ = _integrate.quad(integrand, 0.0, 2.0, points=[1.0], limit=200)
-        tail, _ = _integrate.quad(integrand, 2.0, upper, limit=400)
-        values[i] = (head + tail) / (3.0 * np.pi)
+    g, gw = _gauss_rule(_GAUSS_ORDER)
+    levels = 3
+    u, du = _dyadic_rule(g, gw, levels)  # u = |1 - s|, innermost panel first
+    delta = 2.0 ** -levels
+    log_u = np.log(u)
+    log_u[:g.size] = math.log(delta)  # the rest of -log u there is delta * _log_weights
+    log_w = delta * _log_weights(g, gw)
+    head = sum(du @ ((np.log1p(s) - log_u) / s) + log_w @ (1.0 / s[:g.size])
+               for s in (1.0 - u, 1.0 + u))
+    width = 0.5 - theta_samples / truncation
+    t = 0.5 - width[:, None] * g  # t = 1/s, from 1/2 down to theta/T
+    values = (head + width * ((2.0 * np.arctanh(t) / t) @ gw)) / (3.0 * np.pi)
     deviations = np.abs(values - np.pi / 6.0)
     tail_bound = float(2.0 * theta_samples.max() / (3.0 * np.pi * truncation) * 1.01)
     return ConstantSolutionReport(theta_samples=theta_samples,

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dtrtrs
 
 from .grid import AngleField, SineGrid, _dst1, get_grid
 from .kernel import DEEP, KernelSpec, characteristic_values, linearized_factors
@@ -43,9 +41,8 @@ class DivergenceError(RuntimeError):
 
 
 class JacobianOperator(NamedTuple):
-    """A matrix-free square Jacobian: the shape, dtype and matvec of a
-    scipy LinearOperator, which scipy.sparse.linalg.aslinearoperator
-    accepts, without importing scipy.sparse."""
+    """A matrix-free square Jacobian: the shape, dtype and matvec of the
+    duck-typed linear-operator interface, with no sparse-matrix import."""
 
     shape: tuple[int, int]
     matvec: Callable[[np.ndarray], np.ndarray]
@@ -314,7 +311,10 @@ def _krylov_step(jacobian, f, target):
     reorthogonalisation; Givens rotations on Python scalars carry the
     residual norm, and the cycle stops once it is at most target.
     A zero subdiagonal (an invariant subspace) makes that estimate zero, so
-    the exact solution is returned.  f - J dx is recomputed only before a
+    the exact solution is returned.  The rotated Hessenberg columns form
+    the upper triangular R, whose diagonal is checked finite and positive,
+    and the cycle's coefficients y solve R y = Q^T (r_norm e_1) by back
+    substitution on the same scalars.  f - J dx is recomputed only before a
     restart.  Raises DivergenceError at the first non-finite Arnoldi value
     and after KRYLOV_CYCLES unconverged cycles.
     """
@@ -328,7 +328,7 @@ def _krylov_step(jacobian, f, target):
         if r_norm <= target:
             return dx
         basis[0] = r / r_norm
-        upper = np.zeros((KRYLOV_RESTART, KRYLOV_RESTART))
+        columns = []  # column j of R, its rows 0..j
         rotations = []
         g = [r_norm]  # Q^T (r_norm e_1), one entry longer than the steps taken
         for j in range(KRYLOV_RESTART):
@@ -349,20 +349,17 @@ def _krylov_step(jacobian, f, target):
             c, s = col[j] / rho, h_next / rho
             rotations.append((c, s))
             col[j] = rho
-            upper[:j + 1, j] = col
+            columns.append(col)
             g[j], g_next = c * g[j], -s * g[j]
             g.append(g_next)
             if abs(g_next) <= target:
                 break
             basis[j + 1] = w / h_next
-        k = len(rotations)
-        # every rho was checked finite, so upper and g are finite; the
-        # transposed lower solve is the call solve_triangular makes for a
-        # C-ordered slice, without its per-call checks
-        y, info = dtrtrs(upper[:k, :k].T, g[:k], lower=1, trans=1)
-        if info:
-            raise LinAlgError(f"dtrtrs failed on the Arnoldi factor, info {info}")
-        dx += y @ basis[:k]
+        k = len(columns)
+        y = [0.0] * k
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - sum(columns[l][i] * y[l] for l in range(i + 1, k))) / columns[i][i]
+        dx += np.array(y) @ basis[:k]
         if abs(g[k]) <= target:
             return dx
         r = f - jacobian.matvec(dx)

@@ -33,6 +33,19 @@ def _no_solve(*args, **kwargs):
     raise AssertionError("a solve started before the input was checked")
 
 
+def _recording_corrector(solves):
+    """continuation._corrector, appending (mu, the guess's grid, whether the
+    solve came back resolved) to solves for each call."""
+    corrector = continuation._corrector
+
+    def recorded(mu, guess, spec, tol):
+        result = corrector(mu, guess, spec, tol)
+        solves.append((mu, guess.n, result.resolved))
+        return result
+
+    return recorded
+
+
 class TestTraceBranch:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -183,20 +196,29 @@ class TestPredictor:
         point = self._point(3.01, 64, np.ones((1, 5)))
         assert continuation._predict([point], 3.02) is point.field
 
-    def test_corrector_iterations(self):
+    def test_corrector_iterations(self, monkeypatch):
         # from the third point on each guess is within reach of two Newton
-        # iterations, and a refinement re-solve (the final solve of a point
-        # on a doubled grid) takes one.  From SELF_SIMILAR_START on, a
-        # geometric step whose plain prediction is already unresolved is
-        # instead solved once, on the grid doubled until the prediction is
-        # resolved; on this branch the prediction stays resolved up to
-        # mu = 300, so every refinement here is a re-solve
+        # iterations.  A refined point (on a finer grid than the point
+        # before it) is either solved once, from its prediction doubled
+        # until resolved, or re-solved once on the doubled grid after a
+        # coarse solve came back unresolved; that re-solve takes one
+        solves = []
+        monkeypatch.setattr(continuation, "_corrector", _recording_corrector(solves))
         branch = nk.trace_branch(3.01, 300.0)
         assert len(branch) == 33 and not branch.truncated
-        refined = [q for p, q in zip(branch.points, branch.points[1:]) if q.n > p.n]
-        assert len(refined) == 3
-        assert all(q.iterations == 1 for q in refined)
         assert all(p.iterations <= 2 for p in branch.points[2:])
+        refined = [(p, q) for p, q in zip(branch.points, branch.points[1:]) if q.n > p.n]
+        assert len(refined) == 3
+        kinds = set()
+        for p, q in refined:
+            at_mu = [s for s in solves if s[0] == q.mu]
+            if len(at_mu) == 1:
+                assert at_mu == [(q.mu, q.n, True)]
+            else:
+                assert at_mu == [(q.mu, p.n, False), (q.mu, q.n, True)]
+                assert q.iterations == 1
+            kinds.add(len(at_mu))
+        assert kinds == {1, 2}
 
     def test_points_write_iterations_and_tail_not_guess_residual(self, small_branch):
         for p in small_branch:
@@ -220,15 +242,8 @@ def traced_1e3():
     """trace_branch(3.01, 1e3) and its corrector solves, each recorded as
     (mu, the guess's grid, whether the solve came back resolved)."""
     solves = []
-    corrector = continuation._corrector
-
-    def recorded(mu, guess, spec, tol):
-        result = corrector(mu, guess, spec, tol)
-        solves.append((mu, guess.n, result.resolved))
-        return result
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(continuation, "_corrector", recorded)
+        patch.setattr(continuation, "_corrector", _recording_corrector(solves))
         branch = nk.trace_branch(3.01, 1e3)
     return branch, solves
 
@@ -260,9 +275,15 @@ class TestBranchPointDiagnostics:
             continuation._branch_point(50.0, field, 0.0)
 
 
+def _geometric_steps(points):
+    """The indices of the points reached by a geometric step."""
+    return [i for i in range(1, len(points))
+            if points[i - 1].mu >= continuation.GEOMETRIC_START]
+
+
 class TestSelfSimilarPredictor:
-    """From SELF_SIMILAR_START on, a geometric step's guess adds the last
-    geometric step's predictor miss, stretched to the new crest scale."""
+    """A geometric step's guess adds the last geometric step's predictor
+    miss, stretched to the new crest scale."""
 
     @staticmethod
     def _wave(theta):
@@ -285,38 +306,26 @@ class TestSelfSimilarPredictor:
 
     def test_corrected_guesses_beat_the_plain_ones(self, branch_1e3):
         points = branch_1e3.points
-        gains = []
-        for i, p in enumerate(points):
-            if p.mu >= continuation.SELF_SIMILAR_START:
-                plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu)
-                op = get_operator(plain.n, nk.DEEP)
-                gains.append(op.residual(plain.values, p.mu) / p.guess_residual)
-        # every full step gains at least 20x; the last step, clipped at
-        # mu_end, has other node ratios than the step it corrects from
-        *full, clipped = gains
-        assert len(full) >= 10 and min(full) >= 20.0
-        assert points[-1].mu == 1e3 < 1.25 * points[-2].mu and clipped > 1.0
-
-    def test_points_below_the_gate_are_the_plain_predictors(self, branch_1e3, monkeypatch):
-        gate = continuation.SELF_SIMILAR_START
-        monkeypatch.setattr(continuation, "SELF_SIMILAR_START", math.inf)
-        plain = nk.trace_branch(3.01, 1e3)
-        assert plain.mus.tolist() == branch_1e3.mus.tolist()
-        for p, q in zip(plain, branch_1e3):
-            assert p.n == q.n
-            if q.mu < gate:
-                assert p.field.values.tobytes() == q.field.values.tobytes()
-                assert (p.residual, p.sup_norm, p.iterations) == \
-                    (q.residual, q.sup_norm, q.iterations)
-            else:
-                assert q.sup_norm == pytest.approx(p.sup_norm, rel=1e-12)
-                assert q.residual <= branch_1e3.tol
+        gains = {}
+        for i in _geometric_steps(points):
+            p = points[i]
+            plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu)
+            op = get_operator(plain.n, nk.DEEP)
+            gains[p.mu] = op.residual(plain.values, p.mu) / p.guess_residual
+        # the first geometric step has no miss to add; every later full
+        # step gains at least 2x, and at least 20x from mu = 100 on; the
+        # last step, clipped at mu_end, has other node ratios than the
+        # step it corrects from
+        first, *full, clipped = gains.items()
+        assert first[1] == pytest.approx(1.0, rel=1e-12)
+        assert len(full) >= 15 and min(g for _, g in full) >= 2.0
+        assert min(g for mu, g in full if mu >= 100.0) >= 20.0
+        assert points[-1].mu == 1e3 < 1.25 * points[-2].mu and clipped[1] > 1.0
 
 
 class TestPredictedGrid:
-    """From SELF_SIMILAR_START on, a geometric step's grid is doubled while
-    its plain prediction's spectral tail exceeds TAIL_THRESHOLD, before the
-    corrector runs."""
+    """A geometric step's grid is doubled while its plain prediction's
+    spectral tail exceeds TAIL_THRESHOLD, before the corrector runs."""
 
     def test_a_point_predicted_unresolved_is_solved_once(self, traced_1e3):
         branch, solves = traced_1e3
@@ -329,9 +338,8 @@ class TestPredictedGrid:
         branch, solves = traced_1e3
         points = branch.points
         refined = 0
-        for i, p in enumerate(points):
-            if p.mu < continuation.SELF_SIMILAR_START:
-                continue
+        for i in _geometric_steps(points):
+            p = points[i]
             plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu)
             refined += plain.spectral_tail(band=plain.n // 2) > continuation.TAIL_THRESHOLD
             for mu, n, resolved in solves:

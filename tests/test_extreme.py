@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,17 +54,28 @@ class TestConstantSolution:
         assert d5 < d3 / 50.0
 
     def test_import_leaves_scipy_integrate_out(self):
-        """scipy.integrate serves only verify_constant_solution and is
-        imported there, not by `import nekrasov`."""
+        """`import nekrasov` loads neither scipy.integrate nor scipy.linalg:
+        verify_constant_solution and the Krylov step use the package's own
+        quadrature and back substitution."""
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
         code = ("import sys, nekrasov\n"
-                "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))\n")
+                "print(sorted(m for m in sys.modules\n"
+                "             if m.startswith(('scipy.integrate', 'scipy.linalg'))))\n")
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_deviations_match_mpmath(self):
+        rep = nk.verify_constant_solution((0.3, 1.0, 3.0), 1e4)
+        with mpmath.workdps(30):
+            for theta, deviation in zip(rep.theta_samples, rep.deviations):
+                value = mpmath.quad(lambda s: mpmath.log((1 + s) / abs(1 - s)) / s,
+                                    [0, 1, 2, 1e4 / theta]) / (3 * mpmath.pi)
+                assert deviation == pytest.approx(float(abs(value - mpmath.pi / 6)),
+                                                  rel=0.0, abs=1e-13)
 
     def test_scale_invariance(self):
         a = nk.verify_constant_solution((1.0,), 1e4).max_deviation
