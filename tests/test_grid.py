@@ -73,12 +73,13 @@ def test_sup_norm_caches_no_grid():
 
 
 @pytest.mark.parametrize("oversample", [2, 4, 8])
-@pytest.mark.parametrize("n", [4096, 16384, 32768, 513 * 32])
+@pytest.mark.parametrize("n", [4096, 16384, 32768, 513 * 32, 24576, 49152, 98304])
 def test_sup_norm_pieces_are_the_full_transform_bitwise(n, oversample):
     """The zero-aware pieces give bitwise the max of the fine grid's
     to_values, and every fine grid at or above the cut splits off at least
-    one zero half (513 * 32 is a grid grown from an odd size); sup_norm
-    takes them on the 4x grid."""
+    one zero half (513 * 32 is an even size off trace_branch's 2^k /
+    3 * 2^k grid ladder, and 24576, 49152 and 98304 are 3 * 2^k sizes on
+    it); sup_norm takes them on the 4x grid."""
     coeffs = np.random.default_rng(n + oversample).standard_normal(n - 1) / np.arange(1, n)
     field = nk.AngleField.from_coefficients(coeffs, n)
     padded = np.zeros(oversample * n - 1)
@@ -217,7 +218,7 @@ def _split_dst1_padded(x, n):
     return [fft.dst(lo, type=3), *_split_dst1_padded(x, n // 2)]
 
 
-@pytest.mark.parametrize("n", [16384, 32768, 1 << 17])
+@pytest.mark.parametrize("n", [16384, 32768, 1 << 17, 24576, 49152, 98304])
 def test_split_transforms_are_scipy_fft_bitwise(n):
     """At and above the cut every piece of the split is the same pocketfft
     call as through scipy.fft, so the transforms are bitwise those of the
@@ -256,14 +257,26 @@ def test_transforms_raise_no_warning():
     assert done.stderr == ""
 
 
-def test_split_roundtrip_at_2_pow_17():
-    n = 1 << 17
+def _assert_split_roundtrip(n, seed):
     grid = grid_module.SineGrid(n)
-    assert n >= 8 * grid_module._SPLIT_MIN  # three levels of the split
-    rng = np.random.default_rng(17)
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(n - 1)
     assert np.abs(grid.to_values(grid.to_coefficients(x)) - x).max() < 1e-13
     assert np.abs(grid.to_coefficients(grid.to_values(x)) - x).max() < 1e-13
     # cosine modes 1..n-1 sample to values of zero (trapezoid) mean and back
     back = grid.cosine_coefficients_closed(grid.cosine_values_closed(x))
     assert np.abs(back - x).max() < 1e-13
+
+
+def test_split_roundtrip_at_2_pow_17():
+    n = 1 << 17
+    assert n >= 8 * grid_module._SPLIT_MIN  # three levels of the split
+    _assert_split_roundtrip(n, 17)
+
+
+def test_split_roundtrip_at_3_times_2_pow_15():
+    # the largest 3 * 2^k grid below N_MAX: three levels of the split,
+    # down to 12288
+    n = 3 << 15
+    assert n // 8 < grid_module._SPLIT_MIN <= n // 4
+    _assert_split_roundtrip(n, 15)
