@@ -9,17 +9,15 @@ a converged point stops decaying, which happens as the crest boundary layer
 sharpens for large mu.  Each refinement moves to the next size of the form
 2^k or 3 * 2^k (512 -> 768 -> 1024 -> 1536 -> ... -> 98304 -> 131072 =
 N_MAX), so a point that outgrows its grid moves to one at most 1.5x
-larger: on trace_branch(3.01, 1e4) the last points sit on 98304, and the
-49 points take 55 corrector solves, 6 of them discarded for a finer grid.
+larger.
 
 Near the highest wave that layer, of width ~1/mu, is self-similar in
 mu * theta (Longuet-Higgins & Fox, J. Fluid Mech. 80, 1977), and so is the
-extrapolation's miss: on trace_branch(3.01, 1e4) the plain guess misses by
-max|F| ~ 6.6e-4 at every geometric point from mu = 20 on, peaked at
-theta ~ 8.1/mu.  Each geometric guess therefore adds the previous
-geometric step's miss, stretched to the new crest scale (see
-trace_branch); the miss falls to 1.6e-5 at mu = 123 and 4.6e-7 at
-mu = 6840, and those points need one Newton iteration fewer.
+extrapolation's miss: the plain guess misses by about the same max|F| at
+every geometric point, peaked at a fixed multiple of 1/mu.  Each geometric
+guess therefore adds the previous geometric step's miss, stretched to the
+new crest scale (see trace_branch), which leaves a far smaller miss, and
+those points need one Newton iteration fewer.
 
 trace_branch starts at mu_start from solver._seeded_guess, as solve_seeded
 does, and refines the grid from there.
@@ -271,8 +269,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     ladder, up to N_MAX, while the plain guess's own tail exceeds
     TAIL_THRESHOLD, before the miss is added and the corrector runs; the
     prediction reads the solved tail low, so the re-solve after a
-    converged point stays as the fallback.  On trace_branch(3.01, 1e4)
-    that is 55 corrector solves for 49 points, 6 of them discarded.
+    converged point stays as the fallback.
 
     Every accepted point satisfies the residual bound on its own grid and
     is spectrally resolved.  The branch is returned truncated, with a

@@ -21,6 +21,7 @@ points of the nonlinear problem.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,12 @@ import numpy as np
 
 class SingularEvaluationError(ValueError):
     """Raised when a kernel is evaluated on its logarithmic diagonal."""
+
+
+def _check_count(name: str, value) -> None:
+    """A mode count must be an integer (numpy's too, not a bool) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,7 @@ class KernelSpec:
     def __post_init__(self):
         if not self.depth_ratio > 0:
             raise ValueError(f"depth_ratio must be positive, got {self.depth_ratio}")
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be at least 1, got {self.n_modes}")
+        _check_count("n_modes", self.n_modes)
 
     @property
     def is_infinite(self) -> bool:
@@ -141,7 +147,6 @@ def characteristic_values(spec: KernelSpec, k_max: int) -> np.ndarray:
     These are the reciprocals of B's eigenvalues and the bifurcation points
     of the nonlinear equation; the sequence is strictly increasing.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    _check_count("k_max", k_max)
     k = np.arange(1, k_max + 1)
     return 3.0 * k / spec.mode_weights(k_max)

@@ -163,6 +163,20 @@ def test_kernel_spec_validation():
         nk.characteristic_values(nk.DEEP, 0)
 
 
+@pytest.mark.parametrize("size", [2.5, True, 4.0, np.float64(3.0)])
+def test_non_integer_mode_counts_rejected(size):
+    with pytest.raises(ValueError):
+        nk.KernelSpec(n_modes=size)
+    with pytest.raises(ValueError):
+        nk.characteristic_values(nk.DEEP, size)
+
+
+def test_numpy_integer_mode_counts_accepted():
+    spec = nk.KernelSpec(n_modes=np.int64(256) // 2)
+    assert nk.kernel_series(0.3, 0.7, spec) == nk.kernel_series(0.3, 0.7, nk.KernelSpec(n_modes=128))
+    assert np.array_equal(nk.characteristic_values(spec, np.int32(3)), [3.0, 6.0, 9.0])
+
+
 def test_kernel_spec_r0():
     spec = nk.KernelSpec(depth_ratio=0.25)
     assert 0.0 < spec.r0 < 1.0

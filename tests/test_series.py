@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -33,12 +35,28 @@ class TestExpansion:
         # lower orders are unchanged by extending the expansion
         assert s.coefficient(3, 1) == Fraction(115, 13122)
 
+    def test_order_four_row(self):
+        s = nk.expand_solution(4)
+        assert [s.coefficient(4, k) for k in (1, 2, 3, 4)] == [
+            Fraction(-713, 354294), Fraction(185, 39366),
+            Fraction(-68, 19683), Fraction(71, 78732)]
+
     def test_unsupported_orders(self):
         # failures are not cached: every call raises again
         for _ in range(2):
             for order in (0, 9):
                 with pytest.raises(nk.UnsupportedOrderError):
                     nk.expand_solution(order)
+
+    @pytest.mark.parametrize("order", [2.0, True, 2.5, "2", None])
+    def test_non_integer_orders_rejected(self, order):
+        with pytest.raises(nk.UnsupportedOrderError):
+            nk.expand_solution(order)
+        with pytest.raises(nk.UnsupportedOrderError):
+            nk.height_coefficients_from_expansion(order)
+
+    def test_numpy_integer_order(self):
+        assert nk.expand_solution(np.int64(2)) == nk.expand_solution(2)
 
     def test_intermediate_free_term(self):
         # the order-2 equation reads Phi_2 = 3 B Phi_2 + sin(2 theta)/108;
@@ -89,6 +107,16 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             nk.eval_series(nk.expand_solution(1), -0.1, 0.3)
 
+    @pytest.mark.parametrize("mu_prime", [math.nan, math.inf, -1.0])
+    def test_bad_parameter_rejected_everywhere(self, mu_prime):
+        s = nk.expand_solution(2)
+        with pytest.raises(ValueError):
+            nk.eval_series(s, mu_prime, 0.3)
+        with pytest.raises(ValueError):
+            series_coefficients(s, mu_prime, 2)
+        with pytest.raises(ValueError):
+            nk.wave_height_series(mu_prime, 1.0)
+
     def test_series_coefficients_vector(self):
         s = nk.expand_solution(3)
         b = series_coefficients(s, 0.05, 4)
@@ -119,40 +147,66 @@ class TestWaveHeight:
         with pytest.raises(ValueError):
             nk.wave_height_series(0.1, 0.0)
 
+    @pytest.mark.parametrize("wavelength", [math.inf, math.nan, -1.0])
+    def test_bad_wavelength_rejected(self, wavelength):
+        with pytest.raises(ValueError):
+            nk.wave_height_series(0.1, wavelength)
+
+    def test_order_four_height_coefficient(self):
+        derived = nk.height_coefficients_from_expansion(4)
+        assert derived[:3] == nk.height_coefficients_from_expansion(3)
+        assert derived[3] == Fraction(-1361, 354294)
+
+
+def _sine_poly(coeffs):
+    """sum_k coeffs[k-1] sin(k theta), with its value as a plain function."""
+    poly = TrigPolynomial.sines({k + 1: Fraction(c) for k, c in enumerate(coeffs)})
+    return poly, lambda t: sum(c * np.sin((k + 1) * t) for k, c in enumerate(coeffs))
+
+
+def _cosine_poly(coeffs):
+    """sum_k coeffs[k] cos(k theta): c[0] = coeffs[0], c[k] = c[-k] = coeffs[k]/2."""
+    c = {}
+    for k, a in enumerate(coeffs):
+        c[k] = c[-k] = Fraction(a, 2 if k else 1)
+    return TrigPolynomial(c), lambda t: sum(a * np.cos(k * t) for k, a in enumerate(coeffs))
+
+
+def _value(poly, t):
+    """i^odd sum_k c[k] e^(ik t), the representation read back directly."""
+    return 1j ** poly.odd * sum(float(v) * np.exp(1j * k * t) for k, v in poly.c.items())
+
 
 class TestTrigPolynomialAlgebra:
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-3, 3), min_size=2, max_size=4),
            st.lists(st.integers(-3, 3), min_size=2, max_size=4))
     def test_product_matches_pointwise(self, a, b):
-        pa = TrigPolynomial(sin={k + 1: Fraction(c) for k, c in enumerate(a)})
-        pb = TrigPolynomial(cos={k: Fraction(c) for k, c in enumerate(b)})
-        prod = pa * pb
+        # odd x odd, odd x even, even x odd and even x even
         theta = np.linspace(0.1, 3.0, 7)
-
-        def value(poly, t):
-            out = sum(float(c) * np.cos(k * t) for k, c in poly.cos.items())
-            out += sum(float(c) * np.sin(k * t) for k, c in poly.sin.items())
-            return out
-
-        for t in theta:
-            assert value(prod, t) == pytest.approx(value(pa, t) * value(pb, t),
-                                                   rel=1e-12, abs=1e-12)
+        for (pa, fa), (pb, fb) in itertools.product((_sine_poly(a), _cosine_poly(a)),
+                                                    (_sine_poly(b), _cosine_poly(b))):
+            prod = pa * pb
+            assert prod.odd == (pa.odd != pb.odd)
+            for t in theta:
+                assert _value(prod, t) == pytest.approx(fa(t) * fb(t), rel=1e-12, abs=1e-12)
 
     def test_integral_of_sine(self):
-        p = TrigPolynomial(sin={2: Fraction(3)})
+        p = TrigPolynomial.sines({2: Fraction(3)})
+        assert p.pure_sine_coefficients() == {2: Fraction(3)}
         q = p.integral_from_zero()
         # int_0^t 3 sin 2z dz = 3/2 (1 - cos 2t)
-        assert q.cos[0] == Fraction(3, 2)
-        assert q.cos[2] == Fraction(-3, 2)
+        assert not q.odd
+        assert q.c == {0: Fraction(3, 2), 2: Fraction(-3, 4), -2: Fraction(-3, 4)}
 
     def test_integral_rejects_even_part(self):
+        cos_theta = TrigPolynomial({1: Fraction(1, 2), -1: Fraction(1, 2)})
         with pytest.raises(ValueError):
-            TrigPolynomial(cos={1: Fraction(1)}).integral_from_zero()
+            cos_theta.integral_from_zero()
 
     def test_pure_sine_extraction_rejects_even(self):
         with pytest.raises(ValueError):
-            TrigPolynomial(cos={0: Fraction(1)}).pure_sine_coefficients()
+            TrigPolynomial({0: Fraction(1)}).pure_sine_coefficients()
 
 
 class TestBranchConsistency:
@@ -170,3 +224,14 @@ class TestBranchConsistency:
             errs.append(np.abs(b[:3] - pred).max())
         assert errs[0] < 5e-8
         assert errs[1] < errs[0] / 8.0
+
+    def test_order_four_truncation_error_is_quintic(self):
+        # the order-4 truncation error of b_1..b_4 against independent
+        # solves must fall like mu'^5 (32x) per halving of mu'
+        series = nk.expand_solution(4)
+        errs = []
+        for mu_prime in (0.2, 0.1, 0.05):
+            b = nk.solve_seeded(3.0 + mu_prime, n=256).field.coefficients
+            errs.append(np.abs(b[:4] - series_coefficients(series, mu_prime, 4)).max())
+        assert errs[0] / errs[1] >= 28.0
+        assert errs[1] / errs[2] >= 28.0
