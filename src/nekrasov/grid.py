@@ -31,14 +31,15 @@ upper half is zero the split needs no x_{n-j} terms, so _dst1_padded hands
 back the DST-III of each odd half and the last grid's _dst1 as separate
 pieces, and the max over them is bitwise the max of the full transform.
 
-get_grid hands every caller the same SineGrid for a given n, and
-antiderivative_closed writes through that grid's one closed-grid scratch
-array, so a grid is safe for one thread at a time.
+get_grid hands every caller the same SineGrid for a given n (numpy's
+integers included), and antiderivative_closed writes through that grid's
+one closed-grid scratch array, so a grid is safe for one thread at a time.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 from scipy import fftpack
@@ -90,13 +91,18 @@ def _dct1(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _grid_size(n) -> int:
+    """n as an int: an integer (numpy's too, not a bool) of at least 4."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 4:
+        raise ValueError(f"grid size must be an integer of at least 4, got {n!r}")
+    return int(n)
+
+
 class SineGrid:
     """Interior nodes theta_j = j*pi/n, j = 1..n-1, with DST-I transforms."""
 
     def __init__(self, n: int):
-        if n < 4:
-            raise ValueError(f"grid size must be at least 4, got {n}")
-        self.n = int(n)
+        self.n = _grid_size(n)
         self.theta = np.arange(1, self.n) * (np.pi / self.n)
         self.modes = np.arange(1, self.n)
         # closed grid includes the endpoints theta = 0 and theta = pi
@@ -161,8 +167,12 @@ class SineGrid:
         return out
 
 
-@functools.cache
 def get_grid(n: int) -> SineGrid:
+    return _cached_grid(_grid_size(n))
+
+
+@functools.cache
+def _cached_grid(n: int) -> SineGrid:
     return SineGrid(n)
 
 

@@ -113,11 +113,13 @@ class UnsupportedOrderError(ValueError):
 MAX_ORDER = 4
 
 
-def _check_order(order) -> None:
+def _check_order(order) -> int:
+    """order as an int: an integer (numpy's too, not a bool) in 1..MAX_ORDER."""
     if (isinstance(order, bool) or not isinstance(order, numbers.Integral)
             or not 1 <= order <= MAX_ORDER):
         raise UnsupportedOrderError(
             f"order must be an integer between 1 and {MAX_ORDER}, got {order!r}")
+    return int(order)
 
 
 def _check_mu_prime(mu_prime) -> None:
@@ -197,17 +199,20 @@ def _solvability_coefficient(phis: list[TrigPolynomial], p: int, c_value: Fracti
     return _order_term_without_current(trial, p).get(1, Fraction(0))
 
 
-@functools.cache
 def expand_solution(order: int) -> RationalSineSeries:
     """Run the bifurcation recurrence to the given order (1..4).
 
     Order p requires the solvability condition at order p + 1 to pin the
     free sin(theta) constant C_p, so the expansion is carried one order
     beyond the request internally.  The result is computed on the first
-    call for each order and cached; every later caller shares the same
-    read-only series.
+    call for each order and cached on the order as an int; every later
+    caller, with numpy's integer too, shares the same read-only series.
     """
-    _check_order(order)
+    return _expansion(_check_order(order))
+
+
+@functools.cache
+def _expansion(order: int) -> RationalSineSeries:
     # Phi_p accumulated with C_p initially zero;  C_p is found at order p+1.
     phis: list[TrigPolynomial] = [TrigPolynomial()]
     # order-2 solvability is quadratic in C_1: f(C) = beta*C + alpha*C^2
@@ -274,7 +279,6 @@ def wave_height_series(mu_prime: float, wavelength: float) -> float:
     return wavelength / np.pi * acc
 
 
-@functools.cache
 def height_coefficients_from_expansion(order: int = 3) -> tuple[Fraction, ...]:
     """The height/wavelength coefficients of mu'^1..mu'^order, derived from
     the expansion itself; order 3 gives the classical 1/9, -8/243, 71/6561.
@@ -283,9 +287,13 @@ def height_coefficients_from_expansion(order: int = 3) -> tuple[Fraction, ...]:
     a_k (log f has power-series coefficients equal to the b_k), and the
     crest-to-trough height is (lambda/pi) sum_{k odd} a_k / k.  Everything
     is exact; the result is computed on the first call for each order and
-    cached, like expand_solution's.
+    cached on the order as an int, like expand_solution's.
     """
-    _check_order(order)
+    return _height_coefficients(_check_order(order))
+
+
+@functools.cache
+def _height_coefficients(order: int) -> tuple[Fraction, ...]:
     series = expand_solution(order)
     # a_k as mu'-polynomials via exp of the power series sum b_k u^k:
     # k a_k = sum_{m=1..k} m b_m a_{k-m}

@@ -23,7 +23,6 @@ import numpy as np
 
 from .grid import AngleField, SineGrid, _dst1, get_grid
 from .kernel import DEEP, KernelSpec, characteristic_values, linearized_factors
-from .series import eval_series, expand_solution
 
 
 class BreakdownError(RuntimeError):
@@ -384,15 +383,10 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     """Solve Phi = A_mu Phi from the given initial field, at spec's depth,
     with the operator's n // 2 modes (get_operator).
 
-    method accepts only "newton" (any other value raises ValueError); it
-    remains for bench/workloads.py, which passes it.  The solve is the
-    damped-Newton loop and the restarted-GMRES step (_krylov_step on the
-    matrix-free Jacobian, F(x) as right-hand side) that
-    GradedCollocation.solve shares, so each iterate costs one A_mu
-    evaluation, for at most NEWTON_MAX_ITER iterations.  mu must be
-    positive and finite and tol positive (ValueError before any work
-    otherwise): the spectral route is ill-posed at nu = 0, and the extreme
-    wave is computed by solve_extreme().
+    method accepts only "newton" (any other value raises ValueError).  The
+    solve is _newton with _krylov_step on the matrix-free Jacobian, the
+    loop GradedCollocation.solve shares, so each iterate costs one A_mu
+    evaluation; mu and tol are checked by _check_mu_tol before any work.
     Raises DivergenceError on non-convergence and propagates
     BreakdownError when the initial state is outside the physical regime.
     """
@@ -418,69 +412,39 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
                        initial_residual=first)
 
 
-def _seed_field(mu: float, spec: KernelSpec, n: int) -> AngleField:
-    """Initial guess near the bifurcation point mu1 from the local expansion:
-    the order-3 series on deep water, (mu - mu1)/9 sin theta at finite depth."""
+# how far past mu1 (in mu - mu1) Newton converges from the seed
+# (mu - mu1)/9 sin theta, measured at n = 512 on deep water and at
+# h/lambda from 0.05 to 2: at 35 but not at 40
+SEED_REACH = 35.0
+LADDER_RATIO = 1.6
+
+
+def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float) -> AngleField:
+    """The field a seeded solve at mu starts from, on n points.  At every
+    depth the branch leaves mu1 along sin theta, and the seed
+    (mu - mu1)/9 sin theta reaches SEED_REACH in mu - mu1.  Past it, the
+    seed at mu1 + SEED_REACH is solved at each rung mu1 + SEED_REACH *
+    LADDER_RATIO^k below mu on the same grid: from the seed itself a large
+    mu breaks down or falls to the trivial solution, while each rung's
+    solution is a good guess for the next.  The one place a solve is
+    seeded (solve_seeded, solve_system, trace_branch).  Raises ValueError
+    unless mu exceeds the bifurcation point."""
     mu1 = float(characteristic_values(spec, 1)[0])
     if not mu > mu1:
         raise ValueError(f"mu must exceed the bifurcation point {mu1:g}, got {mu}")
     grid = get_grid(n)
-    if spec.is_infinite:
-        values = eval_series(expand_solution(3), mu - mu1, grid.theta)
-    else:
-        values = (mu - mu1) / 9.0 * np.sin(grid.theta)
-    return AngleField(grid, values=values)
-
-
-# how far past mu1 (in mu - mu1) Newton converges from _seed_field, measured
-# at n = 512: the deep-water series at 5.5 but not at 5.75, the
-# finite-depth sine at 35 but not at 40 (h/lambda from 0.05 to 2)
-SERIES_SEED_REACH = 5.5
-SINE_SEED_REACH = 35.0
-# the warm-start ladder: mu1 + LADDER_START, then geometric in mu - mu1
-LADDER_START = 0.3
-LADDER_RATIO = 1.6
-
-
-def _warm_start_ladder(mu1: float, mu: float) -> list[float]:
-    """Rungs toward mu from the bifurcation point mu1: mu1 + s for
-    s = LADDER_START, then s times LADDER_RATIO for as long as that stays
-    below mu - mu1.  Jumping straight to a large mu from the local seed
-    lands in the basin of the trivial solution or breaks down, while each
-    rung's solution is a good guess for the next."""
-    start = mu1 + LADDER_START
-    rungs = [start]
-    s, s_max = start - mu1, mu - mu1
-    while s * LADDER_RATIO < s_max:
+    s = min(mu - mu1, SEED_REACH)
+    field = AngleField(grid, values=s / 9.0 * np.sin(grid.theta))
+    while s < mu - mu1:
+        field = solve(mu1 + s, field, tol=tol, spec=spec).field
         s *= LADDER_RATIO
-        rungs.append(mu1 + s)
-    return rungs
-
-
-def _seeded_guess(mu: float, spec: KernelSpec, n: int, tol: float) -> AngleField:
-    """The field a seeded solve at mu starts from, on n points: the seed at
-    mu within its reach (SERIES_SEED_REACH on deep water, SINE_SEED_REACH
-    at finite depth, in mu - mu1); past it, the solution at the top rung of
-    _warm_start_ladder, climbed from the seed at its foot on the same
-    grid.  The one place a solve is seeded: solve_seeded, solve_system and
-    trace_branch all start here.  Raises ValueError unless mu exceeds the
-    bifurcation point."""
-    mu1 = float(characteristic_values(spec, 1)[0])
-    reach = SERIES_SEED_REACH if spec.is_infinite else SINE_SEED_REACH
-    if not mu - mu1 > reach:
-        return _seed_field(mu, spec, n)
-    rungs = _warm_start_ladder(mu1, mu)
-    field = _seed_field(rungs[0], spec, n)
-    for rung in rungs:
-        field = solve(rung, field, tol=tol, spec=spec).field
     return field
 
 
 def solve_seeded(mu: float, spec: KernelSpec = DEEP, n: int = 512,
                  tol: float = 1e-12) -> SolveResult:
-    """Seed at mu from the small-amplitude expansion and solve on n points;
-    past the seed's reach the guess comes from the warm-start ladder
-    instead (_seeded_guess, where trace_branch's first point starts too).
+    """Solve at mu on n points from _seeded_guess: the seed (mu - mu1)/9
+    sin theta at every depth, or the warm-start ladder past its reach.
     Raises ValueError unless mu is finite and exceeds the bifurcation point
     of the kernel."""
     _check_mu_tol(mu, tol)
@@ -501,14 +465,12 @@ def solve_system(mu: float, initial: SystemState | None = None,
     """Solve the coupled system for (Phi, Psi) with the shared Newton loop.
 
     Phi = mu * Int Psi sin Phi K dtau and Psi = 1 - mu Int_0^theta Psi^2 sin Phi.
-    The stacked (Phi, Psi), 2n values, is solved by _newton with the
-    restarted-GMRES _krylov_step on the matrix-free Jacobian, as in solve,
-    with the same mu and tol checks as solve, for at most
-    NEWTON_MAX_ITER iterations; a trial with Psi <= 0 on (0, pi] breaks down.
-    Psi is advanced through its own Volterra equation, not through the
-    closed form 1/(1 + mu*I), which only seeds it and is a cross-check
-    identity.  Without initial, Phi starts from _seeded_guess as in
-    solve_seeded, so mu must exceed the bifurcation point.
+    The stacked (Phi, Psi), 2n values, is solved as in solve, with the same
+    checks; a trial with Psi <= 0 on (0, pi] breaks down.  Psi is advanced
+    through its own Volterra equation, not through the closed form
+    1/(1 + mu*I), which only seeds it and is a cross-check identity.
+    Without initial, Phi starts from _seeded_guess as in solve_seeded, so
+    mu must exceed the bifurcation point.
     """
     _check_mu_tol(mu, tol)
     if initial is None:

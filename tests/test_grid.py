@@ -64,9 +64,9 @@ def test_sup_norm_oversampling():
 def test_sup_norm_caches_no_grid():
     # n = 1234 is used nowhere else, so a cached 4n grid would be new
     field = field_of(1234, lambda t: np.sin(t) + 0.2 * np.sin(7 * t))
-    before = nk.get_grid.cache_info().currsize
+    before = grid_module._cached_grid.cache_info().currsize
     value = field.sup_norm()
-    assert nk.get_grid.cache_info().currsize == before
+    assert grid_module._cached_grid.cache_info().currsize == before
     padded = np.zeros(4 * 1234 - 1)
     padded[:1233] = field.coefficients
     assert value == np.abs(nk.SineGrid(4 * 1234).to_values(padded)).max()
@@ -117,6 +117,24 @@ def test_field_validation():
         nk.AngleField(nk.get_grid(32))
     with pytest.raises(ValueError):
         nk.get_grid(2)
+
+
+@pytest.mark.parametrize("n", [300.7, 512.0, True, np.float64(64.0), "64", None])
+def test_grid_size_must_be_an_integer(n):
+    # a float is neither truncated to a grid nor a second cache key (512.0)
+    with pytest.raises(ValueError, match="integer"):
+        nk.SineGrid(n)
+    with pytest.raises(ValueError, match="integer"):
+        nk.get_grid(n)
+    with pytest.raises(ValueError, match="grid size"):
+        nk.solve_seeded(3.5, n=n)
+
+
+@pytest.mark.parametrize("n", [np.int64(64), np.int32(64), np.uint16(64)])
+def test_numpy_integer_grid_size_shares_the_int_grid(n):
+    grid = nk.get_grid(n)
+    assert grid is nk.get_grid(64)
+    assert type(grid.n) is int and type(nk.SineGrid(n).n) is int
 
 
 def _trig_long(func, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

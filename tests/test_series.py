@@ -56,7 +56,14 @@ class TestExpansion:
             nk.height_coefficients_from_expansion(order)
 
     def test_numpy_integer_order(self):
-        assert nk.expand_solution(np.int64(2)) == nk.expand_solution(2)
+        # a numpy integer shares the int's cache entry, so its series is
+        # the very same object, with an int order
+        for order in (np.int64(2), np.int32(3), np.uint8(4)):
+            series = nk.expand_solution(order)
+            assert series is nk.expand_solution(int(order))
+            assert type(series.order) is int
+            height = nk.height_coefficients_from_expansion(order)
+            assert height is nk.height_coefficients_from_expansion(int(order))
 
     def test_intermediate_free_term(self):
         # the order-2 equation reads Phi_2 = 3 B Phi_2 + sin(2 theta)/108;
@@ -76,7 +83,7 @@ class TestExpansionCache:
             s.coefficients[1][1] = Fraction(0)
         with pytest.raises(AttributeError):
             s.order = order + 1
-        fresh = nk.expand_solution.__wrapped__(order)
+        fresh = nk.series._expansion.__wrapped__(order)
         assert fresh is not s
         assert fresh == s
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -228,32 +229,41 @@ class TestSolve:
 class TestSolveSeeded:
     """solve_seeded against the hand-built seed-and-solve recipes it replaces."""
 
-    def test_deep_matches_series_seed(self):
-        grid = nk.get_grid(512)
-        guess = nk.AngleField(grid, values=nk.eval_series(nk.expand_solution(3),
-                                                          0.5, grid.theta))
-        reference = nk.solve(3.5, guess, method="newton")
-        result = nk.solve_seeded(3.5)
-        assert np.array_equal(result.field.values, reference.field.values)
-        assert result.residual == reference.residual
-        assert result.iterations == reference.iterations
-
-    def test_finite_depth_matches_sine_seed(self):
-        spec = nk.KernelSpec(depth_ratio=0.5)
+    @pytest.mark.parametrize("depth", [0.5, np.inf])
+    def test_matches_sine_seed(self, depth):
+        spec = nk.KernelSpec(depth_ratio=depth)
         mu1 = float(nk.characteristic_values(spec, 1)[0])
         mu = mu1 + 0.2
         grid = nk.get_grid(256)
         guess = nk.AngleField(grid, values=(mu - mu1) / 9.0 * np.sin(grid.theta))
         reference = nk.solve(mu, guess, method="newton", spec=spec)
-        result = nk.solve_seeded(mu, nk.KernelSpec(depth_ratio=0.5), n=256)
+        result = nk.solve_seeded(mu, nk.KernelSpec(depth_ratio=depth), n=256)
         assert np.array_equal(result.field.values, reference.field.values)
         assert result.residual == reference.residual
         assert result.iterations == reference.iterations
 
-    @pytest.mark.parametrize("mu", [8.75, 10.0])
+    def test_deep_seed_never_expands_the_series(self, monkeypatch):
+        # deep water is seeded like finite depth: no nekrasov module calls
+        # expand_solution, whatever name it bound it to, on either side of
+        # the seed's reach
+        def forbidden(order):
+            raise AssertionError("a seeded solve expanded the series")
+
+        expand = nk.series.expand_solution
+        for name, module in list(sys.modules.items()):
+            if name == "nekrasov" or name.startswith("nekrasov."):
+                for attr, value in list(vars(module).items()):
+                    if value is expand:
+                        monkeypatch.setattr(module, attr, forbidden)
+        for mu in (3.5, 40.0):
+            assert nk.solve_seeded(mu).residual <= 1e-12
+
+    @pytest.mark.parametrize("mu", [40.0])
     def test_climbs_the_ladder_past_the_seed_reach(self, mu):
-        # straight from the series seed, Newton diverges at 8.75 and the
-        # seed breaks down at 10
+        # straight from the sine seed, the solve breaks down at 40
+        grid = nk.get_grid(512)
+        with pytest.raises(nk.BreakdownError):
+            nk.solve(mu, nk.AngleField(grid, values=(mu - 3.0) / 9.0 * np.sin(grid.theta)))
         result = nk.solve_seeded(mu)
         point = nk.trace_branch(3.01, mu).points[-1]
         assert (point.mu, point.n) == (mu, 512)
@@ -264,9 +274,10 @@ class TestSolveSeeded:
     def test_seed_reach_keeps_the_direct_path(self, depth):
         spec = nk.KernelSpec(depth_ratio=depth)
         mu1 = float(nk.characteristic_values(spec, 1)[0])
-        reach = _solver.SERIES_SEED_REACH if spec.is_infinite else _solver.SINE_SEED_REACH
-        mu = mu1 + reach
-        reference = nk.solve(mu, _solver._seed_field(mu, spec, 512), spec=spec)
+        mu = mu1 + _solver.SEED_REACH
+        grid = nk.get_grid(512)
+        seed = nk.AngleField(grid, values=(mu - mu1) / 9.0 * np.sin(grid.theta))
+        reference = nk.solve(mu, seed, spec=spec)
         result = nk.solve_seeded(mu, spec)
         assert result.field.values.tobytes() == reference.field.values.tobytes()
         assert result.iterations == reference.iterations
@@ -294,20 +305,32 @@ class TestSolveSeeded:
     @pytest.mark.parametrize("mu", [np.inf, np.nan])
     def test_non_finite_mu_is_rejected_before_any_work(self, mu, monkeypatch):
         # mu = inf would otherwise climb a ladder without end
-        monkeypatch.setattr(_solver, "_seed_field", None)
+        monkeypatch.setattr(_solver, "_seeded_guess", None)
         with pytest.raises(ValueError, match="finite"):
             nk.solve_seeded(mu)
 
-    def test_warm_start_ladder_rungs(self):
+    def test_warm_start_ladder_rungs(self, monkeypatch):
         # the reference loop that fixes the rungs _seeded_guess climbs for
-        # solve_seeded, solve_system and trace_branch
-        mu1, s = 3.0, 0.3
-        expected = [mu1 + s]
-        s = expected[0] - mu1
-        while s * 1.6 < 30000.0 - mu1:
-            s *= 1.6
-            expected.append(mu1 + s)
-        assert _solver._warm_start_ladder(mu1, 30000.0) == expected
+        # solve_seeded, solve_system and trace_branch: from the seed at
+        # mu1 + 35, each rung mu1 + 35 * 1.6^k below mu, then mu itself
+        calls = []
+
+        def recorded(mu, initial, method="newton", tol=1e-12, spec=nk.DEEP):
+            calls.append(mu)
+            return SimpleNamespace(field=initial)
+
+        monkeypatch.setattr(_solver, "solve", recorded)
+        for depth in (np.inf, 0.5):
+            spec = nk.KernelSpec(depth_ratio=depth)
+            mu1 = float(nk.characteristic_values(spec, 1)[0])
+            expected, s = [], 35.0
+            while s < 30000.0 - mu1:
+                expected.append(mu1 + s)
+                s *= 1.6
+            calls.clear()
+            field = nk.solve_seeded(30000.0, spec).field
+            assert calls == expected + [30000.0]
+            assert field.values.tobytes() == (35.0 / 9.0 * np.sin(field.grid.theta)).tobytes()
 
     @pytest.mark.parametrize("depth", [np.inf, 0.5])
     def test_rejects_bifurcation_point(self, depth):
@@ -337,7 +360,7 @@ class TestEvaluationCounts:
     def test_newton_applies_once_per_iterate(self, monkeypatch):
         calls = count_applies(monkeypatch)
         result = nk.solve_seeded(3.5)
-        assert len(calls) == result.iterations + 1 == 3
+        assert len(calls) == result.iterations + 1 == 5
 
     @pytest.mark.parametrize("method", ["newton"])
     def test_initial_residual_is_the_first_evaluation(self, method):
@@ -431,7 +454,7 @@ class TestKrylovStep:
                             lambda self, values, mu: recording(
                                 jacobian_operator(self, values, mu), calls))
         result = nk.solve_seeded(3.5)
-        assert result.iterations == 2
+        assert result.iterations == 4
         assert calls and not any((v == 0.0).all() for v in calls)
 
 
@@ -578,13 +601,13 @@ class TestSolveSystem:
 
     @pytest.mark.parametrize("mu", [np.inf, np.nan])
     def test_non_finite_mu_is_rejected_before_any_work(self, mu, monkeypatch):
-        monkeypatch.setattr(_solver, "_seed_field", None)
+        monkeypatch.setattr(_solver, "_seeded_guess", None)
         with pytest.raises(ValueError, match="finite"):
             nk.solve_system(mu)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0])
     def test_non_positive_tol_is_rejected_before_any_work(self, tol, monkeypatch):
-        monkeypatch.setattr(_solver, "_seed_field", None)
+        monkeypatch.setattr(_solver, "_seeded_guess", None)
         with pytest.raises(ValueError, match="tol must be positive"):
             nk.solve_system(4.0, tol=tol)
 
