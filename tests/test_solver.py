@@ -258,12 +258,18 @@ class TestSolveSeeded:
         for mu in (3.5, 40.0):
             assert nk.solve_seeded(mu).residual <= 1e-12
 
-    @pytest.mark.parametrize("mu", [40.0])
-    def test_climbs_the_ladder_past_the_seed_reach(self, mu):
+    def test_sine_seed_breaks_down_past_its_reach(self):
         # straight from the sine seed, the solve breaks down at 40
         grid = nk.get_grid(512)
         with pytest.raises(nk.BreakdownError):
-            nk.solve(mu, nk.AngleField(grid, values=(mu - 3.0) / 9.0 * np.sin(grid.theta)))
+            nk.solve(40.0, nk.AngleField(grid, values=37.0 / 9.0 * np.sin(grid.theta)))
+
+    @pytest.mark.parametrize("mu", [8.75, 10.0, 40.0])
+    def test_climbs_the_ladder_past_the_seed_reach(self, mu):
+        # 8.75 and 10 lay past the reach of the former deep-water series seed
+        # and are now solved straight from the sine seed; 40 lies past the
+        # sine seed's reach and climbs the ladder. Each lands on the branch
+        # that continuation from mu1 traces.
         result = nk.solve_seeded(mu)
         point = nk.trace_branch(3.01, mu).points[-1]
         assert (point.mu, point.n) == (mu, 512)
