@@ -52,10 +52,15 @@ for p in branch.points[::10]:
 
 print()
 print("=== scaled continua: the same wave at half and third period ===")
+print("  built on grid n_fold * n, not solved: sup|Phi| and H/lambda (over the")
+print("  minimal period) carry over from the source")
 point = next(p for p in branch if p.mu > 4)
+print(f"  source ({point.mu:.3f}, Phi) on n = {point.n}: sup|Phi| {point.sup_norm:.6f}, "
+      f"H/lambda {point.wave_height:.6f}, residual {point.residual:.2e}")
 for n_fold in (2, 3):
     scaled = nk.scale_branch_point(point, n_fold)
-    print(f"  ({point.mu:.3f}, Phi) -> ({scaled.mu:.3f}, Phi({n_fold} theta)): "
+    print(f"  -> ({scaled.mu:.3f}, Phi({n_fold} theta)) on n = {scaled.n}: "
+          f"sup|Phi| {scaled.sup_norm:.6f}, H/lambda {scaled.wave_height:.6f}, "
           f"residual {scaled.residual:.2e}")
 
 try:

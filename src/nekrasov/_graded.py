@@ -577,7 +577,7 @@ class GradedCollocation:
         """Solution at fixed nu (nu = 0 is the extreme equation) by the
         damped Newton loop and the restarted-GMRES step the spectral solver
         shares, on the matrix-free jacobian_operator.  nu = 1/mu must be
-        finite and nonnegative.
+        finite and nonnegative, tol positive and finite.
 
         Newton starts from the corner-shaped guess (crest limit pi/6) rather
         than from a finite-nu solution: the finite-nu crest layer carries an
@@ -588,8 +588,8 @@ class GradedCollocation:
         """
         if not (np.isfinite(nu) and nu >= 0.0):
             raise ValueError(f"nu must be finite and nonnegative, got {nu}")
-        if not tol > 0:
-            raise ValueError(f"tol must be positive, got {tol}")
+        if not 0 < tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {tol}")
         phi = (np.pi / 6.0) * (1.0 - self.tau[1:self.n] / np.pi)
         phi, res, iterations = _newton(
             lambda phi: phi - self.operator(phi, nu),

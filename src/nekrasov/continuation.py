@@ -34,7 +34,7 @@ from . import profile as _profile
 from .grid import AngleField
 from .kernel import DEEP, KernelSpec
 from .solver import (TAIL_THRESHOLD, BreakdownError, DivergenceError, SolveResult,
-                     _seeded_guess, get_operator, solve)
+                     _check_mu_tol, _seeded_guess, get_operator, solve)
 
 
 @dataclass
@@ -63,7 +63,8 @@ class BranchPoint:
     is built) and the cone report.  trace_branch also records the Newton
     iterations of the solve on its final grid and its spectral tail in the
     retained band, which the branch writers write, and the max|F| of the
-    corrector's guess on the guess grid, which they leave out."""
+    corrector's guess on the guess grid, which they leave out.  A scaled
+    point (scale_branch_point) carries its source's sup_norm, wave_height, tail."""
 
     mu: float
     field: AngleField
@@ -246,10 +247,10 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                  n_start: int = 512, tol: float = 1e-12, progress=None) -> Branch:
     """Trace the solution branch from mu_start to mu_end.
 
-    mu_start must exceed the first characteristic value of the kernel and
-    both ends must be finite; n_start must be an integer from 4 to N_MAX.
-    Both are checked before any solve (ValueError).  The first point starts
-    from _seeded_guess on n_start points, as in solve_seeded.
+    mu_start must exceed the kernel's first characteristic value, both ends
+    must be finite, tol positive and finite and n_start an integer from 4
+    to N_MAX, all checked before any solve (ValueError).  The first point
+    starts from _seeded_guess on n_start points, as in solve_seeded.
 
     The step rule is fixed by the module constants.  Below GEOMETRIC_START,
     mu advances by steps that start at INITIAL_STEP and grow by GROWTH per
@@ -282,6 +283,7 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                          f"got {n_start!r}")
     if not (math.isfinite(mu_start) and math.isfinite(mu_end)):
         raise ValueError(f"mu_start and mu_end must be finite, got {mu_start}, {mu_end}")
+    _check_mu_tol(mu_start, tol)
     if not mu_end > mu_start:
         raise ValueError("mu_end must exceed mu_start")
 
@@ -351,67 +353,45 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     return branch
 
 
-def _scaled_field(source: AngleField, n_fold: int) -> AngleField:
-    coeffs = source.coefficients
-    significant = np.nonzero(np.abs(coeffs) > 1e-15 * np.abs(coeffs).max())[0]
-    k_top = int(significant.max()) + 1 if significant.size else 1
-    # the verification operator retains n_grid/2 modes; all scaled modes
-    # must fit below that truncation
-    if n_fold * k_top > (1 << 20):
-        raise ReconstructionOverflowError(
-            f"scaled modes reach {n_fold * k_top}; cannot verify")
-    n_grid = source.n
-    while n_fold * k_top > n_grid // 2:
-        n_grid *= 2
-    scaled = np.zeros(n_grid - 1)
-    scaled[n_fold * (significant + 1) - 1] = coeffs[significant]
-    return AngleField.from_coefficients(scaled, n_grid)
-
-
 def scale_branch_point(point: BranchPoint, n_fold: int,
                        spec: KernelSpec = DEEP) -> BranchPoint:
-    """Map a deep-water branch point to the scaled solution (n mu, Phi(n theta)).
+    """The scaled solution (n mu, Phi(n theta)) of a deep-water branch point,
+    n = n_fold: the wave of minimal period lambda/n that leaves (3n, 0).
 
-    Sine coefficients move from mode k to mode n*k, giving the wave of
-    minimal period lambda/n that bifurcates from (3n, 0).  The scaled point
-    is re-verified against 10x the source residual, floored at 1e-11; if
-    the source's spectral tail is too coarse for that, the source is
-    re-solved on doubled grids first.  Raises ReconstructionOverflowError
-    when no feasible grid remains.  n_fold must be an integer of at least 1
-    (ValueError).
+    Built, not solved, on grid n * point.n with the source's coefficient k
+    at mode n k: its nodes times n are the source's, I_s(theta) = I(n theta)/n
+    and B's factor there is 1/(3 n k), so the operator at n mu maps it as
+    the source's maps the source, and the residual is the source's up to
+    rounding.  It carries over the source's sup_norm, wave_height (H/lambda
+    over its minimal period) and tail.  n_fold must be an integer of at
+    least 1 (ValueError); 1 returns point.  Raises ReconstructionOverflowError
+    for a grid above 16 N_MAX = 2^21, before building it, and for a
+    residual above 10x the source's, floored at 1e-11.
     """
-    if not (isinstance(n_fold, (int, np.integer)) and n_fold >= 1):
+    if isinstance(n_fold, bool) or not isinstance(n_fold, (int, np.integer)) or n_fold < 1:
         raise ValueError(f"n_fold must be an integer of at least 1, got {n_fold!r}")
     if not spec.is_infinite:
         raise ValueError("the scaling family exists only on deep water")
     if n_fold == 1:
         return point
-    tol = 10.0 * max(point.residual, 1e-12)
-    mu_new = n_fold * point.mu
-    source = point.field
-    residual = np.inf
-    field = None
-    for _ in range(5):
-        field = _scaled_field(source, n_fold)
-        op = get_operator(field.n, spec)
-        residual = op.residual(field.values, mu_new)
-        if residual <= tol:
-            break
-        if source.n * 2 > (1 << 19):
-            raise ReconstructionOverflowError(
-                f"scaled point residual {residual:.3e} exceeds {tol:.3e} "
-                "and no finer grid is feasible")
-        source = solve(point.mu, source.resample(source.n * 2),
-                       tol=max(point.residual, 1e-13), spec=spec).field
-    else:
-        raise ReconstructionOverflowError(
-            f"scaled point residual {residual:.3e} exceeds {tol:.3e} "
-            "after refinement")
-    return _branch_point(mu_new, field, residual)
+    n = n_fold * point.field.n
+    if n > 16 * N_MAX:
+        raise ReconstructionOverflowError(f"scaled grid {n} exceeds 16 N_MAX = {16 * N_MAX}")
+    coeffs = np.zeros(n - 1)
+    coeffs[n_fold - 1::n_fold] = point.field.coefficients
+    field = AngleField.from_coefficients(coeffs, n)
+    mu = n_fold * point.mu
+    residual = get_operator(n, spec).residual(field.values, mu)
+    if residual > 10.0 * max(point.residual, 1e-12):
+        raise ReconstructionOverflowError(f"scaled residual {residual:.3e} exceeds 10 max("
+                                          f"source residual {point.residual:.3e}, 1e-12)")
+    return BranchPoint(mu=mu, field=field, sup_norm=point.sup_norm,
+                       wave_height=point.wave_height, residual=residual, n=field.n,
+                       cone=cone_membership(field), tail=point.tail)
 
 
 class ReconstructionOverflowError(RuntimeError):
-    """Scaled modes exceed the available truncation; refinement required."""
+    """A scaled point's grid exceeds the cap, or its residual its bound."""
 
 
 def branch_extrema(branch: Branch) -> BranchExtrema:

@@ -74,10 +74,10 @@ def grant_number(tol: float = 1e-12) -> float:
 
     Bisection on the continuous rearrangement
     h(b) = sqrt(3)(1 + b) cos(pi b/2) - sin(pi b/2), which changes sign
-    exactly once on (0, 1).
+    exactly once on (0, 1), to a bracket of width tol, positive and finite.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
     def h(b):
         return math.sqrt(3.0) * (1.0 + b) * math.cos(0.5 * math.pi * b) \

@@ -366,16 +366,16 @@ def _krylov_step(jacobian, f, target):
 
 
 def _check_mu_tol(mu: float, tol: float) -> None:
-    """Raise ValueError unless mu is positive and finite and tol is positive:
-    the spectral route is ill-posed at nu = 0, and a tol of zero or below
-    can never be met."""
+    """Raise ValueError unless mu and tol are positive and finite: the
+    spectral route is ill-posed at nu = 0, a tol of zero or below can never
+    be met, and an infinite one is met by any guess."""
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}; the extreme wave "
                          "(mu = inf) is solved by solve_extreme()")
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def solve(mu: float, initial: AngleField, method: str = "newton",

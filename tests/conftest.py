@@ -1,5 +1,6 @@
 import os
 import sys
+import time
 from pathlib import Path
 
 # One BLAS thread, set before numpy loads: the first LAPACK call of a
@@ -35,6 +36,16 @@ def wave_35() -> nk.SolveResult:
 def small_branch() -> nk.Branch:
     """Branch over [3.05, 8] used by several diagnostics tests."""
     return nk.trace_branch(3.05, 8.0)
+
+
+@pytest.fixture(scope="session")
+def long_branch() -> nk.Branch:
+    """The paper's branch over [3.01, 1e4], with its wall time in
+    metadata["elapsed"]."""
+    t0 = time.time()
+    branch = nk.trace_branch(3.01, 1e4)
+    branch.metadata["elapsed"] = time.time() - t0
+    return branch
 
 
 @pytest.fixture(scope="session")

@@ -19,14 +19,6 @@ def report(criterion: str, detail: str):
     print(f"ACCEPTANCE {criterion}: PASS ({detail})")
 
 
-@pytest.fixture(scope="module")
-def long_branch():
-    t0 = time.time()
-    branch = nk.trace_branch(3.01, 1e4)
-    branch.metadata["elapsed"] = time.time() - t0
-    return branch
-
-
 def test_criterion_01_eigenstructure():
     t0 = time.time()
     worst = 0.0
@@ -150,7 +142,7 @@ def test_criterion_05_cone_membership(long_branch):
 
 def test_criterion_06_scaled_continua(long_branch):
     idx = np.unique(np.linspace(0, len(long_branch) - 1, 20).astype(int))
-    worst = 0.0
+    worst = drift = 0.0
     for n_fold in (2, 3):
         for i in idx:
             p = long_branch.points[i]
@@ -159,8 +151,14 @@ def test_criterion_06_scaled_continua(long_branch):
             assert scaled.residual <= tol, (
                 f"mu={p.mu:g} n_fold={n_fold}: {scaled.residual:.2e} > {tol:.2e}")
             worst = max(worst, scaled.residual)
+            # the same wave at 1/n_fold of the period: its sup-norm and its
+            # H/lambda over its own minimal period are the source's
+            assert (scaled.sup_norm, scaled.wave_height) == (p.sup_norm, p.wave_height)
+            drift = max(drift, abs(scaled.field.sup_norm() - p.sup_norm))
+    assert drift <= 1e-15
     report("06 scaled continua",
-           f"{2 * len(idx)} scaled points, max residual {worst:.1e} <= 10 tol")
+           f"{2 * len(idx)} scaled points, max residual {worst:.1e} <= 10 tol, "
+           f"sup-norm recomputed to {drift:.1e}")
 
 
 def test_criterion_07_stokes_angle(extreme_direct):

@@ -124,6 +124,12 @@ class TestSolveAndProfile:
     def test_negative_mu_is_validation_error(self, tmp_path):
         assert run(tmp_path, "solve", "--mu", "-3.0") == 2
 
+    def test_infinite_tol_is_validation_error(self, tmp_path, capsys):
+        # not a 0-iteration solve written out as "resolved"
+        assert run(tmp_path, "solve", "--mu", "3.5", "--tol", "inf") == 2
+        assert "tol must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "solution.csv").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--g", "nan"), ("--g", "-1"), ("--wavelength", "inf"), ("--wavelength", "0")])
     def test_bad_wavelength_or_g_is_validation_error(self, tmp_path, capsys, monkeypatch,
@@ -168,6 +174,15 @@ class TestBranch:
         monkeypatch.setattr(nekrasov.continuation, "_converge_resolved", no_solve)
         monkeypatch.setattr(nekrasov.continuation, "_seeded_guess", no_solve)
         assert run(tmp_path, "branch", "--mu-end", mu_end) == 2
+
+    def test_infinite_tol_is_validation_error(self, tmp_path, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started before the input was checked")
+
+        monkeypatch.setattr(nekrasov.continuation, "_converge_resolved", no_solve)
+        monkeypatch.setattr(nekrasov.continuation, "_seeded_guess", no_solve)
+        assert run(tmp_path, "branch", "--mu-end", "3.2", "--tol", "inf") == 2
+        assert not (tmp_path / "branch.csv").exists()
 
     def test_start_past_the_seed_reach(self, tmp_path, capsys):
         # the series seed alone breaks down at mu = 10; the branch starts from

@@ -60,6 +60,15 @@ class TestTraceBranch:
         with pytest.raises(ValueError, match="finite"):
             call()
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0])
+    def test_bad_tol_fails_before_solving(self, monkeypatch, tol):
+        # an infinite tol is met by any guess: every point would come back
+        # "converged" after 0 iterations
+        monkeypatch.setattr(continuation, "_converge_resolved", _no_solve)
+        monkeypatch.setattr(continuation, "_seeded_guess", _no_solve)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            nk.trace_branch(3.01, 3.2, tol=tol)
+
     @pytest.mark.parametrize("n_start", [2, continuation.N_MAX * 2, 512.0, "512"],
                              ids=["n-start-below-4", "n-max-below-n-start", "n-start-float",
                                   "n-start-str"])
@@ -450,10 +459,60 @@ class TestScaledContinua:
         assert scaled.residual == op.residual(scaled.field.values, scaled.mu)
         assert scaled.residual <= tol
 
-    @pytest.mark.parametrize("n_fold", [2.0, 2.5, 0, -1])
+    @pytest.mark.parametrize("n_fold", [2.0, 2.5, 0, -1, True])
     def test_n_fold_must_be_a_positive_integer(self, small_branch, n_fold):
         with pytest.raises(ValueError, match="n_fold"):
             nk.scale_branch_point(small_branch.points[0], n_fold)
+
+    def test_numpy_integer_n_fold(self, small_branch):
+        p = small_branch.points[5]
+        scaled = nk.scale_branch_point(p, np.int64(3))
+        assert scaled.n == 3 * p.n and scaled.mu == 3 * p.mu
+
+    def test_long_branch_scales_without_solving(self, long_branch, monkeypatch):
+        # the scaled field is the exact image of its source on grid 3n, so
+        # no point is re-solved, and its residual is the source's up to
+        # rounding
+        monkeypatch.setattr(continuation, "solve", _no_solve)
+        for p in long_branch:
+            scaled = nk.scale_branch_point(p, 3)
+            assert scaled.n == 3 * p.n
+            assert scaled.residual <= p.residual + 5e-13
+            assert scaled.iterations is None and scaled.guess_residual is None
+
+    def test_scaled_grid_is_capped_before_it_is_built(self, small_branch, monkeypatch):
+        # 16 N_MAX = 2^21 points is the largest scaled grid: one fold past it
+        # fails before a field or an operator is made, one at it goes on
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a scaled grid was built")
+
+        monkeypatch.setattr(continuation.AngleField, "from_coefficients", no_grid)
+        monkeypatch.setattr(continuation, "get_operator", no_grid)
+        p = small_branch.points[0]
+        n_fold = 16 * continuation.N_MAX // p.n
+        assert n_fold * p.n == 1 << 21
+        with pytest.raises(nk.ReconstructionOverflowError, match="16 N_MAX"):
+            nk.scale_branch_point(p, n_fold + 1)
+        with pytest.raises(AssertionError, match="scaled grid was built"):
+            nk.scale_branch_point(p, n_fold)
+
+    @pytest.mark.parametrize("n_fold", [2, 3, 5])
+    def test_carried_values_match_the_scaled_wave(self, small_branch, n_fold):
+        # the carried sup-norm, tail and H/lambda are the scaled field's own:
+        # its sup-norm and tail recomputed, and the height of its surface
+        # over one minimal period (crest at 0, trough at pi/n_fold)
+        p = small_branch.points[10]
+        scaled = nk.scale_branch_point(p, n_fold)
+        assert (scaled.sup_norm, scaled.tail, scaled.wave_height) == (
+            p.sup_norm, p.tail, p.wave_height)
+        assert scaled.field.sup_norm() == pytest.approx(p.sup_norm, abs=1e-15)
+        assert scaled.field.spectral_tail(band=scaled.n // 2) == p.tail
+        surface = nk.reconstruct_profile(scaled.field, scaled.mu)
+        trough = scaled.n // n_fold
+        assert surface.theta[trough] == pytest.approx(np.pi / n_fold, rel=1e-15)
+        height = surface.eta[0] - surface.eta[trough]
+        wavelength = 2.0 * (surface.x[0] - surface.x[trough])
+        assert height / wavelength == pytest.approx(p.wave_height, rel=1e-13)
 
     def test_scaling_requires_deep_water(self, small_branch):
         with pytest.raises(ValueError):

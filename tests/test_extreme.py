@@ -40,6 +40,9 @@ class TestGrantNumber:
     def test_validation(self):
         with pytest.raises(ValueError):
             nk.grant_number(-1e-6)
+        # an infinite tol would stop the bisection at once, at 0.5
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            nk.grant_number(math.inf)
 
 
 class TestConstantSolution:
@@ -408,7 +411,9 @@ def _exact_weight(tau, theta, j, method="gauss-legendre"):
 @pytest.mark.parametrize("kwargs", [
     {"n_nodes": 0}, {"n_nodes": 1}, {"grading": 0.0}, {"grading": -1.0},
     {"grading": np.nan}, {"grading": np.inf}, {"tol": np.nan}, {"tol": -1.0},
-    {"tol": 0.0}, {"n_nodes": 200.7}, {"n_nodes": 200.0}, {"n_nodes": "200"}])
+    {"tol": 0.0}, {"n_nodes": 200.7}, {"n_nodes": 200.0}, {"n_nodes": "200"},
+    # GradedCollocation.solve would hand back its corner guess, unsolved
+    {"tol": np.inf}])
 def test_direct_rejects_ill_posed_input(kwargs):
     with pytest.raises(ValueError, match="n_nodes|grading|tol"):
         nk.solve_extreme(**kwargs)

@@ -210,6 +210,17 @@ class TestSolve:
             with pytest.raises(ValueError, match="unknown method"):
                 nk.solve(3.2, init, method=method)
 
+    @pytest.mark.parametrize("entry", [
+        lambda: nk.solve(3.5, nk.AngleField.zero(64), tol=np.inf),
+        lambda: nk.solve_seeded(3.5, n=64, tol=np.inf),
+        lambda: nk.solve_system(3.5, n=64, tol=np.inf),
+    ], ids=["solve", "solve_seeded", "solve_system"])
+    def test_infinite_tol_is_rejected(self, entry):
+        # any guess meets an infinite tol, so the guess would come back as
+        # "converged" after 0 iterations
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            entry()
+
     @pytest.mark.parametrize("mu", [np.inf, np.nan])
     def test_non_finite_mu_is_rejected(self, mu):
         # a physical seed: at mu = inf the ill-posed spectral route would
