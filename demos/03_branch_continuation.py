@@ -4,13 +4,13 @@ From the bifurcation point mu = 3 the branch of deep-water waves is
 followed in mu with a Newton corrector, by additive steps up to mu = 10
 and by a factor 1.25 per point beyond, each guess extrapolated in log mu
 through the last four points; the grid refines itself as the crest
-sharpens.  The crest layer, of width ~1/mu, turns self-similar in
-mu * theta, so each geometric guess also adds the previous step's miss
-stretched to the new crest scale (the guess residual column below).
-Along the way every solution is checked against the cone conditions
-(nonnegativity, ratio monotonicity, tail ordering) and the classical
-amplitude bound is tabulated; the sup-norm creeps toward the extreme-wave
-range between pi/6 and 0.5434.
+sharpens.  The crest layer is about 1/mu wide: once the uniform grid
+would need refining, the points move onto the crest-clustered map
+tan(theta/2) = L tan(q/2) with L = 1/sqrt(mu) (the L column below), and
+the grid grows from there.  Along the way every solution is checked
+against the cone conditions (nonnegativity, ratio monotonicity, tail
+ordering) and the classical amplitude bound is tabulated; the sup-norm
+creeps toward the extreme-wave range between pi/6 and 0.5434.
 """
 
 import numpy as np
@@ -23,9 +23,9 @@ print("=== branch from mu = 3.01 to mu = 2000 ===")
 branch = nk.trace_branch(3.01, 2000.0)
 print(f"  {len(branch)} points, truncated: {branch.truncated}")
 print()
-print("  mu          n      sup|Phi| (deg)  height/lambda  residual  guess res.  cone")
+print("  mu          n     L       sup|Phi| (deg)  height/lambda  residual  guess res.  cone")
 for p in branch.points[::4] + [branch.points[-1]]:
-    print(f"  {p.mu:9.2f} {p.n:7d}   {np.degrees(p.sup_norm):8.4f}      "
+    print(f"  {p.mu:9.2f} {p.n:7d}  {p.field.grid.L:.4f}   {np.degrees(p.sup_norm):8.4f}      "
           f"{p.wave_height:9.6f}    {p.residual:.1e}   {p.guess_residual:.1e}   "
           f"{p.cone.all_ok}")
 

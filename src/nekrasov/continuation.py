@@ -5,19 +5,14 @@ value (mu = 3 on deep water) and is followed in mu by a predictor that
 extrapolates the sine coefficients of the last PREDICTOR_POINTS accepted
 points in log mu (Lagrange, cubic once four points exist), with a Newton
 corrector.  The grid is refined automatically whenever the sine spectrum of
-a converged point stops decaying, which happens as the crest boundary layer
-sharpens for large mu.  Each refinement moves to the next size of the form
-2^k or 3 * 2^k (512 -> 768 -> 1024 -> 1536 -> ... -> 98304 -> 131072 =
-N_MAX), so a point that outgrows its grid moves to one at most 1.5x
-larger.
-
-Near the highest wave that layer, of width ~1/mu, is self-similar in
-mu * theta (Longuet-Higgins & Fox, J. Fluid Mech. 80, 1977), and so is the
-extrapolation's miss: the plain guess misses by about the same max|F| at
-every geometric point, peaked at a fixed multiple of 1/mu.  Each geometric
-guess therefore adds the previous geometric step's miss, stretched to the
-new crest scale (see trace_branch), which leaves a far smaller miss, and
-those points need one Newton iteration fewer.
+a converged point stops decaying, as the crest boundary layer, of width
+about 1/mu, sharpens for large mu.  On deep water the first refinement
+moves onto the crest-clustered conformal grid tan(theta/2) = L tan(q/2) of
+Lushnikov, Dyachenko & Silantyev (Proc. R. Soc. A 473, 2017), under which
+Nekrasov's kernel is invariant (SineGrid), and each later point sits on
+L = min(1, 1/sqrt(mu)).  Every other refinement moves to the next size of
+the form 2^k or 3 * 2^k (512 -> 768 -> 1024 -> ... -> 131072 = N_MAX), at
+most 1.5x larger.
 
 trace_branch starts at mu_start from solver._seeded_guess, as solve_seeded
 does, and refines the grid from there.
@@ -31,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import profile as _profile
-from .grid import AngleField
+from .grid import AngleField, get_grid
 from .kernel import DEEP, KernelSpec
 from .solver import (TAIL_THRESHOLD, BreakdownError, DivergenceError, SolveResult,
                      _check_mu_tol, _seeded_guess, get_operator, solve)
@@ -133,7 +128,7 @@ def cone_membership(field: AngleField) -> ConeReport:
     increases = np.diff(ratio)
     ratio_violation = max(0.0, float(increases.max(initial=0.0)))
 
-    tail_violation = _tail_violation(v)
+    tail_violation = _tail_violation(v, None if field.grid.L == 1.0 else theta)
 
     return ConeReport(
         nonneg_ok=neg_violation <= CONE_EPS,
@@ -143,21 +138,29 @@ def cone_membership(field: AngleField) -> ConeReport:
     )
 
 
-def _tail_violation(v: np.ndarray) -> float:
-    """Largest excess of Phi(t) over min Phi on [pi - t, t], t >= pi/2.
+def _tail_violation(v: np.ndarray, theta: np.ndarray | None = None) -> float:
+    """Largest excess of Phi(t) over min Phi on [pi - t, t] over the nodes
+    t >= pi/2; theta holds a mapped grid's nodes, None the uniform grid's.
 
-    The window is symmetric about pi/2, so its minimum is the smaller of
-    the running minima taken outward from pi/2 on either side.  Grid index
-    i is theta_{i+1}, so theta_{i+1} and pi - theta_{i+1} = theta_{n-1-i}
-    sit at indices i and n - 2 - i of the n - 1 values.  The t >= pi/2
-    start at index (n - 1) // 2, their mirrors run down from n // 2 - 1:
-    the same index, pi/2 itself, on an even grid; the node just below
-    pi/2 on an odd one.
+    Each window's minimum is the smaller of the running minimum from pi/2
+    up to t and the minimum of the nodes below pi/2 from its lower end on.
+    The uniform grid pairs by index, as pi - t rounds off the mirror node:
+    index i, theta_{i+1}, has theta_{n-1-i} at index n - 2 - i, and the t
+    >= pi/2 start at (n - 1) // 2.  A mapped grid pairs no nodes, so the
+    window's lower end is found on the nodes.
     """
-    right = v[v.size // 2:]
-    left_min = np.minimum.accumulate(v[(v.size + 1) // 2 - 1::-1])
-    window_min = np.minimum(np.minimum.accumulate(right), left_min)
-    return max(0.0, float((right - window_min).max()))
+    if theta is None:
+        first = v.size // 2
+        lower = v.size - 1 - np.arange(first, v.size)
+    else:
+        first = int(np.searchsorted(theta, 0.5 * np.pi))
+        lower = np.searchsorted(theta, np.pi - theta[first:])
+    # below[j] = min of the nodes j .. first - 1, inf for none
+    below = np.append(np.minimum.accumulate(v[:first][::-1])[::-1], np.inf)
+    right = v[first:]
+    window_min = np.minimum(np.minimum.accumulate(right), below[lower])
+    # on a coarse mapped grid no node may reach pi/2
+    return float((right - window_min).max(initial=0.0))
 
 
 def _branch_point(mu: float, field: AngleField, residual: float,
@@ -186,61 +189,47 @@ def _next_grid(n: int) -> int:
     return 3 * power // 2 if 3 * power // 2 > n else 2 * power
 
 
+def _map_parameter(mu: float) -> float:
+    """The map parameter L = min(1, 1/sqrt(mu)) of a mapped branch point."""
+    return min(1.0, 1.0 / math.sqrt(mu))
+
+
+def _refined(field: AngleField, mu: float, spec: KernelSpec) -> AngleField | None:
+    """The field on the next grid up: on deep water a uniform field moves
+    onto the map L = _map_parameter(mu) on the same n, any other to the
+    next ladder size (_next_grid) on its own map; None at N_MAX."""
+    if spec.is_infinite and field.grid.L == 1.0:
+        return field.resample(field.n, _map_parameter(mu))
+    return field.resample(_next_grid(field.n)) if field.n < N_MAX else None
+
+
 def _converge_resolved(mu, guess, spec, tol):
-    """Solve at mu, re-solving on the next grid of the ladder (_next_grid)
-    until the spectral tail decays or n reaches N_MAX; the result may be
-    unresolved at N_MAX.  Returns the last grid's result and the max|F| of
-    the guess."""
+    """Solve at mu, re-solving on the next grid up (_refined) until the
+    spectral tail decays or n reaches N_MAX; the result may be unresolved
+    at N_MAX.  Returns the last grid's result and the max|F| of the
+    guess."""
     result = _corrector(mu, guess, spec, tol)
     guess_residual = result.initial_residual
-    while not result.resolved and result.field.n < N_MAX:
-        result = _corrector(mu, result.field.resample(_next_grid(result.field.n)), spec, tol)
+    while not result.resolved and (field := _refined(result.field, mu, spec)) is not None:
+        result = _corrector(mu, field, spec, tol)
     return result, guess_residual
 
 
-def _predict(points: list[BranchPoint], mu: float) -> AngleField:
+def _predict(points: list[BranchPoint], mu: float, L: float = 1.0) -> AngleField:
     """Lagrange extrapolation in log mu through the given points to mu,
-    coefficient by coefficient on the finest grid among them; a single
-    point is its own prediction."""
-    if len(points) == 1:
-        return points[0].field
+    coefficient by coefficient on the finest grid among them with map
+    parameter L, onto which AngleField.resample brings each point (8-point
+    Lagrange in q from another map).  A single point is its own prediction."""
     n = max(p.n for p in points)
+    if len(points) == 1:
+        return points[0].field.resample(n, L)
     logs = [math.log(p.mu) for p in points]
     t = math.log(mu)
     coeffs = np.zeros(n - 1)
     for i, p in enumerate(points):
         weight = math.prod((t - x) / (logs[i] - x) for j, x in enumerate(logs) if j != i)
-        coeffs += weight * p.field.resample(n).coefficients
-    return AngleField.from_coefficients(coeffs, n)
-
-
-def _node_polynomial(points: list[BranchPoint], mu: float) -> float:
-    """prod (log mu - log mu_i) over the points: _predict's error through
-    them scales with it."""
-    t = math.log(mu)
-    return math.prod(t - math.log(p.mu) for p in points)
-
-
-def _stretch(values: np.ndarray, ratio: float, n: int) -> np.ndarray:
-    """e(ratio * theta) on the interior of grid n, for the odd 2 pi-periodic
-    e given by its interior values on its own grid.
-
-    4-point Lagrange interpolation in the grid index, on one period of the
-    odd extension (zero at 0 and pi, e(2 pi - theta) = -e(theta)), so the
-    stencil reaches past both ends.  At ratio 1 on its own grid the result
-    is the input, bitwise.
-    """
-    m = values.size + 1
-    period = np.concatenate(([0.0], values, [0.0], -values[::-1]))
-    x = np.arange(1, n) * (ratio * m / n)
-    i = x.astype(np.intp)
-    s = x - i
-    a, b, c, d = (np.take(period, i + k, mode="wrap") for k in (-1, 0, 1, 2))
-    # the cubic through (-1, a), (0, b), (1, c), (2, d) in powers of s
-    c3 = (d - a) / 6.0 + 0.5 * (b - c)
-    c2 = 0.5 * (a + c) - b
-    c1 = c - b - c2 - c3
-    return b + s * (c1 + s * (c2 + s * c3))
+        coeffs += weight * p.field.resample(n, L).coefficients
+    return AngleField(get_grid(n, L), coefficients=coeffs)
 
 
 def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
@@ -260,17 +249,17 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     until it falls below MIN_STEP.  Each corrector starts from the log-mu
     extrapolation through the last PREDICTOR_POINTS accepted points (see
     _predict), on the finest grid among them, so a refinement carries
-    over to every later guess.  On a geometric step the guess also
-    carries the last geometric step's miss (accepted field minus its plain
-    guess), stretched in theta by the ratio of the two mu and scaled by the
-    ratio of the two steps' node polynomials in log mu.  The grid starts at
-    n_start and moves up the ladder of sizes 2^k and 3 * 2^k (_next_grid),
-    up to N_MAX, while the spectral tail of a converged point exceeds
-    TAIL_THRESHOLD.  On a geometric step the grid first moves up that
-    ladder, up to N_MAX, while the plain guess's own tail exceeds
-    TAIL_THRESHOLD, before the miss is added and the corrector runs; the
-    prediction reads the solved tail low, so the re-solve after a
-    converged point stays as the fallback.
+    over to every later guess.  The grid starts uniform, on n_start
+    points, and moves up (_refined) while the spectral tail of a converged
+    point exceeds TAIL_THRESHOLD: on deep water the first move is onto the
+    map tan(theta/2) = L tan(q/2) (SineGrid) at the same n, after which
+    each guess is predicted onto L = min(1, 1/sqrt(mu_next)), for a crest
+    layer about 1/mu wide; every other move goes up the ladder of sizes
+    2^k and 3 * 2^k in q (_next_grid), up to N_MAX.  On a geometric step
+    the guess first moves up in the same way while its own tail exceeds
+    TAIL_THRESHOLD, before the corrector runs; the prediction can read the
+    solved tail low, so the re-solve after a converged point stays as the
+    fallback.
 
     Every accepted point satisfies the residual bound on its own grid and
     is spectrally resolved.  The branch is returned truncated, with a
@@ -295,9 +284,6 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
     result = None
     step = INITIAL_STEP
     ratio = GEOMETRIC_RATIO
-    # the last geometric step's predictor miss: (accepted field - plain guess)
-    # on the accepted grid, its mu and its node polynomial
-    miss = None
     while candidate is not None:
         if not candidate.resolved:
             branch.failure = (f"unresolved at mu={candidate.mu:g}: spectral tail "
@@ -323,17 +309,11 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
         while candidate is None:
             geometric = result.mu >= GEOMETRIC_START
             mu_next = min(result.mu * ratio if geometric else result.mu + step, mu_end)
-            nodes = branch.points[-PREDICTOR_POINTS:]
-            plain = _predict(nodes, mu_next)
-            while (geometric and plain.n < N_MAX
-                   and plain.spectral_tail(band=plain.n // 2) > TAIL_THRESHOLD):
-                plain = plain.resample(_next_grid(plain.n))
-            guess = plain
-            if geometric and miss is not None:
-                values, mu_last, last_polynomial = miss
-                factor = _node_polynomial(nodes, mu_next) / last_polynomial
-                guess = AngleField(plain.grid, values=plain.values + factor * _stretch(
-                    values, mu_next / mu_last, plain.n))
+            L = 1.0 if result.field.grid.L == 1.0 else _map_parameter(mu_next)
+            guess = _predict(branch.points[-PREDICTOR_POINTS:], mu_next, L)
+            while (geometric and guess.spectral_tail(band=guess.n // 2) > TAIL_THRESHOLD
+                   and (refined := _refined(guess, mu_next, spec)) is not None):
+                guess = refined
             try:
                 candidate, guess_residual = _converge_resolved(mu_next, guess, spec, tol)
             except (DivergenceError, BreakdownError) as exc:
@@ -344,11 +324,6 @@ def trace_branch(mu_start: float, mu_end: float, spec: KernelSpec = DEEP,
                 if (ratio - 1.0 if geometric else step) < MIN_STEP:
                     branch.failure = f"corrector failed near mu={mu_next:g}: {exc}"
                     break
-            else:
-                if geometric:
-                    accepted = candidate.field
-                    miss = (accepted.values - plain.resample(accepted.n).values, mu_next,
-                            _node_polynomial(nodes, mu_next))
     branch.truncated = branch.failure is not None
     return branch
 
@@ -364,14 +339,19 @@ def scale_branch_point(point: BranchPoint, n_fold: int,
     the source's maps the source, and the residual is the source's up to
     rounding.  It carries over the source's sup_norm, wave_height (H/lambda
     over its minimal period) and tail.  n_fold must be an integer of at
-    least 1 (ValueError); 1 returns point.  Raises ReconstructionOverflowError
-    for a grid above 16 N_MAX = 2^21, before building it, and for a
-    residual above 10x the source's, floored at 1e-11.
+    least 1 (ValueError); 1 returns point.  A point on a mapped grid has no
+    exact n-fold image, since the map does not commute with theta -> n theta,
+    and raises ValueError: scale a solve on the uniform grid instead.  Raises
+    ReconstructionOverflowError for a grid above 16 N_MAX = 2^21, before
+    building it, and for a residual above 10x the source's, floored at 1e-11.
     """
     if isinstance(n_fold, bool) or not isinstance(n_fold, (int, np.integer)) or n_fold < 1:
         raise ValueError(f"n_fold must be an integer of at least 1, got {n_fold!r}")
     if not spec.is_infinite:
         raise ValueError("the scaling family exists only on deep water")
+    if point.field.grid.L != 1.0:
+        raise ValueError(f"the point at mu={point.mu:g} is on a mapped grid and has no "
+                         "exact scaled image; scale a solve on the uniform grid")
     if n_fold == 1:
         return point
     n = n_fold * point.field.n

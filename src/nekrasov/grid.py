@@ -1,9 +1,11 @@
-"""Uniform sine-spectral grid on (0, pi) and odd angle fields.
+"""Sine-spectral grid on (0, pi), uniform or crest-clustered, and odd angle fields.
 
 The tangent angle of a symmetric periodic wave is an odd 2pi-periodic
 function, zero at theta = 0 and theta = pi.  Working on the interior grid
-theta_j = j*pi/n with a sine basis hard-codes that symmetry: every field
-handled here is implicitly extended by Phi(-theta) = -Phi(theta).
+q_j = j*pi/n with a sine basis hard-codes that symmetry: every field
+handled here is implicitly extended by Phi(-theta) = -Phi(theta).  The
+nodes are theta_j = q_j, or on a mapped grid theta(q_j) with tan(theta/2)
+= L tan(q/2), which keeps that symmetry; every transform acts in q.
 
 The grid's transforms are scipy's unnormalised DST-I on the n - 1 interior
 values and DCT-I on the n + 1 closed-grid values, computed by pocketfft
@@ -31,9 +33,10 @@ upper half is zero the split needs no x_{n-j} terms, so _dst1_padded hands
 back the DST-III of each odd half and the last grid's _dst1 as separate
 pieces, and the max over them is bitwise the max of the full transform.
 
-get_grid hands every caller the same SineGrid for a given n (numpy's
-integers included), and antiderivative_closed writes through that grid's
-one closed-grid scratch array, so a grid is safe for one thread at a time.
+get_grid hands every caller the same SineGrid for a given (n, L) (numpy's
+integers included) while it stays among the GRID_CACHE most recently used,
+and antiderivative_closed writes through that grid's one closed-grid
+scratch array, so a grid is safe for one thread at a time.
 """
 
 from __future__ import annotations
@@ -99,21 +102,45 @@ def _grid_size(n) -> int:
 
 
 class SineGrid:
-    """Interior nodes theta_j = j*pi/n, j = 1..n-1, with DST-I transforms."""
+    """Interior nodes theta_j = theta(q_j), q_j = j*pi/n, j = 1..n-1, with
+    DST-I transforms in q.
 
-    def __init__(self, n: int):
+    The map tan(theta/2) = L tan(q/2), 0 < L <= 1, clusters the nodes at the
+    crest theta = 0 (Lushnikov, Dyachenko & Silantyev, Proc. R. Soc. A 473,
+    2017); a field is odd and 2 pi-periodic in q as in theta, so every
+    transform is in q and dtheta holds theta'(q) = L / (cos^2(q/2) +
+    L^2 sin^2(q/2)).  L = 1 is the uniform grid, theta = q, theta' = 1.
+    """
+
+    def __init__(self, n: int, L: float = 1.0):
         self.n = _grid_size(n)
-        self.theta = np.arange(1, self.n) * (np.pi / self.n)
+        if not 0.0 < L <= 1.0:
+            raise ValueError(f"the map parameter L must lie in (0, 1], got {L!r}")
+        self.L = float(L)
         self.modes = np.arange(1, self.n)
         # closed grid includes the endpoints theta = 0 and theta = pi
-        self.theta_closed = np.arange(0, self.n + 1) * (np.pi / self.n)
+        self.q_closed = q = np.arange(0, self.n + 1) * (np.pi / self.n)
+        self.theta_closed, self.dtheta_closed = q, np.ones(self.n + 1)
+        if L != 1.0:
+            sin, cos = np.sin(0.5 * q), np.cos(0.5 * q)
+            self.theta_closed = 2.0 * np.arctan2(L * sin, cos)
+            self.theta_closed[-1] = np.pi
+            self.dtheta_closed = L / (cos * cos + L * L * sin * sin)
+        self.theta = self.theta_closed[1:-1]
+        self.dtheta = self.dtheta_closed[1:-1]
         # antiderivative_closed's factors 1/(2nk) and its closed-grid input,
         # whose two end values stay zero
         self._half_inv_nk = 0.5 / (self.n * self.modes)
         self._closed = np.zeros(self.n + 1)
 
+    def q_of(self, theta: np.ndarray) -> np.ndarray:
+        """The map's inverse, q = 2 arctan(tan(theta/2) / L), continuous in
+        theta and equal to theta modulo 2 pi."""
+        half = 0.5 * np.asarray(theta, dtype=float)
+        return 2.0 * np.arctan2(np.sin(half), self.L * np.cos(half))
+
     def __repr__(self) -> str:
-        return f"SineGrid(n={self.n})"
+        return f"SineGrid(n={self.n}, L={self.L!r})"
 
     def to_coefficients(self, values: np.ndarray) -> np.ndarray:
         """Sine coefficients b_k of the interpolant sum b_k sin(k theta)."""
@@ -156,7 +183,7 @@ class SineGrid:
         return out
 
     def evaluate_sine(self, coeffs: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Evaluate sum b_k sin(k theta) at arbitrary points (direct sum)."""
+        """Evaluate sum b_k sin(k q) at arbitrary points q (direct sum)."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         out = np.zeros_like(theta)
         # chunk over modes to bound the temporary outer-product size
@@ -167,13 +194,21 @@ class SineGrid:
         return out
 
 
-def get_grid(n: int) -> SineGrid:
-    return _cached_grid(_grid_size(n))
+def get_grid(n: int, L: float = 1.0) -> SineGrid:
+    """The grid of n points with map parameter L, cached on (n, L) for the
+    GRID_CACHE most recently used keys."""
+    return _cached_grid(_grid_size(n), float(L))
 
 
-@functools.cache
-def _cached_grid(n: int) -> SineGrid:
-    return SineGrid(n)
+GRID_CACHE = 32
+# AngleField.resample's Lagrange stencil j = -3..4, weight denominators prod_{l != j} (j - l)
+_STENCIL = np.arange(-3, 5)[:, None]
+_STENCIL_SCALE = np.prod(_STENCIL - _STENCIL.T + np.eye(8), axis=1, keepdims=True)
+
+
+@functools.lru_cache(maxsize=GRID_CACHE)
+def _cached_grid(n: int, L: float) -> SineGrid:
+    return SineGrid(n, L)
 
 
 class AngleField:
@@ -229,7 +264,9 @@ class AngleField:
         return self._coeffs
 
     def __call__(self, theta) -> np.ndarray:
-        return self.grid.evaluate_sine(self.coefficients, theta)
+        """Phi at the angles theta, through q = grid.q_of(theta) on a mapped grid."""
+        grid = self.grid
+        return grid.evaluate_sine(self.coefficients, theta if grid.L == 1.0 else grid.q_of(theta))
 
     def sup_norm(self) -> float:
         """Max of |Phi| over (0, pi), evaluated on a grid four times finer.
@@ -239,15 +276,33 @@ class AngleField:
         pieces = _dst1_padded(self.coefficients, 4 * self.grid.n)
         return float(np.max([np.abs(p, out=p).max() for p in pieces])) / 2.0
 
-    def resample(self, n_new: int) -> "AngleField":
-        """Spectral resampling: zero-pad or truncate the sine coefficients."""
-        if n_new == self.grid.n:
-            return self
-        coeffs = self.coefficients
-        out = np.zeros(n_new - 1)
-        keep = min(coeffs.size, n_new - 1)
-        out[:keep] = coeffs[:keep]
-        return AngleField(get_grid(n_new), coefficients=out)
+    def resample(self, n_new: int, L: float | None = None) -> "AngleField":
+        """The field on grid (n_new, L), L defaulting to the field's own: on
+        its own map the sine coefficients zero-padded or truncated; onto
+        another, 8-point Lagrange in q on the field's own grid refined four
+        times from its zero-padded coefficients, its odd extension included."""
+        L = self.grid.L if L is None else L
+        if L == self.grid.L:
+            if n_new == self.grid.n:
+                return self
+            coeffs = self.coefficients
+            out = np.zeros(n_new - 1)
+            keep = min(coeffs.size, n_new - 1)
+            out[:keep] = coeffs[:keep]
+            return AngleField(get_grid(n_new, L), coefficients=out)
+        target = get_grid(n_new, L)
+        m = 4 * self.grid.n
+        padded = np.zeros(m - 1)
+        padded[:self.n - 1] = self.coefficients
+        fine = _dst1(padded) / 2.0
+        period = np.concatenate(([0.0], fine, [0.0], -fine[::-1]))
+        x = self.grid.q_of(target.theta) * (m / np.pi)
+        i = x.astype(np.intp)
+        # s - j at the stencil's nodes i + j, s kept off 0 so that node i's weight is 1, not 0/0
+        d = np.maximum(x - i, 1e-300) - _STENCIL
+        weights = np.prod(d, axis=0) / (d * _STENCIL_SCALE)
+        nodes = np.take(period, i + _STENCIL, mode="wrap")
+        return AngleField(target, values=np.sum(weights * nodes, axis=0))
 
     def spectral_tail(self, band: int | None = None) -> float:
         """Relative magnitude of the top TAIL_FRACTION of the spectrum.

@@ -142,14 +142,16 @@ def solve_payload(result, version: str, spec, tol: float) -> dict:
             **solve_columns(result.field), "coefficients": result.field.coefficients}
 
 
-# a branch point's fields, in the order both branch formats write them
+# a branch point's fields, in the order both branch formats write them; L is
+# the map parameter of the point's grid (SineGrid), in whose q the coefficients are
 _POINT_FIELDS = ("mu", "n", "iterations", "sup_norm", "wave_height", "residual", "tail",
-                 "cone_ok", "cone_max_violation")
+                 "cone_ok", "cone_max_violation", "L")
 
 
 def _point_values(p) -> tuple:
     return (p.mu, p.n, p.iterations, p.sup_norm, p.wave_height, p.residual, p.tail,
-            bool(p.cone and p.cone.all_ok), p.cone.max_violation if p.cone else None)
+            bool(p.cone and p.cone.all_ok), p.cone.max_violation if p.cone else None,
+            p.field.grid.L)
 
 
 def branch_columns(branch) -> dict[str, np.ndarray]:

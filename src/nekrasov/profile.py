@@ -4,7 +4,8 @@ Internally the wave is non-dimensionalized to wavelength 2*pi and unit
 gravity; the requested wavelength and gravity enter only as output scales.
 The crest sits at theta = 0 (minimal surface speed) and the troughs at
 theta = +-pi; x decreases as theta increases, so one half-wave spans
-x in [-lambda/2, 0].
+x in [-lambda/2, 0].  On a mapped grid (SineGrid) every integral over theta
+is taken in q with the factor theta'(q).
 """
 
 from __future__ import annotations
@@ -76,13 +77,13 @@ def _closed_values(field: AngleField) -> np.ndarray:
 
 def _crest_normalized(field: AngleField, mu: float):
     """1 + mu*I, R with R(0) = 1, cos(Phi), and the x-extent integral
-    D = Int_0^pi R cos Phi, all from one evaluation of 1 + mu*I."""
+    D = Int_0^pi R cos Phi dtheta, all from one evaluation of 1 + mu*I."""
     denom = _denominator(field, mu)
     r = denom ** (-1.0 / 3.0)
     cos_phi = np.cos(_closed_values(field))
-    # trapezoid on the uniform closed grid integrates trig polynomials of
-    # degree < 2n exactly
-    d = np.trapezoid(r * cos_phi, dx=np.pi / field.n)
+    # trapezoid on the uniform closed grid in q integrates trig polynomials
+    # of degree < 2n exactly
+    d = np.trapezoid(r * cos_phi * field.grid.dtheta_closed, dx=np.pi / field.n)
     if d <= 0.0:
         raise ReconstructionError("horizontal extent integral is nonpositive")
     return denom, r, cos_phi, d
@@ -141,24 +142,24 @@ def height_over_wavelength(field: AngleField, mu: float) -> float:
     """
     _, _, r, _ = _scaled_speed(field, mu)
     grid = field.grid
-    odd_series = grid.to_coefficients(r[1:-1] * np.sin(field.values))
+    odd_series = grid.to_coefficients(r[1:-1] * np.sin(field.values) * grid.dtheta)
     return float(np.sum(odd_series[0::2] / grid.modes[0::2]) / np.pi)
 
 
 def _wave_profile(field: AngleField, mu: float, wavelength: float, g: float,
                   denom: np.ndarray, d: float, r: np.ndarray,
                   even_series: np.ndarray, odd_series: np.ndarray) -> WaveProfile:
-    """The profile from the cosine/sine series of -(2 pi/lambda) dx/dtheta
-    = 1 + sum e_k cos and -(2 pi/lambda) deta/dtheta = sum o_k sin; the e_k
-    are also the map coefficients a_k.  x and eta are integrated on the
-    closed grid and eta is shifted to zero mean over one period in x
-    (trapezoid in the x variable); c and q0 follow from D."""
+    """The profile from the cosine/sine series in q of -(2 pi/lambda) dx/dq
+    = 1 + sum e_k cos and -(2 pi/lambda) deta/dq = sum o_k sin; on the
+    uniform grid the e_k are also the map coefficients a_k.  x and eta are
+    integrated on the closed grid and eta is shifted to zero mean over one
+    period in x (trapezoid in the x variable); c and q0 follow from D."""
     c, q0 = _speeds(mu, d, wavelength, g)
     grid = field.grid
     scale = wavelength / (2.0 * np.pi)
     theta = grid.theta_closed
     k = grid.modes
-    x = -scale * (theta + np.concatenate(
+    x = -scale * (grid.q_closed + np.concatenate(
         ([0.0], grid.to_values(even_series / k), [0.0])))
     eta = scale * grid.cosine_values_closed(odd_series / k)
     offset = float(np.trapezoid(eta, x) / (x[-1] - x[0]))
@@ -175,14 +176,15 @@ def reconstruct_profile(field: AngleField, mu: float, wavelength: float = 2.0 * 
     dx/dtheta = -(lambda/2 pi) R cos Phi, deta/dtheta = -(lambda/2 pi) R sin Phi.
 
     R is normalized so the horizontal extent over a full period is exactly
-    the wavelength; eta is shifted to zero mean over one period.
+    the wavelength; eta is shifted to zero mean over one period.  On a
+    mapped grid a_k are the cosine coefficients in q of R cos Phi theta' - 1.
     """
     denom, d, r, rc = _scaled_speed(field, mu)
     grid = field.grid
     sin_phi = np.sin(_closed_values(field))
-    # cosine series of R cos Phi - 1 (its mean is 0 after normalization)
-    even_series = grid.cosine_coefficients_closed(rc - 1.0)
-    odd_series = grid.to_coefficients((r * sin_phi)[1:-1])
+    # cosine series of R cos Phi theta' - 1 (its mean is 0 after normalization)
+    even_series = grid.cosine_coefficients_closed(rc * grid.dtheta_closed - 1.0)
+    odd_series = grid.to_coefficients((r * sin_phi * grid.dtheta_closed)[1:-1])
     profile = _wave_profile(field, mu, wavelength, g, denom, d, r,
                             even_series, odd_series)
     profile.metadata.update(eta_trough=float(profile.eta[-1]),
@@ -217,8 +219,12 @@ def profile_from_map_coefficients(field: AngleField, mu: float,
     """Independent reconstruction route through the map coefficients a_k:
 
         eta = (lambda/2 pi) sum (a_k/k) cos(k theta),
-        x   = -(lambda/2 pi) (theta + sum (a_k/k) sin(k theta)).
+        x   = -(lambda/2 pi) (theta + sum (a_k/k) sin(k theta)),
+
+    series in theta, so a field on a mapped grid raises ValueError.
     """
+    if field.grid.L != 1.0:
+        raise ValueError("the map-coefficient route needs a field on the uniform grid")
     denom, r, _, d = _crest_normalized(field, mu)
     a = _map_coefficients(field)
     profile = _wave_profile(field, mu, wavelength, g, denom, d, (np.pi / d) * r, a, a)

@@ -107,7 +107,11 @@ class NekrasovOperator:
     """Workspace for one grid and depth.
 
     B keeps the grid's dealiased band, sine modes 1..n // 2, with the
-    factors lambda_k/(3k) of spec's depth; spec.n_modes is not read.
+    factors lambda_k/(3k) of spec's depth; spec.n_modes is not read.  The
+    deep-water kernel log|sin((s+t)/2) / sin((s-t)/2)| is invariant under
+    a mapped grid's map (SineGrid), so there B is unchanged and sin Phi and
+    cos Phi gain the factor theta'(q); at finite depth a mapped grid
+    raises ValueError.
     Evaluation and the matrix-free Jacobian action are O(n log n).  The
     dense (n-1) x (n-1) matrices b_dense, w_dense and jacobian_dense are
     built only on request, for spectral checks and as test references;
@@ -115,7 +119,10 @@ class NekrasovOperator:
     """
 
     def __init__(self, grid: SineGrid, spec: KernelSpec):
+        if grid.L != 1.0 and not spec.is_infinite:
+            raise ValueError("the finite-depth kernel is not invariant under a grid's map")
         self.grid = grid
+        self._dtheta = None if grid.L == 1.0 else grid.dtheta
         n = grid.n
         self.weights = np.zeros(n - 1)
         self.weights[:n // 2] = linearized_factors(spec, n // 2)
@@ -129,9 +136,11 @@ class NekrasovOperator:
     # -- spectral building blocks -------------------------------------------------
 
     def _denominator(self, values: np.ndarray, nu: float):
-        """sin Phi and nu + I on the interior grid, I = Int_0^theta sin Phi;
-        raises BreakdownError unless the denominator is positive."""
+        """sin Phi theta' and nu + I on the interior grid, I = Int_0^theta
+        sin Phi; raises BreakdownError unless the denominator is positive."""
         sin_phi = np.sin(values)
+        if self._dtheta is not None:
+            sin_phi *= self._dtheta
         denom = self.grid.antiderivative_closed(sin_phi)[1:-1]
         denom += nu
         lowest = denom.min(initial=np.inf)
@@ -164,7 +173,7 @@ class NekrasovOperator:
     def b_dense(self) -> np.ndarray:
         if self._b_dense is None:
             grid = self.grid
-            sine = np.sin(np.multiply.outer(grid.theta, grid.modes.astype(float)))
+            sine = np.sin(np.multiply.outer(grid.q_closed[1:-1], grid.modes.astype(float)))
             self._b_dense = (2.0 / grid.n) * (sine * self.weights) @ sine.T
         return self._b_dense
 
@@ -175,14 +184,15 @@ class NekrasovOperator:
         if self._w_dense is None:
             grid = self.grid
             k = grid.modes.astype(float)
-            sine = np.sin(np.multiply.outer(grid.theta, k))
-            profile = (1.0 - np.cos(np.multiply.outer(grid.theta, k))) / k
+            q = grid.q_closed[1:-1]
+            sine = np.sin(np.multiply.outer(q, k))
+            profile = (1.0 - np.cos(np.multiply.outer(q, k))) / k
             self._w_dense = profile @ ((2.0 / grid.n) * sine.T)
         return self._w_dense
 
     def _density_derivative_parts(self, values: np.ndarray, nu: float):
-        """cos Phi, cos Phi/(nu + I) and sin Phi/(nu + I)^2.  Newton
-        linearises at the iterate whose residual apply has just evaluated,
+        """cos Phi theta', cos Phi theta'/(nu + I), sin Phi theta'/(nu + I)^2.
+        Newton linearises at the iterate whose residual apply has just evaluated,
         so the denominator of that very array (not a copy) is reused; the
         solver never modifies an iterate in place."""
         last = self._last_denominator
@@ -191,6 +201,8 @@ class NekrasovOperator:
         else:
             sin_phi, denom = self._denominator(values, nu)
         cos_phi = np.cos(values)
+        if self._dtheta is not None:
+            cos_phi *= self._dtheta
         return cos_phi, cos_phi / denom, sin_phi / denom**2
 
     def jacobian_dense(self, values: np.ndarray, mu: float) -> np.ndarray:
@@ -218,15 +230,15 @@ class NekrasovOperator:
         return JacobianOperator((m, m), matvec)
 
 
-def get_operator(n: int, spec: KernelSpec) -> NekrasovOperator:
-    """The operator on n points at spec's depth, cached on (n, depth_ratio)
-    for the 25 most recently used keys."""
-    return _cached_operator(n, spec.depth_ratio)
+def get_operator(n: int, spec: KernelSpec, L: float = 1.0) -> NekrasovOperator:
+    """The operator on grid (n, L) at spec's depth, cached on (n,
+    depth_ratio, L) for the 25 most recently used keys."""
+    return _cached_operator(n, spec.depth_ratio, L)
 
 
 @functools.lru_cache(maxsize=25)
-def _cached_operator(n: int, depth_ratio: float) -> NekrasovOperator:
-    return NekrasovOperator(get_grid(n), KernelSpec(depth_ratio=depth_ratio))
+def _cached_operator(n: int, depth_ratio: float, L: float) -> NekrasovOperator:
+    return NekrasovOperator(get_grid(n, L), KernelSpec(depth_ratio=depth_ratio))
 
 
 # -- public operations ----------------------------------------------------------
@@ -235,10 +247,11 @@ def _cached_operator(n: int, depth_ratio: float) -> NekrasovOperator:
 def inner_accumulate(field: AngleField) -> np.ndarray:
     """I(tau) = Int_0^tau sin Phi, on the closed grid [0, pi].
 
-    Computed as the exact antiderivative of the sine series of sin Phi;
-    I(0) = 0 exactly and the (even) values at the endpoints are included.
+    Computed as the exact antiderivative of the sine series, in q, of
+    sin Phi theta'; I(0) = 0 exactly and the (even) values at the
+    endpoints are included.
     """
-    return field.grid.antiderivative_closed(np.sin(field.values))
+    return field.grid.antiderivative_closed(np.sin(field.values) * field.grid.dtheta)
 
 
 NEWTON_MAX_ITER = 100
@@ -395,7 +408,7 @@ def solve(mu: float, initial: AngleField, method: str = "newton",
     _check_mu_tol(mu, tol)
     if not np.isfinite(initial.values).all():
         raise ValueError("the initial field has non-finite values")
-    op = get_operator(initial.n, spec)
+    op = get_operator(initial.n, spec, initial.grid.L)
 
     def residual(x):
         return x - op.apply(x, mu)
@@ -470,7 +483,7 @@ def solve_system(mu: float, initial: SystemState | None = None,
     through its own Volterra equation, not through the closed form
     1/(1 + mu*I), which only seeds it and is a cross-check identity.
     Without initial, Phi starts from _seeded_guess as in solve_seeded, so
-    mu must exceed the bifurcation point.
+    mu must exceed the bifurcation point; a mapped Phi raises ValueError.
     """
     _check_mu_tol(mu, tol)
     if initial is None:
@@ -478,6 +491,8 @@ def solve_system(mu: float, initial: SystemState | None = None,
         initial = SystemState(phi0, 1.0 / (1.0 + mu * inner_accumulate(phi0)))
     elif not (np.isfinite(initial.phi.values).all() and np.isfinite(initial.psi).all()):
         raise ValueError("the initial state has non-finite values")
+    elif initial.phi.grid.L != 1.0:
+        raise ValueError("the coupled system is solved on the uniform grid")
     op = get_operator(initial.phi.n, spec)
     m = op.grid.n - 1
 
@@ -525,7 +540,9 @@ def crest_trough_asymmetry(field: AngleField) -> float:
 
     Strictly positive for any nontrivial solution: crests sharpen and
     troughs flatten, so the profile cannot be fore-aft symmetric about
-    theta = pi/2.
+    theta = pi/2.  On a mapped grid Phi(pi - theta) is evaluated at each
+    node.
     """
     v = field.values
-    return float(np.abs(v - v[::-1]).max(initial=0.0))
+    mirror = v[::-1] if field.grid.L == 1.0 else field(np.pi - field.grid.theta)
+    return float(np.abs(v - mirror).max(initial=0.0))

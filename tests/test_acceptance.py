@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import nekrasov as nk
+from nekrasov import continuation
 from nekrasov.solver import get_operator
 from conftest import solved_field
 
@@ -140,12 +141,34 @@ def test_criterion_05_cone_membership(long_branch):
            f"0 < Phi < pi/3 everywhere")
 
 
+def _uniform_polish(p):
+    """A mapped branch point on the uniform grid: brought onto the smallest
+    ladder grid whose tail resolves it by the map's interpolant
+    (AngleField.resample), then re-solved there."""
+    n = p.n
+    while (guess := p.field.resample(n, 1.0)).spectral_tail(band=n // 2) > 1e-9:
+        n = continuation._next_grid(n)
+    result = nk.solve(p.mu, guess)
+    return continuation._branch_point(p.mu, result.field, result.residual)
+
+
 def test_criterion_06_scaled_continua(long_branch):
+    # a point on the map has no exact scaled image: each mapped sample is
+    # scaled from its uniform polish, so the criterion spans mu up to 1e4
     idx = np.unique(np.linspace(0, len(long_branch) - 1, 20).astype(int))
+    sources = []
+    for i in idx:
+        p = long_branch.points[i]
+        if p.field.grid.L != 1.0:
+            with pytest.raises(ValueError, match="mapped grid"):
+                nk.scale_branch_point(p, 2)
+            p = _uniform_polish(p)
+        sources.append(p)
+    assert sum(p.n != q.n for p, q in zip(sources, long_branch.points)) >= 5
+    assert sources[-1].mu == 1e4 and sources[-1].field.grid.L == 1.0
     worst = drift = 0.0
     for n_fold in (2, 3):
-        for i in idx:
-            p = long_branch.points[i]
+        for p in sources:
             scaled = nk.scale_branch_point(p, n_fold)
             tol = 10.0 * max(p.residual, 1e-12)
             assert scaled.residual <= tol, (

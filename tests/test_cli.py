@@ -154,7 +154,7 @@ class TestBranch:
         text = b1.decode()
         header = next(l for l in text.splitlines() if not l.startswith("#"))
         assert header == ("mu,n,iterations,sup_norm,wave_height,residual,tail,"
-                          "cone_ok,cone_max_violation")
+                          "cone_ok,cone_max_violation,L")
         rows = [l.split(",") for l in text.splitlines()
                 if not l.startswith(("#", "mu"))]
         sup = np.array([float(r[3]) for r in rows])

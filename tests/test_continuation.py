@@ -6,21 +6,27 @@ from hypothesis import given, settings, strategies as st
 
 import nekrasov as nk
 from nekrasov import continuation, io
+from nekrasov import grid as grid_module, solver as solver_module
 from nekrasov.continuation import _tail_violation
 from nekrasov.solver import get_operator
 from conftest import field_of
 
 
-def _tail_violation_loop(v):
+def _tail_violation_loop(v, theta=None):
     """Reference for cone condition (iii) by brute force: for each node
     theta_k >= pi/2, the excess of Phi(theta_k) over the minimum of the
-    nodes theta_j in [pi - theta_k, theta_k], that is n - k <= j <= k."""
+    nodes theta_j in [pi - theta_k, theta_k]: n - k <= j <= k on the
+    uniform grid (theta None), the given ascending nodes on a mapped one."""
     n = v.size + 1
     tail_violation = 0.0
     for k in range(1, n):
-        if 2 * k >= n:
+        if theta is None and 2 * k >= n:
             window = v[n - k - 1:k]  # index j - 1 holds theta_j
-            tail_violation = max(tail_violation, v[k - 1] - window.min())
+        elif theta is not None and theta[k - 1] >= 0.5 * np.pi:
+            window = v[(theta >= np.pi - theta[k - 1]) & (theta <= theta[k - 1])]
+        else:
+            continue
+        tail_violation = max(tail_violation, v[k - 1] - window.min())
     return tail_violation
 
 
@@ -202,28 +208,20 @@ class TestPredictor:
 
     def test_corrector_iterations(self, monkeypatch):
         # from the third point on each guess is within reach of two Newton
-        # iterations.  A refined point (on a finer grid than the point
-        # before it) is either solved once, from its prediction moved up
-        # the grid ladder until resolved, or re-solved once on the next
-        # grid after a coarse solve came back unresolved; that re-solve
-        # takes one
+        # iterations.  The first point the uniform grid would not resolve
+        # moves onto the map, on the same 512 points, and every later point
+        # sits on the map L = min(1, 1/sqrt(mu)); each point takes one
+        # solve, and none comes back unresolved
         solves = []
         monkeypatch.setattr(continuation, "_corrector", _recording_corrector(solves))
         branch = nk.trace_branch(3.01, 300.0)
         assert len(branch) == 33 and not branch.truncated
         assert all(p.iterations <= 2 for p in branch.points[2:])
-        refined = [(p, q) for p, q in zip(branch.points, branch.points[1:]) if q.n > p.n]
-        assert len(refined) == 6
-        kinds = set()
-        for p, q in refined:
-            at_mu = [s for s in solves if s[0] == q.mu]
-            if len(at_mu) == 1:
-                assert at_mu == [(q.mu, q.n, True)]
-            else:
-                assert at_mu == [(q.mu, p.n, False), (q.mu, q.n, True)]
-                assert q.iterations == 1
-            kinds.add(len(at_mu))
-        assert kinds == {1, 2}
+        assert [s[0] for s in solves] == branch.mus.tolist() and all(s[2] for s in solves)
+        mapped = [p for p in branch if p.field.grid.L != 1.0]
+        assert mapped and mapped == branch.points[-len(mapped):]
+        assert all(p.field.grid.L == continuation._map_parameter(p.mu) for p in mapped)
+        assert mapped[0].n == branch.points[-len(mapped) - 1].n == 512
 
     def test_points_write_iterations_and_tail_not_guess_residual(self, small_branch):
         for p in small_branch:
@@ -286,46 +284,42 @@ def _geometric_steps(points):
             if points[i - 1].mu >= continuation.GEOMETRIC_START]
 
 
-class TestSelfSimilarPredictor:
-    """A geometric step's guess adds the last geometric step's predictor
-    miss, stretched to the new crest scale."""
+class TestMapInterpolant:
+    """AngleField.resample onto another map, which brings each predictor
+    point onto the next point's grid: 8-point Lagrange in q on the field's
+    own grid refined four times."""
 
     @staticmethod
-    def _wave(theta):
-        return np.sin(3.0 * theta) + 0.2 * np.sin(7.0 * theta)
+    def _wave(q):
+        return np.sin(3.0 * q) + 0.2 * np.sin(7.0 * q)
 
-    def test_stretch_is_the_identity_at_ratio_one(self):
+    def test_resample_onto_its_own_map_is_the_identity(self):
         values = np.random.default_rng(5).standard_normal(1023)
-        out = continuation._stretch(values, 1.0, 1024)
-        assert out.tobytes() == values.tobytes()
+        field = nk.AngleField(nk.get_grid(1024, 0.1), values=values)
+        assert field.resample(1024) is field and field.resample(1024, 0.1) is field
+        doubled = field.resample(2048)
+        assert doubled.grid.L == 0.1
+        assert doubled.coefficients[:1023].tobytes() == field.coefficients.tobytes()
 
     @pytest.mark.parametrize("ratio", [1.25, 1.17])
-    def test_stretch_across_grids_and_past_pi(self, ratio):
-        # from grid 1024 to grid 2048; ratio * theta passes pi, where the
-        # stencil reads the odd extension
-        values = self._wave(nk.get_grid(1024).theta)
-        theta = nk.get_grid(2048).theta
-        assert (ratio * theta).max() > np.pi
-        out = continuation._stretch(values, ratio, 2048)
-        assert np.abs(out - self._wave(ratio * theta)).max() <= 2e-9
+    def test_resample_across_maps_and_past_pi(self, ratio):
+        # from (1024, L = 0.1) to (2048, L = 0.1/ratio); the stencil reads
+        # the odd extension past 0 and pi
+        source = nk.get_grid(1024, 0.1)
+        field = nk.AngleField(source, values=self._wave(np.arange(1, 1024) * np.pi / 1024))
+        out = field.resample(2048, 0.1 / ratio)
+        assert out.grid.n == 2048 and out.grid.L == 0.1 / ratio
+        assert np.abs(out.values - self._wave(source.q_of(out.grid.theta))).max() <= 1e-13
 
-    def test_corrected_guesses_beat_the_plain_ones(self, branch_1e3):
-        points = branch_1e3.points
-        gains = {}
-        for i in _geometric_steps(points):
-            p = points[i]
-            plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu)
-            op = get_operator(plain.n, nk.DEEP)
-            gains[p.mu] = op.residual(plain.values, p.mu) / p.guess_residual
-        # the first geometric step has no miss to add; every later full
-        # step gains at least 2x, and at least 20x from mu = 100 on; the
-        # last step, clipped at mu_end, has other node ratios than the
-        # step it corrects from
-        first, *full, clipped = gains.items()
-        assert first[1] == pytest.approx(1.0, rel=1e-12)
-        assert len(full) >= 15 and min(g for _, g in full) >= 2.0
-        assert min(g for mu, g in full if mu >= 100.0) >= 20.0
-        assert points[-1].mu == 1e3 < 1.25 * points[-2].mu and clipped[1] > 1.0
+    def test_branch_points_match_direct_evaluation(self, branch_1e3):
+        # each point brought onto the next mapped point's grid matches the
+        # direct sum of its sine series at the new nodes
+        pairs = [(p, q) for p, q in zip(branch_1e3.points, branch_1e3.points[1:])
+                 if q.field.grid.L != 1.0]
+        assert len(pairs) >= 15
+        for p, q in pairs:
+            moved = p.field.resample(q.n, q.field.grid.L)
+            assert np.abs(moved.values - p.field(q.field.grid.theta)).max() <= 1e-13
 
 
 class TestPredictedGrid:
@@ -334,11 +328,16 @@ class TestPredictedGrid:
     runs."""
 
     def test_a_point_predicted_unresolved_is_solved_once(self, traced_1e3):
+        # the prediction to mu = 50.47 reads an unresolved tail on the
+        # uniform grid and moves onto the map on the same 512 points; the
+        # one to 734.48 reads one on the map and moves up to 768
         branch, solves = traced_1e3
-        point = next(p for p in branch if p.mu > 918.0)
-        assert point.mu == pytest.approx(918.096, abs=1e-3)
-        assert [s for s in solves if s[0] == point.mu] == [(point.mu, 12288, True)]
-        assert point.n == 12288
+        points = branch.points
+        moved = [q for p, q in zip(points, points[1:])
+                 if q.n > p.n or (p.field.grid.L == 1.0 and q.field.grid.L != 1.0)]
+        assert [(round(q.mu, 2), q.n) for q in moved] == [(50.47, 512), (734.48, 768)]
+        for q in moved:
+            assert [s for s in solves if s[0] == q.mu] == [(q.mu, q.n, True)]
 
     def test_no_unresolved_solve_from_an_unresolved_prediction(self, traced_1e3):
         branch, solves = traced_1e3
@@ -346,7 +345,9 @@ class TestPredictedGrid:
         refined = 0
         for i in _geometric_steps(points):
             p = points[i]
-            plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu)
+            L = (1.0 if points[i - 1].field.grid.L == 1.0
+                 else continuation._map_parameter(p.mu))
+            plain = continuation._predict(points[i - continuation.PREDICTOR_POINTS:i], p.mu, L)
             refined += plain.spectral_tail(band=plain.n // 2) > continuation.TAIL_THRESHOLD
             for mu, n, resolved in solves:
                 if mu == p.mu and plain.resample(n).spectral_tail(
@@ -410,6 +411,18 @@ class TestConeMembership:
         v = rng.integers(-3, 4, n - 1).astype(float) if ties else rng.standard_normal(n - 1)
         assert _tail_violation(v) == _tail_violation_loop(v)
 
+    @pytest.mark.parametrize("L", [0.5, 0.1, 0.01])
+    @pytest.mark.parametrize("n", [8, 64, 512, 5, 63, 513])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), ties=st.booleans())
+    def test_tail_violation_matches_loop_on_mapped_grids(self, n, L, seed, ties):
+        # a mapped grid pairs no node with its mirror: the window [pi - t, t]
+        # is found on the nodes themselves
+        rng = np.random.default_rng(seed)
+        v = rng.integers(-3, 4, n - 1).astype(float) if ties else rng.standard_normal(n - 1)
+        theta = nk.get_grid(n, L).theta
+        assert _tail_violation(v, theta) == _tail_violation_loop(v, theta)
+
     @pytest.mark.parametrize("n", [257, 511, 512, 513])
     def test_solutions_on_odd_grids_in_cone(self, n):
         # on an odd grid no node sits at pi/2: theta_j's mirror is
@@ -470,11 +483,17 @@ class TestScaledContinua:
         assert scaled.n == 3 * p.n and scaled.mu == 3 * p.mu
 
     def test_long_branch_scales_without_solving(self, long_branch, monkeypatch):
-        # the scaled field is the exact image of its source on grid 3n, so
-        # no point is re-solved, and its residual is the source's up to
-        # rounding
+        # the scaled field of a point on the uniform grid is the exact image
+        # of its source on grid 3n, so no point is re-solved, and its
+        # residual is the source's up to rounding; a point on the map has
+        # no exact image and raises
         monkeypatch.setattr(continuation, "solve", _no_solve)
-        for p in long_branch:
+        mapped = [p for p in long_branch if p.field.grid.L != 1.0]
+        assert 0 < len(mapped) < len(long_branch)
+        for p in mapped:
+            with pytest.raises(ValueError, match="mapped grid"):
+                nk.scale_branch_point(p, 3)
+        for p in long_branch.points[:-len(mapped)]:
             scaled = nk.scale_branch_point(p, 3)
             assert scaled.n == 3 * p.n
             assert scaled.residual <= p.residual + 5e-13
@@ -525,6 +544,52 @@ class TestScaledContinua:
         theta = np.linspace(0.2, 1.8, 7)
         assert np.allclose(scaled.field(theta + np.pi), scaled.field(theta),
                            atol=1e-12)
+
+
+class TestMappedBranch:
+    def test_long_branch_on_the_map(self, monkeypatch):
+        # the paper's branch keeps its 49 mu values on grids of at most 4096
+        # points, with no more than two solves discarded as unresolved
+        solves = []
+        monkeypatch.setattr(continuation, "_corrector", _recording_corrector(solves))
+        branch = nk.trace_branch(3.01, 1e4)
+        assert len(branch) == 49 and not branch.truncated
+        assert len(solves) <= len(branch) + 2
+        for p in branch:
+            assert p.residual <= 1e-12 and p.tail <= continuation.TAIL_THRESHOLD
+            assert p.n <= 4096 and p.cone.all_ok
+            assert p.field.grid.L in (1.0, continuation._map_parameter(p.mu))
+        assert branch.points[-1].field.grid.L == 0.01
+        assert abs(nk.branch_extrema(branch).peak_sup_norm - 0.527139606) <= 1e-9
+
+    def test_reaches_mu_1e6_resolved(self):
+        # the map L = 1/sqrt(mu) keeps the crest layer on n <= 16384 points
+        # up to mu = 1e6 (the uniform grid needs n/2 of about 5 mu modes)
+        branch = nk.trace_branch(3.01, 1e6)
+        assert not branch.truncated, branch.failure
+        assert branch.mus[-1] == 1e6
+        for p in branch:
+            assert p.residual <= 1e-12 and p.tail <= continuation.TAIL_THRESHOLD
+            assert p.n <= 16384 and p.cone.all_ok
+        # the graded mesh's Richardson value at mu = 1e6
+        assert abs(nk.branch_extrema(branch).peak_sup_norm - 0.5301251) <= 2e-6
+        last = branch.points[-1]
+        doubled = nk.solve(last.mu, last.field.resample(2 * last.n))
+        assert doubled.field.grid.L == last.field.grid.L
+        # every other node of the doubled grid is a node of the last point's
+        assert np.abs(doubled.field.values[1::2] - last.field.values).max() <= 1e-8
+
+    def test_two_branches_leave_the_caches_bounded(self):
+        # every mapped point has its own L, so its own grid and operator;
+        # both caches stay at their bound
+        sizes = []
+        for _ in range(2):
+            nk.trace_branch(3.01, 1e4)
+            sizes.append((grid_module._cached_grid.cache_info().currsize,
+                          solver_module._cached_operator.cache_info().currsize))
+        assert sizes[0] == sizes[1]
+        assert sizes[0][0] <= grid_module.GRID_CACHE
+        assert sizes[0][1] <= solver_module._cached_operator.cache_info().maxsize
 
 
 class TestBranchExtrema:

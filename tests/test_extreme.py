@@ -476,10 +476,11 @@ def resolved_solve(mu, spec, n):
 
 @pytest.fixture(scope="module")
 def capped_solves():
-    # capped at N_MAX = 1024, mu = 30 resolves and mu = 1000 converges with
-    # its tail still above TAIL_THRESHOLD
+    # capped at N_MAX = 512, mu = 30 resolves on the uniform grid and mu =
+    # 1000, moved onto the map at the cap, converges with its tail still
+    # above TAIL_THRESHOLD
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(continuation, "N_MAX", 1024)
+        patch.setattr(continuation, "N_MAX", 512)
         return [resolved_solve(mu, nk.DEEP, 512) for mu in (30.0, 1000.0)]
 
 
@@ -495,7 +496,7 @@ class TestConvergeResolvedAtTheGridCap:
         assert capped_solves[0].resolved is True
         last = capped_solves[-1]
         assert last.mu == 1000.0
-        assert last.field.n == 1024
+        assert last.field.n == 512 and last.field.grid.L < 1.0
         assert last.tail > 1e-9
         assert last.resolved is False
 

@@ -128,9 +128,10 @@ class TestWriteJson:
 
 
 def test_unrecorded_branch_fields_are_empty_csv_cells(tmp_path):
-    # a hand-built point has no cone report, iterations or tail
+    # a hand-built point has no cone report, iterations or tail; its grid's
+    # map parameter L is 1
     point = nk.BranchPoint(mu=3.5, field=nk.AngleField.zero(64), sup_norm=0.0,
                            wave_height=0.0, residual=0.0, n=64)
     branch = nk.Branch(points=[point], spec=nk.DEEP, tol=1e-12)
     write_csv(tmp_path / "branch.csv", branch_columns(branch), {})
-    assert (tmp_path / "branch.csv").read_text().splitlines()[1] == "3.5,64,,0,0,0,,false,"
+    assert (tmp_path / "branch.csv").read_text().splitlines()[1] == "3.5,64,,0,0,0,,false,,1"
