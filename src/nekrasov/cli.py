@@ -128,7 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(p, _SOLVE_FLAGS)
 
     p = sub.add_parser("branch", help="trace the solution branch in mu")
-    p.add_argument("--mu-start", type=float, default=3.01)
+    p.add_argument("--mu-start", type=float, default=None,
+                   help="first mu (default mu1 + 0.01 at the depth; 3.01 on deep water)")
     p.add_argument("--mu-end", type=float, default=50.0)
     _add_flags(p, _SOLVE_FLAGS)
 
@@ -204,11 +205,13 @@ def cmd_solve(args) -> int:
 
 
 def cmd_branch(args) -> int:
-    if args.mu_end <= args.mu_start:
-        raise ValidationError("mu-end must exceed mu-start")
     spec = _spec_from(args)
-    branch = trace_branch(args.mu_start, args.mu_end, spec=spec, n_start=args.n,
-                          tol=args.tol)
+    mu_start = args.mu_start
+    if mu_start is None:
+        mu_start = float(characteristic_values(spec, 1)[0]) + 0.01
+    if args.mu_end <= mu_start:
+        raise ValidationError("mu-end must exceed mu-start")
+    branch = trace_branch(mu_start, args.mu_end, spec=spec, n_start=args.n, tol=args.tol)
     _emit(args, "branch", _io.branch_columns(branch), _io.branch_payload(branch, __version__))
     if branch.truncated:
         print(f"warning: branch truncated: {branch.failure}", file=sys.stderr)

@@ -183,8 +183,7 @@ def _corrector(mu, guess, spec, tol) -> SolveResult:
 def _next_grid(n: int) -> int:
     """The smallest grid size above n of the form 2^k or 3 * 2^k (512 ->
     768 -> 1024 -> 1536 -> ... -> 98304 -> 131072, and 500 -> 512), at
-    most 1.5x n.  From n >= 4 every size is even, so the grid's split
-    transforms apply, and the ladder meets N_MAX."""
+    most 1.5x n.  From any n >= 4 the ladder meets N_MAX."""
     power = 1 << (n.bit_length() - 1)
     return 3 * power // 2 if 3 * power // 2 > n else 2 * power
 

@@ -8,30 +8,15 @@ nodes are theta_j = q_j, or on a mapped grid theta(q_j) with tan(theta/2)
 = L tan(q/2), which keeps that symmetry; every transform acts in q.
 
 The grid's transforms are scipy's unnormalised DST-I on the n - 1 interior
-values and DCT-I on the n + 1 closed-grid values, computed by pocketfft
-through a real FFT of length 2n.  They are called through scipy.fftpack,
-whose dst and dct pass the array straight to the pocketfft backend that
-scipy.fft dispatches to, so every result is bitwise that of scipy.fft.
-For even n >= _SPLIT_MIN they are split instead.  With m = n/2, x_j the
-input at theta_j and Y_k the output for mode k:
+values and DCT-I on the n + 1 closed-grid values, each one pocketfft call
+(a real FFT of length 2n) at every n.  They are called through
+scipy.fftpack, whose dst and dct pass the array straight to the pocketfft
+backend that scipy.fft dispatches to, so every result is bitwise that of
+scipy.fft; _dst1 and _dct1 are the one place that picks that backend.
 
-    DST-I:  Y_2k   = DST-I  on grid m of  x_j - x_{n-j}, j = 1..m-1;
-            Y_2k+1 = DST-III of length m of  x_j + x_{n-j}, j = 1..m
-                     (the j = m entry is 2 x_m);
-    DCT-I:  Y_2k   = DCT-I  on grid m of  x_j + x_{n-j}, j = 0..m
-                     (the j = m entry is 2 x_m);
-            Y_2k+1 = DCT-III of length m of  x_j - x_{n-j}, j = 0..m-1.
-
-The even half recurses down to the cut; the odd half is one pocketfft
-DST-III/DCT-III (a length-m real FFT and twiddles), so rounding stays
-O(eps log n).  Below the cut, and for odd n, the transform is the plain
-pocketfft call, bitwise.
-
-AngleField.sup_norm evaluates the series on a grid four times finer, from
-coefficients zero-padded to three quarters.  While the padded input's
-upper half is zero the split needs no x_{n-j} terms, so _dst1_padded hands
-back the DST-III of each odd half and the last grid's _dst1 as separate
-pieces, and the max over them is bitwise the max of the full transform.
+AngleField.sup_norm and AngleField.resample both start from the field on
+its grid refined four times, the DST-I of its coefficients zero-padded to
+4n - 1 modes, built without caching a grid that nothing else uses.
 
 get_grid hands every caller the same SineGrid for a given (n, L) (numpy's
 integers included) while it stays among the GRID_CACHE most recently used,
@@ -48,50 +33,16 @@ import numpy as np
 from scipy import fftpack
 
 TAIL_FRACTION = 0.25
-# smallest (even) grid size whose transforms are split in half; see above
-_SPLIT_MIN = 16384
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
     """DST-I (scipy.fft.dst(x, type=1)) of the n - 1 interior values of grid n."""
-    n = x.size + 1
-    if n % 2 or n < _SPLIT_MIN:
-        return fftpack.dst(x, type=1)
-    m = n // 2
-    lo, hi = x[:m], x[m - 1:][::-1]  # x_j and x_{n-j}, j = 1..m
-    out = np.empty(n - 1)
-    out[1::2] = _dst1((lo - hi)[:-1])
-    out[0::2] = fftpack.dst(lo + hi, type=3)
-    return out
-
-
-def _dst1_padded(x: np.ndarray, n: int) -> list[np.ndarray]:
-    """The outputs of _dst1 on grid n for x zero-padded to n - 1 values, as
-    pieces in no fixed order.  While x fits below the split's midpoint, the
-    x_{n-j} half is zero, so the odd modes are the DST-III of x padded to
-    n/2 values and the even ones recurse on grid n/2; past that point, at
-    the cut or for odd n, it is _dst1 of the padded input.  Every pocketfft
-    call sees the same input as in _dst1, up to the sign of zeros."""
-    if n % 2 or n < _SPLIT_MIN or x.size >= n // 2:
-        padded = np.zeros(n - 1)
-        padded[:x.size] = x
-        return [_dst1(padded)]
-    lo = np.zeros(n // 2)
-    lo[:x.size] = x
-    return [fftpack.dst(lo, type=3), *_dst1_padded(x, n // 2)]
+    return fftpack.dst(x, type=1)
 
 
 def _dct1(x: np.ndarray) -> np.ndarray:
     """DCT-I (scipy.fft.dct(x, type=1)) of the n + 1 closed-grid values of grid n."""
-    n = x.size - 1
-    if n % 2 or n < _SPLIT_MIN:
-        return fftpack.dct(x, type=1)
-    m = n // 2
-    lo, hi = x[:m + 1], x[m:][::-1]  # x_j and x_{n-j}, j = 0..m
-    out = np.empty(n + 1)
-    out[0::2] = _dct1(lo + hi)
-    out[1::2] = fftpack.dct((lo - hi)[:-1], type=3)
-    return out
+    return fftpack.dct(x, type=1)
 
 
 def _grid_size(n) -> int:
@@ -268,33 +219,35 @@ class AngleField:
         grid = self.grid
         return grid.evaluate_sine(self.coefficients, theta if grid.L == 1.0 else grid.q_of(theta))
 
+    def _fine_values(self) -> np.ndarray:
+        """Twice Phi on the field's own grid refined four times, q = j pi / 4n,
+        j = 1..4n-1: the DST-I of its coefficients zero-padded to 4n - 1."""
+        padded = np.zeros(4 * self.grid.n - 1)
+        padded[:self.n - 1] = self.coefficients
+        return _dst1(padded)
+
     def sup_norm(self) -> float:
-        """Max of |Phi| over (0, pi), evaluated on a grid four times finer.
-        The fine grid's values are taken piece by piece from the zero-padded
-        coefficients (_dst1_padded), bitwise equal to the max of its
-        to_values, without caching a grid that nothing else uses."""
-        pieces = _dst1_padded(self.coefficients, 4 * self.grid.n)
-        return float(np.max([np.abs(p, out=p).max() for p in pieces])) / 2.0
+        """Max of |Phi| over (0, pi), evaluated on a grid four times finer
+        (_fine_values): bitwise max|to_values| on that grid."""
+        fine = self._fine_values()
+        return float(np.abs(fine, out=fine).max()) / 2.0
 
     def resample(self, n_new: int, L: float | None = None) -> "AngleField":
         """The field on grid (n_new, L), L defaulting to the field's own: on
         its own map the sine coefficients zero-padded or truncated; onto
         another, 8-point Lagrange in q on the field's own grid refined four
-        times from its zero-padded coefficients, its odd extension included."""
+        times (_fine_values), its odd extension included."""
         L = self.grid.L if L is None else L
-        if L == self.grid.L:
-            if n_new == self.grid.n:
-                return self
-            coeffs = self.coefficients
-            out = np.zeros(n_new - 1)
-            keep = min(coeffs.size, n_new - 1)
-            out[:keep] = coeffs[:keep]
-            return AngleField(get_grid(n_new, L), coefficients=out)
         target = get_grid(n_new, L)
+        if L == self.grid.L:
+            if target.n == self.grid.n:
+                return self
+            out = np.zeros(target.n - 1)
+            keep = min(self.n, target.n) - 1
+            out[:keep] = self.coefficients[:keep]
+            return AngleField(target, coefficients=out)
+        fine = self._fine_values() / 2.0
         m = 4 * self.grid.n
-        padded = np.zeros(m - 1)
-        padded[:self.n - 1] = self.coefficients
-        fine = _dst1(padded) / 2.0
         period = np.concatenate(([0.0], fine, [0.0], -fine[::-1]))
         x = self.grid.q_of(target.theta) * (m / np.pi)
         i = x.astype(np.intp)

@@ -7,6 +7,7 @@ import pytest
 import nekrasov.extreme
 from nekrasov.cli import main
 from nekrasov.io import _metadata_text
+from nekrasov.kernel import KernelSpec, characteristic_values
 
 
 def run(tmp_path, *argv):
@@ -189,6 +190,17 @@ class TestBranch:
         # the warm-start ladder, as solve does
         assert run(tmp_path, "branch", "--mu-start", "10", "--mu-end", "12") == 0
         assert "truncated" not in capsys.readouterr().err
+
+    def test_default_start_is_past_mu1_at_the_depth(self, tmp_path):
+        # mu1 = 3 coth(2 pi h/lambda) is 3.01123 at h/lambda = 0.5, above
+        # deep water's 3.01
+        assert run(tmp_path, "branch", "--depth", "0.5", "--mu-end", "3.5",
+                   "--format", "json") == 0
+        data = json.loads((tmp_path / "branch.json").read_text())
+        mu1 = float(characteristic_values(KernelSpec(depth_ratio=0.5), 1)[0])
+        assert mu1 == pytest.approx(3.0 / math.tanh(math.pi), rel=1e-15)
+        assert data["metadata"]["mu_start"] == mu1 + 0.01
+        assert not data["metadata"]["truncated"]
 
     def test_json_payload(self, tmp_path):
         assert run(tmp_path, "branch", "--mu-end", "3.3", "--format", "json") == 0

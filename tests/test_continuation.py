@@ -168,6 +168,20 @@ class TestTraceBranch:
             assert p.mu > mu1
             assert p.field.values.min() > 0.0
 
+    def test_finite_depth_branch_above_n_16384(self):
+        # finite depth stays on the uniform ladder, so mu = 3000 at h/lambda
+        # = 0.5 needs grids above 16384: the one branch whose transforms run
+        # at those sizes
+        spec = nk.KernelSpec(depth_ratio=0.5)
+        mu1 = nk.characteristic_values(spec, 1)[0]
+        branch = nk.trace_branch(mu1 + 0.01, 3000.0, spec=spec)
+        assert not branch.truncated, branch.failure
+        assert branch.mus[-1] == 3000.0
+        for p in branch:
+            assert p.residual <= 1e-12 and p.tail <= continuation.TAIL_THRESHOLD
+            assert p.cone.all_ok
+        assert any(p.n > 16384 for p in branch)
+
     def test_sup_norm_exceeds_pi_six_at_large_mu(self, monkeypatch):
         # sup|Phi| crosses pi/6 near mu ~ 3.5e3 (resolved crest layer needed)
         monkeypatch.setattr(continuation, "GEOMETRIC_RATIO", 1.6)

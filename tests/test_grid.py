@@ -72,25 +72,17 @@ def test_sup_norm_caches_no_grid():
     assert value == np.abs(nk.SineGrid(4 * 1234).to_values(padded)).max()
 
 
-@pytest.mark.parametrize("oversample", [2, 4, 8])
 @pytest.mark.parametrize("n", [4096, 16384, 32768, 513 * 32, 24576, 49152, 98304])
-def test_sup_norm_pieces_are_the_full_transform_bitwise(n, oversample):
-    """The zero-aware pieces give bitwise the max of the fine grid's
-    to_values, and every fine grid at or above the cut splits off at least
-    one zero half (513 * 32 is an even size off trace_branch's 2^k /
-    3 * 2^k grid ladder, and 24576, 49152 and 98304 are 3 * 2^k sizes on
-    it); sup_norm takes them on the 4x grid."""
-    coeffs = np.random.default_rng(n + oversample).standard_normal(n - 1) / np.arange(1, n)
+def test_sup_norm_is_the_full_transform_bitwise(n):
+    """sup_norm is bitwise the max of the 4x grid's to_values, with that grid
+    from 16384 to 393216 points (513 * 32 is an even size off trace_branch's
+    2^k / 3 * 2^k grid ladder, 24576, 49152 and 98304 are 3 * 2^k sizes on
+    it)."""
+    coeffs = np.random.default_rng(n + 4).standard_normal(n - 1) / np.arange(1, n)
     field = nk.AngleField.from_coefficients(coeffs, n)
-    padded = np.zeros(oversample * n - 1)
+    padded = np.zeros(4 * n - 1)
     padded[:n - 1] = coeffs
-    pieces = grid_module._dst1_padded(coeffs, oversample * n)
-    value = float(np.max([np.abs(p).max() for p in pieces])) / 2.0
-    assert value == np.abs(nk.SineGrid(oversample * n).to_values(padded)).max()
-    if oversample == 4:
-        assert field.sup_norm() == value
-    if oversample * n >= grid_module._SPLIT_MIN:
-        assert len(pieces) >= 2, len(pieces)
+    assert field.sup_norm() == np.abs(nk.SineGrid(4 * n).to_values(padded)).max()
 
 
 def test_resample_padding_and_truncation():
@@ -99,6 +91,15 @@ def test_resample_padding_and_truncation():
     assert np.abs(finer(np.array([0.7])) - field(np.array([0.7]))).max() < 1e-13
     back = finer.resample(32)
     assert np.abs(back.coefficients - field.coefficients).max() < 1e-13
+
+
+@pytest.mark.parametrize("L", [None, 0.5], ids=["same_map", "other_map"])
+@pytest.mark.parametrize("n_new", [512.0, 16.0, True, 0, 2, "64"])
+def test_resample_checks_the_grid_size(n_new, L):
+    # 16.0 on a 16-point field is neither the field itself nor a float grid
+    field = field_of(16, lambda t: np.sin(t) + 0.5 * np.sin(2 * t))
+    with pytest.raises(ValueError, match="grid size"):
+        field.resample(n_new, L)
 
 
 def test_spectral_tail_band():
@@ -165,11 +166,9 @@ def _direct_transforms(n: int, x: np.ndarray, c: np.ndarray) -> dict:
 
 
 @pytest.mark.parametrize("n", [64, 40, 42])
-def test_split_transforms_match_direct_sums(monkeypatch, n):
-    """With the cut forced down to 8 the transforms recurse (64 down to
-    4, 40 to the odd 5, 42 to the odd 21) and still agree with direct
-    long-double sums to 1e-15 of their largest entry."""
-    monkeypatch.setattr(grid_module, "_SPLIT_MIN", 8)
+def test_transforms_match_direct_sums(n):
+    """The transforms agree with direct long-double sums to 1e-15 of their
+    largest entry, on even and odd n."""
     grid = grid_module.SineGrid(n)
     rng = np.random.default_rng(n)
     x, c = rng.standard_normal(n - 1), rng.standard_normal(n + 1)
@@ -186,9 +185,10 @@ def test_split_transforms_match_direct_sums(monkeypatch, n):
         assert gap <= 1e-15 * scale, (name, gap / scale)
 
 
-@pytest.mark.parametrize("n", [grid_module._SPLIT_MIN - 2, grid_module._SPLIT_MIN + 1, 513])
+@pytest.mark.parametrize("n", [16382, 16385, 513, 16384, 24576, 32768, 49152, 98304, 1 << 17])
 def test_unsplit_transforms_are_scipy_bitwise(n):
-    """Below the cut and for odd n the transforms are the plain scipy calls."""
+    """Every transform is the one plain scipy call, for odd and even n and
+    up to N_MAX."""
     grid = nk.get_grid(n)
     rng = np.random.default_rng(7)
     x, c = rng.standard_normal(n - 1), rng.standard_normal(n + 1)
@@ -199,83 +199,25 @@ def test_unsplit_transforms_are_scipy_bitwise(n):
     assert np.array_equal(grid.cosine_coefficients_closed(c), fft.dct(c, type=1)[1:-1] / n)
 
 
-def _split_dst1(x):
-    """grid._dst1's split, written out again on scipy.fft."""
-    n = x.size + 1
-    if n % 2 or n < grid_module._SPLIT_MIN:
-        return fft.dst(x, type=1)
-    m = n // 2
-    lo, hi = x[:m], x[m - 1:][::-1]
-    out = np.empty(n - 1)
-    out[1::2] = _split_dst1((lo - hi)[:-1])
-    out[0::2] = fft.dst(lo + hi, type=3)
-    return out
-
-
-def _split_dct1(x):
-    """grid._dct1's split, written out again on scipy.fft."""
-    n = x.size - 1
-    if n % 2 or n < grid_module._SPLIT_MIN:
-        return fft.dct(x, type=1)
-    m = n // 2
-    lo, hi = x[:m + 1], x[m:][::-1]
-    out = np.empty(n + 1)
-    out[0::2] = _split_dct1(lo + hi)
-    out[1::2] = fft.dct((lo - hi)[:-1], type=3)
-    return out
-
-
-def _split_dst1_padded(x, n):
-    """grid._dst1_padded's pieces, written out again on scipy.fft."""
-    if n % 2 or n < grid_module._SPLIT_MIN or x.size >= n // 2:
-        padded = np.zeros(n - 1)
-        padded[:x.size] = x
-        return [_split_dst1(padded)]
-    lo = np.zeros(n // 2)
-    lo[:x.size] = x
-    return [fft.dst(lo, type=3), *_split_dst1_padded(x, n // 2)]
-
-
-@pytest.mark.parametrize("n", [16384, 32768, 1 << 17, 24576, 49152, 98304])
-def test_split_transforms_are_scipy_fft_bitwise(n):
-    """At and above the cut every piece of the split is the same pocketfft
-    call as through scipy.fft, so the transforms are bitwise those of the
-    split written on scipy.fft."""
-    assert n >= grid_module._SPLIT_MIN
-    rng = np.random.default_rng(n)
-    x, c = rng.standard_normal(n - 1), rng.standard_normal(n + 1)
-    assert np.array_equal(grid_module._dst1(x), _split_dst1(x))
-    assert np.array_equal(grid_module._dct1(c), _split_dct1(c))
-    coeffs = x[:n // 4 - 1]  # sup_norm's 4x padding of a grid n/4
-    pieces = grid_module._dst1_padded(coeffs, n)
-    expected = _split_dst1_padded(coeffs, n)
-    assert len(pieces) == len(expected) >= 2
-    for got, want in zip(pieces, expected):
-        assert np.array_equal(got, want)
-
-
 def test_transforms_raise_no_warning():
     """scipy.fftpack is scipy's legacy interface: importing nekrasov and
-    running one DST and DCT of types 1 and 3 must not warn, so a deprecation
-    of it fails here first."""
+    running one DST-I and one DCT-I must not warn, so a deprecation of it
+    fails here first."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    # n = 16384 splits once: DST-III and DCT-III, then DST-I and DCT-I on
-    # grid 8192
     code = ("import numpy as np, nekrasov\n"
             "from nekrasov import grid\n"
-            "n = grid._SPLIT_MIN\n"
+            "n = 16384\n"
             "grid._dst1(np.ones(n - 1))\n"
-            "grid._dct1(np.ones(n + 1))\n"
-            "grid._dst1_padded(np.ones(8), n)\n")
+            "grid._dct1(np.ones(n + 1))\n")
     done = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
 
 
-def _assert_split_roundtrip(n, seed):
+def _assert_roundtrip(n, seed):
     grid = grid_module.SineGrid(n)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(n - 1)
@@ -286,15 +228,11 @@ def _assert_split_roundtrip(n, seed):
     assert np.abs(back - x).max() < 1e-13
 
 
-def test_split_roundtrip_at_2_pow_17():
-    n = 1 << 17
-    assert n >= 8 * grid_module._SPLIT_MIN  # three levels of the split
-    _assert_split_roundtrip(n, 17)
+def test_roundtrip_at_2_pow_17():
+    # N_MAX, the largest grid trace_branch climbs to
+    _assert_roundtrip(1 << 17, 17)
 
 
-def test_split_roundtrip_at_3_times_2_pow_15():
-    # the largest 3 * 2^k grid below N_MAX: three levels of the split,
-    # down to 12288
-    n = 3 << 15
-    assert n // 8 < grid_module._SPLIT_MIN <= n // 4
-    _assert_split_roundtrip(n, 15)
+def test_roundtrip_at_3_times_2_pow_15():
+    # the largest 3 * 2^k grid below N_MAX
+    _assert_roundtrip(3 << 15, 15)
